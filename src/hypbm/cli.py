@@ -15,6 +15,7 @@ import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from decimal import Decimal, InvalidOperation
 from typing import Sequence
 
 from . import __version__
@@ -58,19 +59,15 @@ def _parse_log_range(text: str) -> list[float]:
 
 
 def _parse_x_range(text: str) -> list[float]:
+    """lo + i*step up to hi, in exact decimal arithmetic on the given digits."""
     try:
-        lo_s, hi_s, step_s = text.split(":")
-        lo, hi, step = float(lo_s), float(hi_s), float(step_s)
-    except ValueError as exc:
+        lo, hi, step = (Decimal(part) for part in text.split(":"))
+    except (ValueError, InvalidOperation) as exc:
         raise argparse.ArgumentTypeError(f"expected lo:hi:step, got {text!r}") from exc
-    if not (step > 0 and hi >= lo):
-        raise argparse.ArgumentTypeError(f"need step > 0 and hi >= lo, got {text!r}")
-    out = []
-    x = lo
-    while x <= hi + 1e-12:
-        out.append(x)
-        x += step
-    return out
+    if not all(v.is_finite() for v in (lo, hi, step)) or not (step > 0 and hi >= lo):
+        raise argparse.ArgumentTypeError(f"need finite values, step > 0 and hi >= lo, got {text!r}")
+    count = int((hi - lo) // step) + 1
+    return [float(lo + i * step) for i in range(count)]
 
 
 def _fmt(v) -> str:
@@ -115,9 +112,12 @@ def _spec_from(args) -> QuadratureSpec:
 def _workers() -> int:
     raw = os.environ.get(THREADS_ENV, "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"{THREADS_ENV} must be an integer >= 1, got {raw!r}")
+    return workers
 
 
 def _map_ordered(fn, jobs: list):
@@ -321,7 +321,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.x = args.x_range
     try:
         return args.func(args)
-    except (QuadratureError, KernelError, ValueError) as exc:
+    except ValueError as exc:
+        print(f"hypbm: invalid argument: {exc}", file=sys.stderr)
+        return 2
+    except (QuadratureError, KernelError) as exc:
         print(f"hypbm: numerical failure: {exc}", file=sys.stderr)
         return 1
 

@@ -1,21 +1,25 @@
 """Radial heat kernels q_d(t, r) on d-dimensional hyperbolic space.
 
-Closed forms exist for the two base dimensions,
+Odd dimensions start from the closed form
 
   q_3(t,r) = e^{-t/2} (2 pi t)^{-3/2} (r / sinh r) e^{-r^2/(2t)}
-  q_2(t,r) = 2^{1/2} e^{-t/8} (2 pi t)^{-3/2}
-             int_r^inf s e^{-s^2/(2t)} (cosh s - cosh r)^{-1/2} ds,
 
-and every other dimension follows from the Millson recursion
+and iterate the Millson recursion
 
-  q_d(t,r) = - e^{-(d-2)t/2} / (2 pi sinh r) * d q_{d-2}/dr (t,r).
+  q_d(t,r) = - e^{-(d-2)t/2} / (2 pi sinh r) * d q_{d-2}/dr (t,r)
 
-Odd dimensions iterate the recursion symbolically: the term family
-c * t^{-i} r^p cosh^a(r) sinh^{-b}(r) e^{-r^2/(2t)} is closed under it with
-exact integer coefficients, so q_5, q_7, ... evaluate like closed forms.
-Even dimensions >= 4 differentiate numerically (5-point stencil on
-log q_{d-2}, i.e. one Richardson step), nesting down to the q_2 quadrature
-with tolerances tightened two decades per nesting level.
+symbolically: the term family c * t^{-i} r^p cosh^a(r) sinh^{-b}(r) e^{-r^2/(2t)}
+is closed under it with exact integer coefficients, so q_5, q_7, ... evaluate
+like closed forms.
+
+Even dimensions descend from the odd dimension above them,
+
+  q_d(t,r) = 2^{1/2} e^{(2d-1)t/8} int_r^inf q_{d+1}(t,s) sinh s
+             (cosh s - cosh r)^{-1/2} ds,
+
+one singularity-regularized quadrature over the exact symbolic q_{d+1}. At
+d = 2 the folded factor q_3 sinh s is e^{-t/2} (2 pi t)^{-3/2} s e^{-s^2/(2t)},
+which is the classical q_2 integral.
 
 All kernels return LogValue: prefactors like e^{-m^2 t/2} underflow doubles
 by hundreds of orders across the supported (t, r) ranges.
@@ -24,14 +28,14 @@ by hundreds of orders across the supported (t, r) ranges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 import mpmath as mp
 import numpy as np
 
-from .logspace import LN2, LN2PI, LogValue, log_sinhc, log_sum, logcosh, logsinh, vlogsinh
+from .logspace import LN2, LN2PI, LogValue, log_sinhc, log_sum, logcosh, logsinh, vlogcosh, vlogsinh
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_adaptive
 
 _EPS = float(np.finfo(float).eps)
@@ -195,21 +199,66 @@ def q_odd(d: int, p: EvaluationPoint) -> LogValue:
 
 
 # --------------------------------------------------------------------------
-# even dimensions: q2 quadrature plus nested numerical recursion
+# even dimensions: one descent quadrature over the exact odd kernel
 # --------------------------------------------------------------------------
 
-def q2(p: EvaluationPoint, spec: QuadratureSpec = DEFAULT_SPEC) -> LogValue:
-    """d=2 kernel by singularity-regularized, magnitude-shifted quadrature.
+@lru_cache(maxsize=None)
+def _bracket_table(d: int) -> tuple[np.ndarray, ...]:
+    """build_odd_kernel(d) terms as (K, 1) columns: sign, log|c|, i, p, a, b."""
+    c, i, p, a, b = (np.array(col, dtype=float)[:, None] for col in zip(*build_odd_kernel(d).terms))
+    return np.sign(c), np.log(np.abs(c)), i, p, a, b
 
-    With s = r + w^2 the integrand becomes smooth; factoring out
-    e^{-r^2/(2t) - r/2} keeps the working integrand O(1) for any (t, r) in
-    range, so the result is assembled entirely in log space.
+
+def _log_odd_bracket(d: int, t: float, r: np.ndarray) -> np.ndarray:
+    """log of q_d's bracket sum (odd d >= 5) at every r > 0 of an array.
+
+    The vectorized form of q_odd's evaluation, for the descent quadrature's
+    nodes: a signed log-sum over the term table, redone in mpmath per point
+    on q_odd's rule (more than five digits lost to cancellation, counted as
+    in _bracket_digits_lost, or a float sum that is not positive).
     """
+    sign, log_c, i, p, a, b = _bracket_table(d)
+    logs = log_c - i * math.log(t) + p * np.log(r) + a * vlogcosh(r) - b * vlogsinh(r)
+    top = np.max(logs, axis=0)
+    acc = np.sum(sign * np.exp(logs - top), axis=0)
+    lost = (d - 3) * np.maximum(-np.log10(r), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = top + np.log(acc)
+    for j in np.flatnonzero((lost > 5.0) | (acc <= 0.0)):
+        digits = float(lost[j]) if lost[j] > 5.0 else 30.0
+        bracket = _eval_odd_bracket_mp(build_odd_kernel(d), t, float(r[j]), digits)
+        if bracket.sign <= 0:
+            raise KernelError(f"kernel bracket not positive at d={d}, t={t}, r={r[j]}")
+        out[j] = bracket.log
+    return out
+
+
+def q_even(d: int, p: EvaluationPoint, spec: QuadratureSpec = DEFAULT_SPEC) -> LogValue:
+    """Kernel for even d >= 2 by the descent identity over the exact odd kernel,
+
+      q_d(t,r) = 2^{1/2} e^{(2d-1)t/8} int_r^inf q_{d+1}(t,s) sinh s
+                 (cosh s - cosh r)^{-1/2} ds.
+
+    With s = r + w^2 the integrand becomes smooth; factoring out its decay
+    e^{-r^2/(2t) - (d-1) r/2} keeps the working integrand well inside the
+    double range (O(1) at d = 2), so the result is assembled in log space.
+    """
+    if d < 2 or d % 2 == 1:
+        raise ValueError(f"even dimension >= 2 required, got {d}")
     t, r = p.t, p.r
+    if d == 2:
+        log_fold = np.log  # q_3's bracket s / sinh s times sinh s is exactly s
+    else:
+
+        def log_fold(s: np.ndarray) -> np.ndarray:
+            # the bracket is even in s: O(s^2) flat extension at the origin, as in q_odd
+            return _log_odd_bracket(d + 1, t, np.maximum(s, 1e-6)) + vlogsinh(s)
+
     sqrt_t = math.sqrt(t)
     mult = spec.tail_sigma_multiplier
     s_max = math.hypot(r, mult * sqrt_t) + sqrt_t
     w_hi = math.sqrt(s_max - r)
+    shift = 0.5 * (d - 1) * r
 
     def fw(w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float)
@@ -217,25 +266,31 @@ def q2(p: EvaluationPoint, spec: QuadratureSpec = DEFAULT_SPEC) -> LogValue:
         with np.errstate(divide="ignore"):
             log_j = (
                 np.log(2.0 * w)
-                + np.log(r + ww)
+                + log_fold(r + ww)
                 - (2.0 * r * ww + ww * ww) / (2.0 * t)
-                + 0.5 * r
+                + shift
                 - 0.5 * (LN2 + vlogsinh(r + 0.5 * ww) + vlogsinh(0.5 * ww))
             )
         return np.exp(log_j)
 
     res = integrate_adaptive(fw, 0.0, w_hi, spec)
     if res.value <= 0.0:
-        raise KernelError(f"q2 integral not positive at t={t}, r={r}")
+        raise KernelError(f"q{d} integral not positive at t={t}, r={r}")
     lg = (
         0.5 * LN2
-        - t / 8.0
+        - (d - 1) ** 2 * t / 8.0
         - 1.5 * math.log(2.0 * math.pi * t)
+        - (d // 2 - 1) * LN2PI
         - r * r / (2.0 * t)
-        - 0.5 * r
+        - shift
         + math.log(res.value)
     )
     return LogValue(1, lg)
+
+
+def q2(p: EvaluationPoint, spec: QuadratureSpec = DEFAULT_SPEC) -> LogValue:
+    """d=2 kernel: the descent integral over q_3."""
+    return q_even(2, p, spec)
 
 
 def millson_step_numeric(
@@ -249,6 +304,7 @@ def millson_step_numeric(
     Uses the 4th-order 5-point stencil (central differences with one
     Richardson extrapolation step) on g = log q_{d-2}, then
     q_d = e^{-(d-2)t/2} / (2 pi sinh r) * q_{d-2}(r) * (-g'(r)).
+    An independent oracle for the symbolic and descent kernels.
     """
     t, r = p.t, p.r
     if r <= 0.0:
@@ -264,74 +320,6 @@ def millson_step_numeric(
         raise KernelError(f"kernel not decreasing at d={d}, t={t}, r={r} (g'={gprime})")
     lg = -(d - 2) * t / 2.0 - LN2PI - logsinh(r) + g[2] + math.log(-gprime)
     return LogValue(1, lg)
-
-
-def _tightened(spec: QuadratureSpec, levels: int) -> QuadratureSpec:
-    f = 100.0 ** levels
-    return replace(
-        spec,
-        abs_tol=max(spec.abs_tol / f, 1e-14),
-        rel_tol=max(spec.rel_tol / f, 1e-13),
-    )
-
-
-def _even_kernel_fn(d: int, t: float, spec: QuadratureSpec) -> tuple[Callable[[float], LogValue], float]:
-    """(callable r -> LogValue, noise level) for even d, recursive in d."""
-    if d == 2:
-        base_spec = spec
-        return (lambda r: q2(EvaluationPoint(t, r), base_spec)), base_spec.rel_tol
-    lower, noise = _even_kernel_fn(d - 2, t, spec)
-    level = (d - 2) // 2
-    exponent = 1.0 / 3.0 if level == 1 else 1.0 / 5.0
-
-    def fn(r: float) -> LogValue:
-        h = min(noise ** exponent * (1.0 + r), 0.25 * r)
-        return millson_step_numeric(lower, d, EvaluationPoint(t, r), h=h)
-
-    h_typ = noise ** exponent
-    out_noise = 1.5 * noise / h_typ + h_typ ** 4
-    return fn, out_noise
-
-
-def even_kernel_noise(d: int, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """Relative accuracy estimate of q_even at even dimension d."""
-    if d < 2 or d % 2 == 1:
-        raise ValueError(f"even dimension >= 2 required, got {d}")
-    levels = (d - 2) // 2
-    _, noise = _even_kernel_fn(d, 1.0, _tightened(spec, levels))
-    return noise
-
-
-def q_even(d: int, p: EvaluationPoint, spec: QuadratureSpec = DEFAULT_SPEC) -> LogValue:
-    """Kernel for even d >= 2; d >= 4 nests numerical recursion onto q2.
-
-    Below r_min(d) = 2^{levels-1} * 1e-3 the kernel is evaluated by
-    quadratic extrapolation in r^2 from [r_min, 3 r_min] (it is even in r);
-    the 1/sinh r factor otherwise amplifies differencing noise without bound.
-    """
-    if d < 2 or d % 2 == 1:
-        raise ValueError(f"even dimension >= 2 required, got {d}")
-    if d == 2:
-        return q2(p, spec)
-    levels = (d - 2) // 2
-    fn, _ = _even_kernel_fn(d, p.t, _tightened(spec, levels))
-    r_min = (1 << (levels - 1)) * 1e-3
-    if p.r >= r_min:
-        return fn(p.r)
-    nodes = [r_min, 2.0 * r_min, 3.0 * r_min]
-    logs = [fn(rr).log for rr in nodes]
-    us = [rr * rr for rr in nodes]
-    u = p.r * p.r
-    # quadratic Lagrange interpolation of log q in u = r^2 (kernel is even in
-    # r and strictly positive, so log q is as smooth as q here)
-    out = 0.0
-    for j in range(3):
-        w = logs[j]
-        for kk in range(3):
-            if kk != j:
-                w *= (u - us[kk]) / (us[j] - us[kk])
-        out += w
-    return LogValue(1, out)
 
 
 def heat_kernel(d: Dimension | int, p: EvaluationPoint, spec: QuadratureSpec = DEFAULT_SPEC) -> LogValue:

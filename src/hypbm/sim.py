@@ -42,29 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-try:
-    from numba import njit, prange
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is optional
-    _HAVE_NUMBA = False
-
 _BLOCK = 32768
 _SLAB = 128
 R_FLOOR = 1e-6
-
-# drift lookups: linear interpolation errors (~5e-7) are invisible under the
-# nu*dt weighting. Below _IMPLICIT_CUT the singular 1/r part goes implicit
-# and uses the bounded remainder coth(r) - 1/r; above it, plain coth. Grid
-# nodes sit exactly at k / _TAB_STEP (dyadic), matching the k = int(u) lookup.
-_TAB_STEP = 2048.0
-_IMPLICIT_CUT = 0.5
-_COTH_ONE = 8.0  # coth(8) - 1 = 2.3e-7, below the interpolation tier
-_reg_grid = np.arange(int(_IMPLICIT_CUT * _TAB_STEP) + 2) / _TAB_STEP
-with np.errstate(divide="ignore", invalid="ignore"):
-    _REG_TABLE = np.where(_reg_grid > 1e-4, 1.0 / np.tanh(_reg_grid) - 1.0 / _reg_grid, _reg_grid / 3.0)
-_coth_grid = _IMPLICIT_CUT + np.arange(int((_COTH_ONE - _IMPLICIT_CUT) * _TAB_STEP) + 2) / _TAB_STEP
-_COTH_TABLE = 1.0 / np.tanh(_coth_grid)
 
 
 @dataclass(frozen=True)
@@ -135,57 +115,6 @@ def _pair_slab_numpy(rc: np.ndarray, rf: np.ndarray, xi: np.ndarray, dt: float, 
         np.copyto(rc, _advance_numpy(rc, dt, sq_half * (e1 + e2), nu))
 
 
-if _HAVE_NUMBA:
-
-    @njit(cache=True, inline="always")
-    def _advance(ri, dt, noise, nu, reg_tab, coth_tab):  # pragma: no cover - via driver
-        # The implicit root only matters near the origin; past _IMPLICIT_CUT
-        # the path cannot diffuse anywhere near zero in one step, so plain
-        # Euler with tabulated coth is used there (coth = 1 past _COTH_ONE).
-        if ri >= _COTH_ONE:
-            return ri + nu * dt + noise
-        if ri >= _IMPLICIT_CUT:
-            u = (ri - _IMPLICIT_CUT) * _TAB_STEP
-            k = int(u)
-            coth = coth_tab[k] + (u - k) * (coth_tab[k + 1] - coth_tab[k])
-            ri = ri + nu * dt * coth + noise
-            return ri if ri > R_FLOOR else R_FLOOR
-        u = ri * _TAB_STEP
-        k = int(u)
-        reg = reg_tab[k] + (u - k) * (reg_tab[k + 1] - reg_tab[k])
-        a = ri + nu * dt * reg + noise
-        rr = 0.5 * (a + math.sqrt(a * a + 4.0 * nu * dt))
-        return rr if rr > R_FLOOR else R_FLOOR
-
-    @njit(cache=True, parallel=True)
-    def _step_slab_jit(r, xi, dts, sqrt_dts, nu, reg_tab, coth_tab):  # pragma: no cover - via driver
-        # xi is path-major (paths x steps); each path advances independently,
-        # so the parallel split over paths is schedule-independent
-        for i in prange(r.shape[0]):
-            ri = r[i]
-            for j in range(xi.shape[1]):
-                ri = _advance(ri, dts[j], sqrt_dts[j] * xi[i, j], nu, reg_tab, coth_tab)
-            r[i] = ri
-
-    @njit(cache=True, parallel=True)
-    def _pair_slab_jit(rc, rf, xi, dt, nu, reg_tab, coth_tab):  # pragma: no cover - via driver
-        # coupled coarse/fine chains on one Brownian path: fine takes two
-        # dt/2 steps with draws (e1, e2), coarse one dt step with (e1+e2)
-        half = 0.5 * dt
-        sq_half = math.sqrt(half)
-        for i in prange(rc.shape[0]):
-            ri_c = rc[i]
-            ri_f = rf[i]
-            for j in range(0, xi.shape[1], 2):
-                e1 = xi[i, j]
-                e2 = xi[i, j + 1]
-                ri_f = _advance(ri_f, half, sq_half * e1, nu, reg_tab, coth_tab)
-                ri_f = _advance(ri_f, half, sq_half * e2, nu, reg_tab, coth_tab)
-                ri_c = _advance(ri_c, dt, sq_half * (e1 + e2), nu, reg_tab, coth_tab)
-            rc[i] = ri_c
-            rf[i] = ri_f
-
-
 def simulate_radial(cfg: SimulationConfig, collect_stats: bool = False):
     """Terminal radii R_t for cfg.paths independent paths (one float each).
 
@@ -221,8 +150,6 @@ def simulate_radial(cfg: SimulationConfig, collect_stats: bool = False):
                         reflections += int(np.count_nonzero(r < R_FLOOR))
                         late_steps += _BLOCK
                     np.maximum(r, R_FLOOR, out=r)
-            elif _HAVE_NUMBA:
-                _step_slab_jit(r, xi, dts[k : k + chunk], sqrt_dts[k : k + chunk], nu, _REG_TABLE, _COTH_TABLE)
             else:
                 _step_slab_numpy(r, xi, dts[k : k + chunk], sqrt_dts[k : k + chunk], nu)
             k += chunk
@@ -260,10 +187,7 @@ def simulate_radial_pair(cfg: SimulationConfig) -> tuple[np.ndarray, np.ndarray]
         while k < n:
             chunk = min(_SLAB, n - k)
             xi = rng.standard_normal((_BLOCK, 2 * chunk))
-            if _HAVE_NUMBA:
-                _pair_slab_jit(rc, rf, xi, cfg.step, nu, _REG_TABLE, _COTH_TABLE)
-            else:
-                _pair_slab_numpy(rc, rf, xi, cfg.step, nu)
+            _pair_slab_numpy(rc, rf, xi, cfg.step, nu)
             k += chunk
         lo = b * _BLOCK
         hi = min(lo + _BLOCK, cfg.paths)

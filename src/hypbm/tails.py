@@ -43,7 +43,6 @@ from .kernels import (
     Dimension,
     EvaluationPoint,
     LogValue,
-    even_kernel_noise,
     heat_kernel,
     q_odd,
 )
@@ -140,7 +139,8 @@ def _gaussian_window(lower: float, mult: float) -> tuple[float, float]:
 
 
 def tail_d3(t: float, x: float, spec: QuadratureSpec = DEFAULT_SPEC) -> TailEstimate:
-    """d=3 tail probability, exact up to quadrature error for every t > 0."""
+    """d=3 tail probability, exact up to quadrature error for every t >= T_MIN."""
+    FluctuationPoint(Dimension(3), t, x)
     sqrt_t = math.sqrt(t)
     lower = max(x, -sqrt_t)
     lo, hi = _gaussian_window(lower, spec.tail_sigma_multiplier)
@@ -238,7 +238,7 @@ def _boundary_block_even(n: int, t: float, T: float, spec: QuadratureSpec) -> tu
             + expansion.log
         )
         parts.append(LogValue(1, lg))
-        err += even_kernel_noise(sub, spec) * math.exp(lg)
+        err += spec.rel_tol * math.exp(lg)
     return log_sum(parts), err
 
 
@@ -358,28 +358,24 @@ def direct_kernel_quadrature(
         raise ValueError(f"direct quadrature supports t <= 50, got t={t}")
     fp = FluctuationPoint(dd, t, x)
     T = fp.threshold
-    noise = even_kernel_noise(dd.d, spec) if dd.d % 2 == 0 else 1e-11
-    eff = QuadratureSpec(
-        abs_tol=max(spec.abs_tol, noise),
-        rel_tol=max(spec.rel_tol, 30.0 * noise),
-        max_subdivisions=spec.max_subdivisions,
-        tail_sigma_multiplier=spec.tail_sigma_multiplier,
-    )
+    # relative error of each density value: the even kernel's own quadrature
+    # tolerance, or the float round-off of the symbolic odd kernel
+    kernel_rel_err = spec.rel_tol if dd.d % 2 == 0 else 1e-11
     sqrt_t = math.sqrt(t)
     center = 0.5 * (dd.d - 1) * t
-    upper = max(T, center) + eff.tail_sigma_multiplier * sqrt_t
+    upper = max(T, center) + spec.tail_sigma_multiplier * sqrt_t
 
     def f(rs: np.ndarray) -> np.ndarray:
         out = np.empty(len(rs))
         for j, r in enumerate(np.asarray(rs, dtype=float)):
-            out[j] = radial_density(dd, EvaluationPoint(t, float(r)), eff) if r > 0 else 0.0
+            out[j] = radial_density(dd, EvaluationPoint(t, float(r)), spec) if r > 0 else 0.0
         return out
 
     seeds = [
         p
-        for p in (center - eff.tail_sigma_multiplier * sqrt_t, center - sqrt_t, center, center + sqrt_t)
+        for p in (center - spec.tail_sigma_multiplier * sqrt_t, center - sqrt_t, center, center + sqrt_t)
         if T < p < upper
     ]
-    res = integrate_adaptive(f, T, upper, eff, seed_points=seeds)
-    err = res.error_estimate + noise * abs(res.value)
+    res = integrate_adaptive(f, T, upper, spec, seed_points=seeds)
+    err = res.error_estimate + kernel_rel_err * abs(res.value)
     return _finalize(res.value, err, "direct_kernel_quadrature")

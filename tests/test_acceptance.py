@@ -17,10 +17,9 @@ from hypbm.calculus import (
 )
 from hypbm.discrepancy import discrepancy_curve, rate_fit, sharpness_d2_integral
 from hypbm.kernels import EvaluationPoint, davies_envelope, heat_kernel, millson_step_numeric, q_odd
-from hypbm.quadrature import DEFAULT_SPEC
 from hypbm.sim import SimulationConfig, empirical_tail, simulate_radial_pair
 from hypbm.tails import direct_kernel_quadrature, tail
-from hypbm.verify import _normalization
+from hypbm.verify import normalization_suite
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 D2_CONSTANT = 2.0 * math.log(2.0) / math.sqrt(2.0 * math.pi)
@@ -54,16 +53,9 @@ def test_c01_operator_identity_suite():
 
 def test_c02_normalization():
     t0 = time.time()
-    worst_line = ""
-    ok = True
-    for d in (2, 3, 4, 5, 6, 7):
-        tol = 1e-5 if d in (4, 6) else 1e-6
-        for t in (0.5, 1.0, 5.0, 20.0):
-            defect = abs(_normalization(d, t, DEFAULT_SPEC) - 1.0)
-            if defect > tol:
-                ok = False
-                worst_line = f"d={d} t={t} defect {defect:.2e} > {tol:g}"
-    report("C2", ok, worst_line or f"all masses within tolerance ({time.time()-t0:.1f}s)")
+    results = normalization_suite(ds=(2, 3, 4, 5, 6, 7), ts=(0.5, 1.0, 5.0, 20.0))
+    failed = "; ".join(f"{res.name}: {res.detail}" for res in results if not res.passed)
+    report("C2", not failed, failed or f"all masses within tolerance ({time.time()-t0:.1f}s)")
 
 
 def test_c03_millson_consistency():

@@ -44,6 +44,12 @@ class TestTailCommand:
         assert code == 0
         assert len(out.strip().splitlines()) == 6  # header + 5 values
 
+    def test_x_range_values_do_not_accumulate_rounding(self, capsys):
+        code, out, _ = run_cli(capsys, "tail", "--d", "3", "--t", "4", "--x-range", "0:1:0.1")
+        assert code == 0
+        xs = [line.split(",")[2] for line in out.strip().splitlines()[1:]]
+        assert xs == ["0.0", "0.1", "0.2", "0.3", "0.4", "0.5", "0.6", "0.7", "0.8", "0.9", "1.0"]
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "tail", "--d", "3", "--t", "1", "--x", "0", "--format", "json")
         assert code == 0
@@ -97,7 +103,30 @@ class TestErrorPaths:
         assert exc.value.code == 2
 
     def test_numerical_failure_exit_1(self, capsys):
-        # direct oracle path is not defined above t = 50 in the verify suite
-        code = main(["tail", "--d", "3", "--t", "-4", "--x", "0"])
+        # tolerances no double-precision quadrature can meet
+        code = main(["kernel", "--d", "2", "--t", "1", "--r", "1", "--abs-tol", "1e-300", "--rel-tol", "1e-300"])
         assert code == 1
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tail", "--d", "3", "--t", "-4", "--x", "0"],
+            ["tail", "--d", "3", "--t", "0", "--x", "0"],
+            ["tail", "--d", "3", "--t", "1", "--x", "nan"],
+            ["kernel", "--d", "1", "--t", "1", "--r", "1"],
+            ["kernel", "--d", "2", "--t", "-1", "--r", "1"],
+        ],
+    )
+    def test_invalid_values_exit_2(self, capsys, argv):
+        code = main(argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "invalid argument" in err and "numerical failure" not in err
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_invalid_thread_count_exit_2(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("HYPBM_THREADS", value)
+        code = main(["sweep", "--d", "3", "--t", "10"])
+        assert code == 2
+        assert "HYPBM_THREADS" in capsys.readouterr().err

@@ -17,6 +17,7 @@ from hypbm.kernels import (
     q3,
     q_even,
     q_odd,
+    _log_odd_bracket,
 )
 from hypbm.logspace import logsinh
 from hypbm.quadrature import DEFAULT_SPEC, integrate_adaptive
@@ -111,6 +112,18 @@ class TestOddKernels:
         assert vals[0] == pytest.approx(vals[1], rel=1e-9)
         assert vals[0] == pytest.approx(vals[3], rel=1e-3)
 
+    @pytest.mark.parametrize("d", [5, 7, 9, 11, 13])
+    def test_vectorized_bracket_matches_scalar_path(self, d):
+        # the array evaluation behind the even kernels against q_odd's scalar
+        # float/mpmath evaluation, across the fallback boundary
+        t = 2.0
+        rs = np.array([1e-6, 1e-3, 0.05, 0.3, 1.0, 4.0, 30.0, 800.0])
+        expr = build_odd_kernel(d)
+        got = _log_odd_bracket(d, t, rs)
+        for r, g in zip(rs, got):
+            want = q_odd(d, EvaluationPoint(t, float(r))).log - expr.log_prefactor(t) + r * r / (2.0 * t)
+            assert g == pytest.approx(want, abs=1e-9)
+
     @pytest.mark.parametrize("d,t", [(5, 1.0), (7, 5.0)])
     def test_normalization(self, d, t):
         assert total_mass(d, t) == pytest.approx(1.0, abs=1e-6)
@@ -163,6 +176,25 @@ class TestEvenKernels:
         p = EvaluationPoint(1.0, 2.0)
         ratio = q_even(4, p).value / davies_envelope(4, p).value
         assert 1e-2 <= ratio <= 1e2
+
+    @pytest.mark.parametrize("d", [8, 10, 12])
+    @pytest.mark.parametrize("t", [0.5, 1.0, 5.0])
+    def test_high_dimension_normalization(self, d, t):
+        assert total_mass(d, t) == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "d,t,r,log_q",
+        [
+            # mpmath at 25 digits from sympy-differentiated odd kernels
+            (6, 10.0, 0.001, -41.18910411256182),
+            (8, 0.1, 0.001, 1.3883908042785207),
+            (8, 1.0, 0.001, -12.313104924909336),
+            (8, 10.0, 0.01, -72.93074683206773),
+            (10, 1.0, 0.01, -17.319774934273948),
+        ],
+    )
+    def test_small_radius_against_mpmath(self, d, t, r, log_q):
+        assert heat_kernel(d, EvaluationPoint(t, r)).log == pytest.approx(log_q, abs=1e-8)
 
 
 class TestMillsonStepNumeric:

@@ -92,6 +92,11 @@ class TestTailD3:
         b = direct_kernel_quadrature(3, 1.0, x)
         assert a.value == pytest.approx(b.value, abs=1e-8)
 
+    @pytest.mark.parametrize("t,x", [(1.0, math.nan), (1.0, math.inf), (0.0, 0.0), (-4.0, 0.0), (1e-4, 0.0)])
+    def test_rejects_invalid_point(self, t, x):
+        with pytest.raises(ValueError):
+            tail_d3(t, x)
+
 
 class TestTailOdd:
     def test_d3_reduces_exactly(self):
