@@ -324,7 +324,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"hypbm: invalid argument: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureError, KernelError) as exc:
+    except (QuadratureError, KernelError, OverflowError) as exc:
+        # OverflowError: a result, such as q_d at t near 0, beyond the double range
         print(f"hypbm: numerical failure: {exc}", file=sys.stderr)
         return 1
 

@@ -19,7 +19,8 @@ Even dimensions descend from the odd dimension above them,
 
 one singularity-regularized quadrature over the exact symbolic q_{d+1}. At
 d = 2 the folded factor q_3 sinh s is e^{-t/2} (2 pi t)^{-3/2} s e^{-s^2/(2t)},
-which is the classical q_2 integral.
+which is the classical q_2 integral. log_descent_fold evaluates that folded
+factor for every even d, for q_even here and for the even tails in tails.py.
 
 All kernels return LogValue: prefactors like e^{-m^2 t/2} underflow doubles
 by hundreds of orders across the supported (t, r) ranges.
@@ -35,7 +36,7 @@ from typing import Callable
 import mpmath as mp
 import numpy as np
 
-from .logspace import LN2, LN2PI, LogValue, log_sinhc, log_sum, logcosh, logsinh, vlogcosh, vlogsinh
+from .logspace import LN2, LN2PI, LogValue, log_sinhc, log_sum, logcosh, logsinh
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_adaptive
 
 _EPS = float(np.finfo(float).eps)
@@ -209,28 +210,70 @@ def _bracket_table(d: int) -> tuple[np.ndarray, ...]:
     return np.sign(c), np.log(np.abs(c)), i, p, a, b
 
 
-def _log_odd_bracket(d: int, t: float, r: np.ndarray) -> np.ndarray:
-    """log of q_d's bracket sum (odd d >= 5) at every r > 0 of an array.
+def _vlogcosh_minus_x(x: np.ndarray) -> np.ndarray:
+    """log(cosh x) - x = log((1 + e^{-2x}) / 2), bounded for all x >= 0."""
+    return np.log1p(np.exp(-2.0 * x)) - LN2
 
-    The vectorized form of q_odd's evaluation, for the descent quadrature's
-    nodes: a signed log-sum over the term table, redone in mpmath per point
-    on q_odd's rule (more than five digits lost to cancellation, counted as
-    in _bracket_digits_lost, or a float sum that is not positive).
+
+def _vlogsinh_minus_x(x: np.ndarray) -> np.ndarray:
+    """log(sinh x) - x = log((1 - e^{-2x}) / 2) for x > 0, with no cancellation."""
+    return np.log(-np.expm1(-2.0 * x)) - LN2
+
+
+def _log_odd_bracket(d: int, t: float, r: np.ndarray, rel_tol: float = DEFAULT_SPEC.rel_tol) -> np.ndarray:
+    """log of q_d's bracket sum times e^{m r} (odd d = 2m+1 >= 5), at every
+    r > 0 of an array.
+
+    Every term's cosh^a sinh^{-b} has a - b = -m, so once e^{-m r} is factored
+    out each term needs only log(cosh r) - r and log(sinh r) - r, which stay
+    bounded: large r costs no digits. The vectorized form of q_odd's
+    evaluation, for the descent quadratures' nodes: a signed log-sum over the
+    term table, redone in mpmath per point where too many digits are lost to
+    cancellation (counted as in _bracket_digits_lost), or where the float sum
+    is not positive.
     """
     sign, log_c, i, p, a, b = _bracket_table(d)
-    logs = log_c - i * math.log(t) + p * np.log(r) + a * vlogcosh(r) - b * vlogsinh(r)
+    m = (d - 1) // 2
+    logs = log_c - i * math.log(t) + p * np.log(r) + a * _vlogcosh_minus_x(r) - b * _vlogsinh_minus_x(r)
     top = np.max(logs, axis=0)
     acc = np.sum(sign * np.exp(logs - top), axis=0)
     lost = (d - 3) * np.maximum(-np.log10(r), 0.0)
+    # the float sum's noise is about 10^lost eps: switching past this many lost
+    # digits keeps it a decade under rel_tol, capped at q_odd's five digits
+    switch = min(5.0, max(0.0, math.log10(rel_tol / _EPS) - 1.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         out = top + np.log(acc)
-    for j in np.flatnonzero((lost > 5.0) | (acc <= 0.0)):
-        digits = float(lost[j]) if lost[j] > 5.0 else 30.0
+    for j in np.flatnonzero((lost > switch) | (acc <= 0.0)):
+        digits = float(lost[j]) if lost[j] > switch else 30.0
         bracket = _eval_odd_bracket_mp(build_odd_kernel(d), t, float(r[j]), digits)
         if bracket.sign <= 0:
             raise KernelError(f"kernel bracket not positive at d={d}, t={t}, r={r[j]}")
-        out[j] = bracket.log
+        out[j] = bracket.log + m * r[j]
     return out
+
+
+def log_descent_fold(d: int, t: float, s: np.ndarray, rel_tol: float) -> np.ndarray:
+    """The folded factor of the descent identity for even d = 2k+2, shifted by
+    its exponential decay: log(bracket(q_{d+1})(t,s) sinh s) + k s, so that
+
+      q_{d+1}(t,s) sinh s = e^{log_prefactor(t) - s^2/(2t) - k s + log_descent_fold(d, t, s)}
+
+    with q_{d+1}'s log_prefactor. It grows only like a polynomial in s and
+    1/t. At d = 2 it is log s: q_3's bracket s / sinh s times sinh s.
+    """
+    if d == 2:
+        return np.log(s)
+    # the bracket is even in s: O(s^2) flat extension at the origin, as in q_odd
+    return _log_odd_bracket(d + 1, t, np.maximum(s, 1e-6), rel_tol) + _vlogsinh_minus_x(s)
+
+
+def descent_gap(r: float, ww: np.ndarray) -> np.ndarray:
+    """(cosh s - cosh r) e^{-s} = (1 - e^{-(s+r)}) (1 - e^{-w^2}) / 2 at s = r + w^2.
+
+    The descent identity's singular factor without its e^{s} growth: bounded
+    by 1/2, and exact near the endpoint, where s - r = w^2 is known exactly.
+    """
+    return 0.5 * np.expm1(-(2.0 * r + ww)) * np.expm1(-ww)
 
 
 def q_even(d: int, p: EvaluationPoint, spec: QuadratureSpec = DEFAULT_SPEC) -> LogValue:
@@ -239,21 +282,15 @@ def q_even(d: int, p: EvaluationPoint, spec: QuadratureSpec = DEFAULT_SPEC) -> L
       q_d(t,r) = 2^{1/2} e^{(2d-1)t/8} int_r^inf q_{d+1}(t,s) sinh s
                  (cosh s - cosh r)^{-1/2} ds.
 
-    With s = r + w^2 the integrand becomes smooth; factoring out its decay
-    e^{-r^2/(2t) - (d-1) r/2} keeps the working integrand well inside the
-    double range (O(1) at d = 2), so the result is assembled in log space.
+    With s = r + w^2 the integrand becomes smooth. Factoring out its decay
+    e^{-r^2/(2t) - (d-1) r/2} leaves, with the fold's e^{-(d-2)s/2} and the
+    gap's e^{s/2} cancelled exactly, the working integrand
+    2w e^{fold(s) - (2 r w^2 + w^4)/(2t) - (d-1) w^2/2} descent_gap^{-1/2}:
+    no term grows with r or t, and the result is assembled in log space.
     """
     if d < 2 or d % 2 == 1:
         raise ValueError(f"even dimension >= 2 required, got {d}")
     t, r = p.t, p.r
-    if d == 2:
-        log_fold = np.log  # q_3's bracket s / sinh s times sinh s is exactly s
-    else:
-
-        def log_fold(s: np.ndarray) -> np.ndarray:
-            # the bracket is even in s: O(s^2) flat extension at the origin, as in q_odd
-            return _log_odd_bracket(d + 1, t, np.maximum(s, 1e-6)) + vlogsinh(s)
-
     sqrt_t = math.sqrt(t)
     mult = spec.tail_sigma_multiplier
     s_max = math.hypot(r, mult * sqrt_t) + sqrt_t
@@ -263,13 +300,14 @@ def q_even(d: int, p: EvaluationPoint, spec: QuadratureSpec = DEFAULT_SPEC) -> L
     def fw(w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float)
         ww = w * w
+        s = r + ww
         with np.errstate(divide="ignore"):
             log_j = (
                 np.log(2.0 * w)
-                + log_fold(r + ww)
+                + log_descent_fold(d, t, s, spec.rel_tol)
                 - (2.0 * r * ww + ww * ww) / (2.0 * t)
-                + shift
-                - 0.5 * (LN2 + vlogsinh(r + 0.5 * ww) + vlogsinh(0.5 * ww))
+                - 0.5 * (d - 1) * ww
+                - 0.5 * np.log(descent_gap(r, ww))
             )
         return np.exp(log_j)
 

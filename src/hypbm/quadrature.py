@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .logspace import LN2, LogValue, vlogsinh
+from .logspace import LN2, vlogsinh
 
 # 15-point Kronrod extension of 7-point Gauss (QUADPACK dqk15 constants).
 _XGK = np.array([
@@ -221,45 +221,3 @@ def integrate_sqrt_singularity(
         return QuadratureResult(0.0, 0.0, 0)
     w_hi = math.sqrt(upper - r)
     return integrate_adaptive(sqrt_singular_transform(g, r), 0.0, w_hi, spec)
-
-
-def integrate_exp_log(
-    logf: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-    *,
-    probes: int = 65,
-    seed_points: Sequence[float] = (),
-) -> tuple[LogValue, float, int]:
-    """Integrate exp(logf) over [a, b] in shifted log space.
-
-    The integrand is assumed positive; its magnitude may be far outside the
-    double range. Returns (LogValue integral, relative error estimate,
-    evaluations). The shift M = max logf over a probe grid normalizes the
-    integrand to O(1) before the adaptive pass.
-    """
-    if not (b > a):
-        return LogValue.zero(), 0.0, 0
-    grid = np.linspace(a, b, probes)
-    if a == 0.0:
-        # resolve integrands that peak very close to the left endpoint
-        grid = np.concatenate([grid, np.geomspace(max(b * 1e-8, 1e-12), b, 33)])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lf = np.asarray(logf(grid), dtype=float)
-    lf = lf[np.isfinite(lf)]
-    if lf.size == 0:
-        return LogValue.zero(), 0.0, int(grid.size)
-    m = float(np.max(lf))
-
-    def f(x: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.exp(np.asarray(logf(x), dtype=float) - m)
-        return np.nan_to_num(out, nan=0.0, posinf=np.inf)
-
-    res = integrate_adaptive(f, a, b, spec, seed_points=seed_points)
-    evals = res.evaluations + int(grid.size)
-    if res.value <= 0.0:
-        return LogValue.zero(), res.error_estimate, evals
-    rel_err = res.error_estimate / res.value
-    return LogValue(1, m + math.log(res.value)), rel_err, evals

@@ -7,22 +7,28 @@ The quantity of interest is
 
 compared against the Gaussian upper tail Phi(x). Direct integration of the
 density (direct_kernel_quadrature) is exact but only overflow-safe for
-t <= 50; the production paths use exact dimension reductions instead:
+t <= 50; the production paths are exact for every t, one formula per parity:
 
-  d = 3     single stable Gaussian-weighted integral (no e^{t} cancellation):
-            tail = (1/sqrt(2 pi)) int_{x v -sqrt t} (1 + v/sqrt t) e^{-v^2/2}
-                   (1 - e^{-2(t + v sqrt t)}) dv
+  d = 3     closed form, l = x v -sqrt t:
+            tail = Phi(l) + Phi(l + 2 sqrt t) + phi(l) (1 - e^{-2 sqrt t (l + sqrt t)}) / sqrt t
   odd d     boundary sum of kernel * operator-expansion values at T, plus the
-            d=3 tail evaluated at time n^2 t (d = 2n+1)
-  even d    boundary block J1, singular-free quadratures K1, and a stabilized
-            unit-prefactor integral for the dominant block; for
-            x <= -(n-1/2) sqrt(t) the threshold T pins at 0 and the dominant
-            block switches to two Gaussian-shifted integrals N1 + N2
+            d=3 tail at time n^2 t (d = 2n+1): no quadrature at all
+  even d    the descent identity q_d = sqrt 2 e^{(2d-1)t/8} int_r^inf q_{d+1}
+            sinh s (cosh s - cosh r)^{-1/2} ds with the order of integration
+            swapped (d = 2k+2):
 
-Every block is assembled in log space: the raw even-d decomposition pairs
-e^{-n(n-1)t/2} against integrals growing like e^{+n(n-1)t/2}, which is
-hopeless in doubles beyond t ~ 50 unless the growth is cancelled analytically
-first (that is exactly what the stabilized forms do).
+              tail = omega_d sqrt 2 e^{(2d-1)t/8} int_T^inf q_{d+1}(t,s) sinh s I_k(T,s) ds,
+              I_k(T,s) = int_T^s sinh^{2k+1} r (cosh s - cosh r)^{-1/2} dr
+                       = sum_j b_j B(j+1, 1/2) V^{j+1/2},   V = cosh s - cosh T,
+
+            where b_j are the (nonnegative) coefficients of
+            (v + 2 sinh^2(T/2))^k (v + 2 cosh^2(T/2))^k: one quadrature over the
+            exact odd kernel; at T = 0 the tail is exactly 1.
+
+The even-d integrand is assembled with every e^{O(t)} and e^{O(s)} factor
+cancelled analytically: it is a probability density in s (bounded by the
+T = 0 one) times the substitution's Jacobian, computed from quantities that
+stay O(1) for every t, so no shift, probe grid or log-space sum is needed.
 """
 
 from __future__ import annotations
@@ -33,28 +39,22 @@ from typing import Literal
 
 import numpy as np
 
-from .calculus import (
-    double_factorial,
-    evaluate_expansion_log,
-    log_surface_area,
-    sinh_power_derivative,
-)
+from .calculus import evaluate_expansion_log, log_surface_area, sinh_power_derivative
 from .kernels import (
     Dimension,
     EvaluationPoint,
+    KernelError,
     LogValue,
+    descent_gap,
     heat_kernel,
+    log_descent_fold,
     q_odd,
 )
-from .logspace import LN2, LN2PI, log_sum, logsinh, vlogcosh, vlogsinh
-from .quadrature import (
-    DEFAULT_SPEC,
-    QuadratureSpec,
-    integrate_adaptive,
-    integrate_exp_log,
-)
+from .logspace import LN2, LN2PI, log_sum, logsinh
+from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_adaptive
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_EPS = float(np.finfo(float).eps)
 
 TailMethod = Literal[
     "closed_form_d3",
@@ -121,6 +121,8 @@ def radial_density(d: Dimension | int, p: EvaluationPoint, spec: QuadratureSpec 
 
 
 def _finalize(value: float, err: float, method: TailMethod) -> TailEstimate:
+    if not math.isfinite(value):
+        raise KernelError(f"{method} tail is not finite ({value!r})")
     # clamp to [0,1]; a clamp beyond the quoted error widens the error instead
     if value < 0.0:
         err = max(err, -value)
@@ -131,27 +133,27 @@ def _finalize(value: float, err: float, method: TailMethod) -> TailEstimate:
     return TailEstimate(value, err, method)
 
 
-def _gaussian_window(lower: float, mult: float) -> tuple[float, float]:
-    """Effective [lo, hi] for integrands bounded by poly * e^{-u^2/2}."""
-    lo = max(lower, -mult)
-    hi = max(lower, 0.0) + mult
-    return lo, hi
-
-
 def tail_d3(t: float, x: float, spec: QuadratureSpec = DEFAULT_SPEC) -> TailEstimate:
-    """d=3 tail probability, exact up to quadrature error for every t >= T_MIN."""
+    """d=3 tail probability in closed form for every t >= T_MIN.
+
+    With l = max(x, -sqrt t), integrating (1 + v/sqrt t) e^{-v^2/2}
+    (1 - e^{-2(t + v sqrt t)}) / sqrt(2 pi) over v >= l gives
+    Phi(l) + phi(l)/sqrt t + Phi(l + 2 sqrt t) - phi(l + 2 sqrt t)/sqrt t; the two
+    phi terms are combined through expm1, so all three terms are nonnegative
+    and nothing cancels. spec is unused (the signature matches the other tails).
+    """
     FluctuationPoint(Dimension(3), t, x)
     sqrt_t = math.sqrt(t)
-    lower = max(x, -sqrt_t)
-    lo, hi = _gaussian_window(lower, spec.tail_sigma_multiplier)
-
-    def f(v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        return (1.0 + v / sqrt_t) * np.exp(-0.5 * v * v) * (-np.expm1(-2.0 * (t + v * sqrt_t)))
-
-    res = integrate_adaptive(f, lo, hi, spec)
-    value = res.value / _SQRT_2PI
-    err = res.error_estimate / _SQRT_2PI + 1e-30
+    lo = max(x, -sqrt_t)
+    hi = lo + 2.0 * sqrt_t
+    q_lo, q_hi = normal_tail(lo), normal_tail(hi)
+    p = math.exp(-0.5 * lo * lo) / _SQRT_2PI * -math.expm1(-2.0 * sqrt_t * (lo + sqrt_t)) / sqrt_t
+    value = q_lo + q_hi + p
+    # a few ulps per term, plus the rounding of each Gaussian argument a, which
+    # moves a decaying term by a relative a^2 eps; a * (a * term) stays 0, not
+    # inf * 0, where a huge argument has flushed its term to 0
+    lo_pos = max(lo, 0.0)
+    err = _EPS * (4.0 * value + lo_pos * (lo_pos * q_lo) + hi * (hi * q_hi) + lo * (lo * p))
     return _finalize(value, err, "closed_form_d3")
 
 
@@ -181,156 +183,65 @@ def tail_odd(d: Dimension | int, t: float, x: float, spec: QuadratureSpec = DEFA
             )
             parts.append(LogValue(1, lg))
         boundary = log_sum(parts)
+        # the sum is a difference of two probabilities; a larger one means its
+        # O(t)-sized log terms cancelled beyond double precision
+        if boundary.log > 0.0:
+            raise KernelError(f"odd-d boundary sum lost all precision at d={dd.d}, t={t}, x={x}")
         value += boundary.value
     return _finalize(value, err, "odd_reduction")
 
 
-def _log_a_n(n: int, t: float) -> float:
-    """log of omega_{2n} e^{-n(n-1)t/2} / (2 pi)^{n-1}."""
-    return log_surface_area(2 * n) - n * (n - 1) * t / 2.0 - (n - 1) * LN2PI
-
-
-def _log_q2_prefactor(t: float) -> float:
-    return 0.5 * LN2 - t / 8.0 - 1.5 * math.log(2.0 * math.pi * t)
-
-
-def _cosh_power_integral(T: float, t: float, half_power_k: int, spec: QuadratureSpec) -> tuple[LogValue, float]:
-    """int_T^inf s e^{-s^2/(2t)} (cosh s - cosh T)^{k-1/2} ds in log space.
-
-    Regularized by s = T + w^2; log(cosh s - cosh T) = log 2 +
-    log sinh((s+T)/2) + log sinh(w^2/2), exact at the endpoint.
-    """
-    k = half_power_k
-    sqrt_t = math.sqrt(t)
-    peak = (k - 0.5) * t
-    s_max = max(T, peak) + spec.tail_sigma_multiplier * sqrt_t + sqrt_t
-    w_hi = math.sqrt(s_max - T)
-
-    def logf(w: np.ndarray) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
-        s = T + w * w
-        return (
-            np.log(2.0 * w)
-            + np.log(s)
-            - s * s / (2.0 * t)
-            + (k - 0.5) * (LN2 + vlogsinh(0.5 * (s + T)) + vlogsinh(0.5 * w * w))
-        )
-
-    val, rel_err, _ = integrate_exp_log(logf, 0.0, w_hi, spec)
-    return val, rel_err
-
-
-def _boundary_block_even(n: int, t: float, T: float, spec: QuadratureSpec) -> tuple[LogValue, float]:
-    """J1: kernel * expansion boundary terms of the even-d decomposition."""
-    parts: list[LogValue] = []
-    err = 0.0
-    for m in range(1, n):
-        expansion = evaluate_expansion_log(sinh_power_derivative(2 * n - 2, m - 1), T)
-        if expansion.sign == 0:
-            continue
-        sub = 2 * n - 2 * m
-        qv = heat_kernel(sub, EvaluationPoint(t, T), spec)
-        lg = (
-            log_surface_area(2 * n)
-            - m * (n - (m + 1) / 2.0) * t
-            - m * LN2PI
-            + qv.log
-            + expansion.log
-        )
-        parts.append(LogValue(1, lg))
-        err += spec.rel_tol * math.exp(lg)
-    return log_sum(parts), err
-
-
-def _singular_free_block_even(n: int, t: float, T: float, spec: QuadratureSpec) -> tuple[LogValue, float]:
-    """a_n K1: expansion-weighted (cosh s - cosh T)^{k-1/2} quadratures."""
-    parts: list[LogValue] = []
-    err = 0.0
-    base = _log_a_n(n, t) + _log_q2_prefactor(t)
-    for k in range(1, n):
-        expansion = evaluate_expansion_log(sinh_power_derivative(2 * n - 2, n - 2 + k), T)
-        if expansion.sign == 0:
-            continue
-        integral, rel_err = _cosh_power_integral(T, t, k, spec)
-        if integral.sign == 0:
-            continue
-        lg = (
-            base
-            + k * LN2
-            - math.log(double_factorial(2 * k - 1))
-            + expansion.log
-            + integral.log
-        )
-        parts.append(LogValue(1, lg))
-        err += rel_err * math.exp(lg)
-    return log_sum(parts), err
-
-
 def tail_even(d: Dimension | int, t: float, x: float, spec: QuadratureSpec = DEFAULT_SPEC) -> TailEstimate:
-    """Even-dimension tail via the stabilized decomposition (d = 2n)."""
+    """Even-dimension tail (d = 2k+2) by the swapped descent integral.
+
+    With s = T + w^2, u = (s - (d-1)t/2)/sqrt t = x + w^2/sqrt t and
+    nu = descent_gap(T, w^2) = (cosh s - cosh T) e^{-s}, the
+    integrand in w is
+
+      2w omega_d sqrt 2 (2 pi t)^{-3/2} (2 pi)^{-k} e^{-u^2/2 + log_descent_fold(s)}
+         * sqrt(nu) sum_j b_j e^{-(2k-j)T} B(j+1, 1/2) nu^j e^{-(2k-j)w^2}:
+
+    the factors e^{(2d-1)t/8 - (k+1)^2 t/2 - s^2/(2t)}, the fold's e^{-ks}
+    and the V^{j+1/2} growth cancel exactly into e^{-u^2/2}, and the rescaled
+    coefficients b_j e^{-(2k-j)T} are those of
+    (v^2 + (1 + e^{-2T}) v + expm1(-2T)^2/4)^k, all nonnegative and O(1).
+    Every factor is computed in doubles without cancellation for every t,
+    and the fold's mpmath switch keeps its noise a decade under spec.rel_tol,
+    so the quadrature's estimate is the whole error. At T = 0 the tail is
+    exactly P(R_t >= 0) = 1.
+    """
     dd = d if isinstance(d, Dimension) else Dimension(int(d))
     if dd.is_odd:
         raise ValueError(f"even dimension required, got {dd.d}")
-    n = dd.n
-    sqrt_t = math.sqrt(t)
-    nmh = n - 0.5
     fp = FluctuationPoint(dd, t, x)
-    T = fp.threshold
-    mult = spec.tail_sigma_multiplier
-
     if x <= fp.boundary_x:
-        # T pinned at zero: the whole mass lies above the threshold. The
-        # decomposition reproduces 1 as a_n K1 + N1 + N2 (J1 vanishes).
-        k1, k1_err = _singular_free_block_even(n, t, 0.0, spec)
-
-        def n_block(shift: float) -> tuple[float, float]:
-            lower = -shift * sqrt_t
-            lo, hi = _gaussian_window(lower, mult)
-
-            def f(u: np.ndarray) -> np.ndarray:
-                u = np.asarray(u, dtype=float)
-                z = (u - lower) * sqrt_t
-                base = np.exp(-0.5 * u * u)
-                if n == 1:
-                    return base
-                return base * (-np.expm1(-z)) ** (2 * n - 2)
-
-            res = integrate_adaptive(f, lo, hi, spec)
-            return res.value / _SQRT_2PI, res.error_estimate / _SQRT_2PI
-
-        n1, e1 = n_block(nmh)
-        n2, e2 = n_block(n - 1.5)
-        value = k1.value + n1 + math.exp(-(n - 1) * t) * n2
-        err = k1_err + e1 + e2 + 1e-30
-        return _finalize(value, err, "even_decomposition")
-
-    # branch x > boundary: J1 + a_n K1 + stabilized dominant integral
-    j1, j1_err = _boundary_block_even(n, t, T, spec)
-    k1, k1_err = _singular_free_block_even(n, t, T, spec)
-
-    u_hi = max(x, 0.0) + mult
-    w_hi = math.sqrt(u_hi - x)
+        return TailEstimate(1.0, 0.0, "even_decomposition")
+    T = fp.threshold
+    k = dd.n - 1
+    sqrt_t = math.sqrt(t)
+    # b_j e^{-(2k-j)T} B(j+1, 1/2) for j = 0..2k, with B(j+1, 1/2) = 2 prod_{i<=j} i/(i+1/2)
+    j = np.arange(2 * k + 1)
+    coef = np.polynomial.polynomial.polypow([0.25 * math.expm1(-2.0 * T) ** 2, 1.0 + math.exp(-2.0 * T), 1.0], k)
+    weights = (coef * 2.0 * np.cumprod(np.r_[1.0, j[1:] / (j[1:] + 0.5)]))[:, None]
+    j = j[:, None]
+    log_c = log_surface_area(dd.d) + 0.5 * LN2 - 1.5 * math.log(2.0 * math.pi * t) - k * LN2PI
+    # u runs to max(x, 0) + mult + 1 at the top, past the Gaussian bulk
+    w_hi = math.sqrt(sqrt_t * (max(-x, 0.0) + spec.tail_sigma_multiplier + 1.0))
 
     def f(w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float)
-        u = x + w * w
-        y = u * sqrt_t + nmh * t
-        # (1 - cosh T / cosh y) = 2 sinh((y+T)/2) sinh((y-T)/2) / cosh y with
-        # y - T = (u - x) sqrt(t) known exactly: no cancellation anywhere
-        log_gap = LN2 + vlogsinh(0.5 * (y + T)) + vlogsinh(0.5 * sqrt_t * w * w) - vlogcosh(y)
-        log_plus = np.log1p(np.exp(-2.0 * y))
-        with np.errstate(divide="ignore"):
-            return (
-                2.0
-                * w
-                * (1.0 + u / (nmh * sqrt_t))
-                * np.exp(-0.5 * u * u + nmh * (log_plus + log_gap))
-            )
+        ww = w * w
+        s = T + ww
+        u = x + ww / sqrt_t
+        nu = descent_gap(T, ww)
+        inner = np.sqrt(nu) * np.sum(weights * nu**j * np.exp(-ww) ** (2 * k - j), axis=0)
+        with np.errstate(divide="ignore", over="ignore"):  # a non-finite value fails the quadrature
+            return 2.0 * w * inner * np.exp(log_c - 0.5 * u * u + log_descent_fold(dd.d, t, s, spec.rel_tol))
 
-    res = integrate_adaptive(f, 0.0, w_hi, spec)
-    value = j1.value + k1.value + res.value / _SQRT_2PI
-    err = j1_err + k1_err + res.error_estimate / _SQRT_2PI + 1e-30
-    return _finalize(value, err, "even_decomposition")
+    # split at the Gaussian bulk u in [-1, 1] and one unit past x
+    seeds = [math.sqrt(sqrt_t * (v - x)) for v in (-1.0, 0.0, 1.0, x + 1.0) if v > x]
+    res = integrate_adaptive(f, 0.0, w_hi, spec, seed_points=seeds)
+    return _finalize(res.value, res.error_estimate, "even_decomposition")
 
 
 def tail(d: Dimension | int, t: float, x: float, spec: QuadratureSpec = DEFAULT_SPEC) -> TailEstimate:

@@ -7,19 +7,10 @@ Tolerances are pinned here, not configurable.
 import math
 import time
 
-import numpy as np
-
-from hypbm.calculus import (
-    double_factorial,
-    evaluate_expansion,
-    millson_identity_value,
-    sinh_power_derivative,
-)
 from hypbm.discrepancy import discrepancy_curve, rate_fit, sharpness_d2_integral
-from hypbm.kernels import EvaluationPoint, davies_envelope, heat_kernel, millson_step_numeric, q_odd
 from hypbm.sim import SimulationConfig, empirical_tail, simulate_radial_pair
-from hypbm.tails import direct_kernel_quadrature, tail
-from hypbm.verify import normalization_suite
+from hypbm.tails import tail
+from hypbm.verify import cross_oracle_suite, davies_suite, identities_suite, millson_suite, normalization_suite
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 D2_CONSTANT = 2.0 * math.log(2.0) / math.sqrt(2.0 * math.pi)
@@ -30,62 +21,29 @@ def report(tag: str, ok: bool, detail: str) -> None:
     assert ok, f"{tag}: {detail}"
 
 
-def test_c01_operator_identity_suite():
+def report_suite(tag: str, run_suite) -> None:
+    """One line for a verify suite: the failing checks, or every check when all pass."""
     t0 = time.time()
-    worst = 0.0
-    grid = np.linspace(0.0, 10.0, 41)
-    for l in range(1, 9):
-        e = sinh_power_derivative(2 * l + 1, l)
-        for r in grid:
-            want = millson_identity_value(l, float(r))
-            got = evaluate_expansion(e, float(r))
-            worst = max(worst, abs(got - want) / (1.0 + abs(want)))
-    for k in range(1, 5):
-        e1 = sinh_power_derivative(4 * k - 1, 2 * k - 1)
-        e2 = sinh_power_derivative(4 * k + 1, 2 * k)
-        for r in grid:
-            w1 = double_factorial(4 * k - 1) / (2 * k) * math.sinh(2 * k * float(r))
-            w2 = double_factorial(4 * k + 1) / (2 * k + 1) * math.sinh((2 * k + 1) * float(r))
-            worst = max(worst, abs(evaluate_expansion(e1, float(r)) - w1) / (1.0 + abs(w1)))
-            worst = max(worst, abs(evaluate_expansion(e2, float(r)) - w2) / (1.0 + abs(w2)))
-    report("C1", worst <= 1e-10, f"identity suite max rel err {worst:.2e} ({time.time()-t0:.2f}s)")
+    results = run_suite()
+    shown = [res for res in results if not res.passed] or results
+    detail = "; ".join(f"{res.name}: {res.detail}" for res in shown)
+    report(tag, all(res.passed for res in results), f"{detail} ({time.time()-t0:.1f}s)")
+
+
+def test_c01_operator_identity_suite():
+    report_suite("C1", identities_suite)
 
 
 def test_c02_normalization():
-    t0 = time.time()
-    results = normalization_suite(ds=(2, 3, 4, 5, 6, 7), ts=(0.5, 1.0, 5.0, 20.0))
-    failed = "; ".join(f"{res.name}: {res.detail}" for res in results if not res.passed)
-    report("C2", not failed, failed or f"all masses within tolerance ({time.time()-t0:.1f}s)")
+    report_suite("C2", lambda: normalization_suite(ds=(2, 3, 4, 5, 6, 7), ts=(0.5, 1.0, 5.0, 20.0)))
 
 
 def test_c03_millson_consistency():
-    t0 = time.time()
-    worst = 0.0
-    for d in (5, 7):
-        for t in (0.5, 1.0, 2.0, 5.0, 20.0):
-            for r in (0.5, 1.0, 2.0, 4.0, 8.0):
-                p = EvaluationPoint(t, r)
-                sym = q_odd(d, p)
-                num = millson_step_numeric(lambda rr, tt=t, dd=d: q_odd(dd - 2, EvaluationPoint(tt, rr)), d, p)
-                worst = max(worst, abs(math.expm1(sym.log - num.log)))
-    report("C3", worst <= 1e-6, f"symbolic vs numeric recursion max rel err {worst:.2e} ({time.time()-t0:.1f}s)")
+    report_suite("C3", millson_suite)
 
 
 def test_c04_reduction_vs_oracle():
-    t0 = time.time()
-    ok = True
-    detail = []
-    for d in (2, 3, 4, 5, 6):
-        tol = 1e-4 if d in (4, 6) else 1e-5
-        worst = 0.0
-        for t in (1.0, 5.0, 20.0):
-            for x in (-3.0, -1.0, 0.0, 1.0, 3.0):
-                a = tail(d, t, x).value
-                b = direct_kernel_quadrature(d, t, x).value
-                worst = max(worst, abs(a - b))
-        detail.append(f"d={d}:{worst:.1e}")
-        ok &= worst <= tol
-    report("C4", ok, "reduction vs direct quadrature " + " ".join(detail) + f" ({time.time()-t0:.1f}s)")
+    report_suite("C4", lambda: cross_oracle_suite(ds=(2, 3, 4, 5, 6)))
 
 
 def test_c05_d3_sharpness_constant():
@@ -168,20 +126,4 @@ def test_c09_monte_carlo_cross_check():
 
 
 def test_c10_envelope_ratio_stability():
-    t0 = time.time()
-    ok = True
-    detail = []
-    for d in (2, 3, 4, 5, 6):
-        widths = []
-        for nt, nr in ((8, 9), (15, 17)):
-            lo, hi = math.inf, -math.inf
-            for t in np.geomspace(0.1, 50.0, nt):
-                for r in np.linspace(0.0, 40.0, nr):
-                    p = EvaluationPoint(float(t), float(r))
-                    lr = heat_kernel(d, p).log - davies_envelope(d, p).log
-                    lo, hi = min(lo, lr), max(hi, lr)
-            widths.append(hi - lo)
-        change = abs(widths[1] - widths[0]) / widths[0]
-        ok &= math.isfinite(widths[1]) and change < 0.05
-        detail.append(f"d={d}: width {widths[1]:.2f} ({100*change:.1f}%)")
-    report("C10", ok, "log-ratio ranges " + "; ".join(detail) + f" ({time.time()-t0:.1f}s)")
+    report_suite("C10", lambda: davies_suite(ds=(2, 3, 4, 5, 6)))

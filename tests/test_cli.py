@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypbm.cli import main
 
@@ -23,6 +28,16 @@ class TestKernelCommand:
         code, out, _ = run_cli(capsys, "density", "--d", "3", "--t", "1", "--r", "0")
         assert code == 0
         assert out.strip().splitlines()[1] == "3,1.0,0.0,0.0"
+
+    def test_tight_tolerance_even_kernel_converges(self, capsys):
+        argv = ["kernel", "--d", "8", "--t", "10", "--r", "0"]
+        code, out, _ = run_cli(capsys, *argv, "--rel-tol", "1e-13", "--abs-tol", "1e-300")
+        assert code == 0
+        tight = float(out.strip().splitlines()[1].split(",")[4])
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        default = float(out.strip().splitlines()[1].split(",")[4])
+        assert tight == pytest.approx(default, abs=1e-9)
 
 
 class TestTailCommand:
@@ -130,3 +145,42 @@ class TestErrorPaths:
         code = main(["sweep", "--d", "3", "--t", "10"])
         assert code == 2
         assert "HYPBM_THREADS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--t", "1e300", "--x", "1"], ["--t", "1e21", "--x", "-3"]])
+    def test_odd_tail_at_huge_time_is_numerical_failure(self, capsys, argv):
+        # the boundary sum's O(t) log terms cancel beyond double precision
+        # here: the tail must fail loudly, neither print NaN nor escape as an
+        # OverflowError
+        code = main(["tail", "--d", "5", *argv])
+        out = capsys.readouterr()
+        assert code == 1
+        assert "numerical failure" in out.err and out.out == ""
+
+
+_FUZZ_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e-300, 1e-3, 1e300, 1.7e308]),
+    st.floats(min_value=-20.0, max_value=1e4),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+class TestFuzz:
+    @given(
+        command=st.sampled_from(["kernel", "density", "tail"]),
+        d=st.integers(min_value=-1, max_value=12),
+        t=_FUZZ_VALUES,
+        v=_FUZZ_VALUES,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_exit_codes_and_tail_range(self, command, d, t, v):
+        flag = "--x" if command == "tail" else "--r"
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main([command, f"--d={d}", f"--t={t!r}", f"{flag}={v!r}"])
+            except SystemExit as exc:  # argparse rejects the arguments
+                code = exc.code
+        assert code in (0, 1, 2)
+        if code == 0 and command == "tail":
+            value = float(stdout.getvalue().splitlines()[1].split(",")[3])
+            assert math.isfinite(value) and 0.0 <= value <= 1.0

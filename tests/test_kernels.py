@@ -114,14 +114,15 @@ class TestOddKernels:
 
     @pytest.mark.parametrize("d", [5, 7, 9, 11, 13])
     def test_vectorized_bracket_matches_scalar_path(self, d):
-        # the array evaluation behind the even kernels against q_odd's scalar
-        # float/mpmath evaluation, across the fallback boundary
+        # the array evaluation behind the even kernels (which returns the
+        # bracket times e^{m r}, d = 2m+1) against q_odd's scalar float/mpmath
+        # evaluation, across the fallback boundary
         t = 2.0
         rs = np.array([1e-6, 1e-3, 0.05, 0.3, 1.0, 4.0, 30.0, 800.0])
         expr = build_odd_kernel(d)
         got = _log_odd_bracket(d, t, rs)
         for r, g in zip(rs, got):
-            want = q_odd(d, EvaluationPoint(t, float(r))).log - expr.log_prefactor(t) + r * r / (2.0 * t)
+            want = q_odd(d, EvaluationPoint(t, float(r))).log - expr.log_prefactor(t) + r * r / (2.0 * t) + expr.m * r
             assert g == pytest.approx(want, abs=1e-9)
 
     @pytest.mark.parametrize("d,t", [(5, 1.0), (7, 5.0)])

@@ -10,7 +10,6 @@ from hypbm.quadrature import (
     QuadratureError,
     QuadratureSpec,
     integrate_adaptive,
-    integrate_exp_log,
     integrate_sqrt_singularity,
 )
 
@@ -145,16 +144,3 @@ class TestSqrtSingularity:
 
     def test_empty_interval(self):
         assert integrate_sqrt_singularity(np.sinh, 2.0, 2.0, SPEC).value == 0.0
-
-
-class TestShiftedLog:
-    def test_matches_plain_quadrature_after_shift(self):
-        # integrand e^{-1000} * e^{-u^2/2} underflows doubles pointwise
-        logf = lambda u: -1000.0 - 0.5 * u * u
-        val, rel_err, _ = integrate_exp_log(logf, 0.0, 12.0, SPEC)
-        assert val.log == pytest.approx(-1000.0 + math.log(math.sqrt(math.pi / 2)), abs=1e-10)
-        assert rel_err < 1e-9
-
-    def test_zero_on_empty_interval(self):
-        val, _, _ = integrate_exp_log(lambda u: -u, 1.0, 1.0, SPEC)
-        assert val.sign == 0

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypbm.kernels import Dimension, EvaluationPoint
-from hypbm.quadrature import QuadratureSpec
+from hypbm.quadrature import QuadratureSpec, integrate_adaptive
 from hypbm.tails import (
     FluctuationPoint,
     direct_kernel_quadrature,
@@ -97,6 +97,23 @@ class TestTailD3:
         with pytest.raises(ValueError):
             tail_d3(t, x)
 
+    @pytest.mark.parametrize("t", [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3, 1e4, 1e5])
+    def test_closed_form_matches_gaussian_weighted_integral(self, t):
+        # oracle: the stable Gaussian-weighted integral the closed form sums,
+        # (1/sqrt(2 pi)) int_{x v -sqrt t}^inf (1 + v/sqrt t) e^{-v^2/2} (1 - e^{-2(t + v sqrt t)}) dv
+        sqrt_t = math.sqrt(t)
+
+        def f(v):
+            return (1.0 + v / sqrt_t) * np.exp(-0.5 * v * v) * -np.expm1(-2.0 * (t + v * sqrt_t))
+
+        spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-13)
+        for x in np.linspace(-12.0, 12.0, 49):
+            lower = max(float(x), -sqrt_t)
+            want = integrate_adaptive(f, max(lower, -12.0), max(lower, 0.0) + 12.0, spec).value / math.sqrt(2.0 * math.pi)
+            got = tail_d3(t, float(x))
+            assert got.value == pytest.approx(want, abs=1e-12), (t, x)
+            assert got.error_estimate < 1e-14
+
 
 class TestTailOdd:
     def test_d3_reduces_exactly(self):
@@ -154,6 +171,48 @@ class TestTailEven:
     def test_rejects_odd_dimension(self):
         with pytest.raises(ValueError):
             tail_even(5, 1.0, 0.0)
+
+    def test_pinned_threshold_is_exactly_one(self):
+        for d, t in [(2, 1e-3), (4, 1.0), (8, 100.0), (10, 1e6)]:
+            xb = FluctuationPoint(Dimension(d), t, 0.0).boundary_x
+            for x in (xb, xb - 1.0, -1e9):
+                est = tail_even(d, t, x)
+                assert est.value == 1.0 and est.error_estimate == 0.0, (d, t, x)
+
+    @pytest.mark.parametrize(
+        "d,t,x,want",
+        [
+            # mpmath at 25 digits: the swapped-order descent integral over
+            # sympy-differentiated odd kernels (perfbench/refs_mp.py)
+            (8, 1.0, -1.0, 0.9770021714571819),
+            (8, 1.0, 0.5, 0.6098517938482783),
+            (8, 1.0, 2.0, 0.09037188193970211),
+            (8, 100.0, -1.0, 0.8594647996933827),
+            (8, 100.0, 0.5, 0.33599333123032116),
+            (8, 100.0, 2.0, 0.027133344281423534),
+            (8, 1e4, -1.0, 0.8432019926659764),
+            (8, 1e4, 0.5, 0.3112507823616922),
+            (8, 1e4, 2.0, 0.023167908352609297),
+            (10, 1.0, -1.0, 0.9715163991099551),
+            (10, 1.0, 0.5, 0.6027664067463981),
+            (10, 1.0, 2.0, 0.09172279638524432),
+            (10, 100.0, -1.0, 0.8590104674662961),
+            (10, 100.0, 0.5, 0.3353788540174235),
+            (10, 100.0, 2.0, 0.027048094794198636),
+            (10, 1e4, -1.0, 0.8431585606176865),
+            (10, 1e4, 0.5, 0.31118807382222674),
+            (10, 1e4, 2.0, 0.023158367822870406),
+        ],
+    )
+    def test_high_dimension_against_mpmath(self, d, t, x, want):
+        assert tail_even(d, t, x).value == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("d", [2, 4, 6, 8])
+    def test_huge_time_is_gaussian(self, d):
+        # the deviation from Phi is O(t^{-1/2}) = 1e-150: every factor of the
+        # integrand must stay exact at t = 1e300, not overflow to 0 or inf
+        for x in (-3.0, 0.0, 1.0, 5.0):
+            assert tail_even(d, 1e300, x).value == pytest.approx(normal_tail(x), rel=1e-8, abs=1e-12), x
 
 
 class TestDispatchAndBounds:
