@@ -54,7 +54,6 @@ from .quadrature import (
     QuadratureResult,
     QuadratureSpec,
     integrate_adaptive,
-    integrate_sqrt_singularity,
 )
 from .sim import (
     EmpiricalTail,
@@ -112,7 +111,6 @@ __all__ = [
     "QuadratureResult",
     "QuadratureSpec",
     "integrate_adaptive",
-    "integrate_sqrt_singularity",
     "EmpiricalTail",
     "SimulationConfig",
     "empirical_tail",

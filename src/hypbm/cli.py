@@ -245,6 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common_io(p):
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
+
+    def tol_args(p):
         p.add_argument("--abs-tol", dest="abs_tol", type=float)
         p.add_argument("--rel-tol", dest="rel_tol", type=float)
 
@@ -264,6 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     t_args(p)
     p.add_argument("--r", type=_parse_floats, required=True)
     common_io(p)
+    tol_args(p)
     p.set_defaults(func=_cmd_kernel)
 
     p = sub.add_parser("density", help="evaluate the radial density")
@@ -272,6 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     t_args(p)
     p.add_argument("--r", type=_parse_floats, required=True)
     common_io(p)
+    tol_args(p)
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("tail", help="normalized-fluctuation tail probability")
@@ -280,6 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     t_args(p)
     x_args(p)
     common_io(p)
+    tol_args(p)
     p.set_defaults(func=_cmd_tail)
 
     p = sub.add_parser("sweep", help="sup-discrepancy curve over t")
@@ -287,6 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=_parse_dims, required=True)
     t_args(p)
     common_io(p)
+    tol_args(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("simulate", help="Monte Carlo empirical tails")

@@ -146,7 +146,7 @@ def build_odd_kernel(d: int) -> OddKernelExpression:
 
 def q3(p: EvaluationPoint) -> LogValue:
     """Closed-form d=3 kernel; r/sinh r extended continuously to 1 at r=0."""
-    lg = -0.5 * p.t - 1.5 * math.log(2.0 * math.pi * p.t) - log_sinhc(p.r) - p.r * p.r / (2.0 * p.t)
+    lg = -0.5 * p.t - 1.5 * math.log(2.0 * math.pi * p.t) - log_sinhc(p.r) - p.r * (p.r / (2.0 * p.t))
     return LogValue(1, lg)
 
 
@@ -196,7 +196,7 @@ def q_odd(d: int, p: EvaluationPoint) -> LogValue:
             bracket = _eval_odd_bracket_mp(expr, p.t, r, 30.0)
     if bracket.sign <= 0:
         raise KernelError(f"kernel bracket not positive at d={d}, t={p.t}, r={p.r}")
-    return LogValue(1, expr.log_prefactor(p.t) - r * r / (2.0 * p.t) + bracket.log)
+    return LogValue(1, expr.log_prefactor(p.t) - r * (r / (2.0 * p.t)) + bracket.log)
 
 
 # --------------------------------------------------------------------------
@@ -294,7 +294,10 @@ def q_even(d: int, p: EvaluationPoint, spec: QuadratureSpec = DEFAULT_SPEC) -> L
     sqrt_t = math.sqrt(t)
     mult = spec.tail_sigma_multiplier
     s_max = math.hypot(r, mult * sqrt_t) + sqrt_t
-    w_hi = math.sqrt(s_max - r)
+    # w^2 also stops where e^{-(d-1) w^2/2} has decayed by e^{-(mult+1)^2}:
+    # twice tail_even's Gaussian margin, the other half for the fold's
+    # polynomial growth; at large t the Gaussian bound in s lies far past this
+    w_hi = math.sqrt(min(s_max - r, 2.0 * (mult + 1.0) ** 2 / (d - 1)))
     shift = 0.5 * (d - 1) * r
 
     def fw(w: np.ndarray) -> np.ndarray:

@@ -60,8 +60,8 @@ class LogValue:
 
 
 def log_sum(values: Iterable[LogValue]) -> LogValue:
-    """Signed log-sum-exp of LogValues."""
-    vals = [v for v in values if v.sign != 0]
+    """Signed log-sum-exp of LogValues; a part whose log is -inf counts as zero."""
+    vals = [v for v in values if v.sign != 0 and v.log != -math.inf]
     if not vals:
         return LogValue.zero()
     m = max(v.log for v in vals)

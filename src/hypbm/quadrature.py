@@ -1,29 +1,17 @@
-"""Adaptive one-dimensional quadrature with endpoint-singularity transforms.
+"""Adaptive one-dimensional Gauss-Kronrod quadrature.
 
 A nested 7/15 Gauss-Kronrod rule with batched bisection drives everything.
 Integrands are vectorized callables (ndarray -> ndarray); each refinement
 round evaluates every new panel's nodes in one call, which keeps pure-Python
 overhead out of the hot loop.
-
-Two additions on top of the plain adaptive rule:
-
-  * inverse-square-root endpoint singularities h(s) = g(s)/(cosh s - cosh r)^{1/2}
-    are regularized by s = r + w^2, with cosh s - cosh r evaluated through
-    2 sinh((s+r)/2) sinh((s-r)/2) so no digits cancel near the endpoint;
-  * semi-infinite Gaussian-decay integrals are truncated at
-    center + tail_sigma_multiplier * scale, which leaves the omitted tail
-    below e^{-72} relative for the default multiplier of 12.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-
-from .logspace import LN2, vlogsinh
 
 # 15-point Kronrod extension of 7-point Gauss (QUADPACK dqk15 constants).
 _XGK = np.array([
@@ -124,22 +112,13 @@ def integrate_adaptive(
     b: float,
     spec: QuadratureSpec = DEFAULT_SPEC,
     *,
-    tail_center: float | None = None,
-    tail_scale: float | None = None,
     seed_points: Sequence[float] = (),
 ) -> QuadratureResult:
-    """Integrate a vectorized integrand over [a, b], b possibly +inf.
+    """Integrate a vectorized integrand over the finite interval [a, b].
 
-    Semi-infinite integrals require tail_scale (the Gaussian decay scale of
-    the integrand); they are truncated at max(a, tail_center) +
-    tail_sigma_multiplier * tail_scale. seed_points pre-split the interval
-    where the caller knows the integrand is concentrated.
+    seed_points pre-split the interval where the caller knows the integrand
+    is concentrated.
     """
-    if math.isinf(b):
-        if tail_scale is None or tail_scale <= 0.0:
-            raise ValueError("semi-infinite integral requires a positive tail_scale")
-        center = a if tail_center is None else tail_center
-        b = max(a, center) + spec.tail_sigma_multiplier * tail_scale
     if not (b > a):
         return QuadratureResult(0.0, 0.0, 0)
 
@@ -176,48 +155,3 @@ def integrate_adaptive(
         lows, highs = new_lows, new_highs
         vals = np.concatenate([keep_vals, fresh_vals])
         errs = np.concatenate([keep_errs, fresh_errs])
-
-
-def sqrt_singular_transform(
-    g: Callable[[np.ndarray], np.ndarray], r: float
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Integrand in w for int g(s) (cosh s - cosh r)^{-1/2} ds with s = r + w^2.
-
-    cosh s - cosh r = 2 sinh((s+r)/2) sinh(w^2/2) exactly, so the transformed
-    integrand 2 w g(r+w^2) / sqrt(...) is smooth at w = 0 (panel nodes never
-    sit exactly on w = 0).
-    """
-
-    def fw(w: np.ndarray) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
-        s = r + w * w
-        log_den = 0.5 * (LN2 + vlogsinh(0.5 * (s + r)) + vlogsinh(0.5 * w * w))
-        with np.errstate(divide="ignore"):
-            return 2.0 * w * g(s) * np.exp(-log_den)
-
-    return fw
-
-
-def integrate_sqrt_singularity(
-    g: Callable[[np.ndarray], np.ndarray],
-    r: float,
-    upper: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-    *,
-    tail_scale: float | None = None,
-) -> QuadratureResult:
-    """int_r^upper g(s) / (cosh s - cosh r)^{1/2} ds with a regularized endpoint.
-
-    For upper = +inf, g must decay like a Gaussian of scale tail_scale and
-    the integral is truncated accordingly (in s, then mapped to w).
-    """
-    if r < 0.0:
-        raise ValueError(f"lower endpoint must satisfy r >= 0, got {r}")
-    if math.isinf(upper):
-        if tail_scale is None or tail_scale <= 0.0:
-            raise ValueError("semi-infinite integral requires a positive tail_scale")
-        upper = math.hypot(r, spec.tail_sigma_multiplier * tail_scale) + tail_scale
-    if upper <= r:
-        return QuadratureResult(0.0, 0.0, 0)
-    w_hi = math.sqrt(upper - r)
-    return integrate_adaptive(sqrt_singular_transform(g, r), 0.0, w_hi, spec)

@@ -28,10 +28,15 @@ start at r0 = 1e-3 by default; for t below ~0.1 the surrogate start is a
 known limitation of the simulator, while at the horizons used for
 cross-checks (t >= 1) the law is insensitive to r0 at the tested tolerances.
 
+Every run, the plain chain, the chain with reflection counts, and the
+coupled pair of step sizes, goes through one block driver (_run_blocks) and
+one implicit step (_advance); the runs differ only in how a slab of noise
+advances their chains.
+
 Reproducibility: path i's noise is a fixed function of (seed, i). Paths are
 grouped into fixed blocks of 32768; block b draws from a counter-based
 Philox stream keyed (seed, b) in a fixed slab layout, so results do not
-depend on scheduling, thread count, or the total number of paths requested.
+depend on the total number of paths requested.
 """
 
 from __future__ import annotations
@@ -92,27 +97,34 @@ def _step_sizes(t: float, step: float) -> np.ndarray:
     return np.full(n_full, step)
 
 
-def _advance_numpy(r: np.ndarray, dt: float, noise: np.ndarray, nu: float) -> np.ndarray:
+def _advance(r: np.ndarray, dt: float, noise: np.ndarray, nu: float) -> np.ndarray:
+    """One implicit step of every path: the positive root, before the R_FLOOR clamp."""
+    # coth R - 1/R is bounded on (0, inf): ~R/3 at 0, ->1 at inf
     reg = np.where(r > 1e-4, 1.0 / np.tanh(r) - 1.0 / r, r / 3.0)
     a = r + nu * dt * reg + noise
-    return np.maximum(0.5 * (a + np.sqrt(a * a + 4.0 * nu * dt)), R_FLOOR)
+    return 0.5 * (a + np.sqrt(a * a + 4.0 * nu * dt))
 
 
-def _step_slab_numpy(r: np.ndarray, xi: np.ndarray, dts: np.ndarray, sqrt_dts: np.ndarray, nu: float) -> None:
-    # xi is path-major (paths x steps)
-    for j in range(xi.shape[1]):
-        np.copyto(r, _advance_numpy(r, dts[j], sqrt_dts[j] * xi[:, j], nu))
+def _run_blocks(cfg: SimulationConfig, steps: int, normals_per_step: int, chains: int, step_slab) -> list[np.ndarray]:
+    """Terminal values of `chains` chains per path, started at cfg.r0.
 
-
-def _pair_slab_numpy(rc: np.ndarray, rf: np.ndarray, xi: np.ndarray, dt: float, nu: float) -> None:
-    half = 0.5 * dt
-    sq_half = math.sqrt(half)
-    for j in range(0, xi.shape[1], 2):
-        e1 = xi[:, j]
-        e2 = xi[:, j + 1]
-        np.copyto(rf, _advance_numpy(rf, half, sq_half * e1, nu))
-        np.copyto(rf, _advance_numpy(rf, half, sq_half * e2, nu))
-        np.copyto(rc, _advance_numpy(rc, dt, sq_half * (e1 + e2), nu))
+    Block b of _BLOCK paths draws from a Philox stream keyed (seed, b), one
+    (_BLOCK, normals_per_step * chunk) slab per chunk of at most _SLAB steps,
+    and step_slab(rs, xi, k, live) advances the block's chains rs over steps
+    k .. k + chunk - 1; only the first `live` rows are requested paths.
+    """
+    outs = [np.empty(cfg.paths) for _ in range(chains)]
+    for b in range((cfg.paths + _BLOCK - 1) // _BLOCK):
+        rng = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, b], dtype=np.uint64)))
+        rs = [np.full(_BLOCK, cfg.r0) for _ in range(chains)]
+        lo = b * _BLOCK
+        live = min(_BLOCK, cfg.paths - lo)
+        for k in range(0, steps, _SLAB):
+            chunk = min(_SLAB, steps - k)
+            step_slab(rs, rng.standard_normal((_BLOCK, normals_per_step * chunk)), k, live)  # path-major
+        for out, r in zip(outs, rs):
+            out[lo : lo + live] = r[:live]
+    return outs
 
 
 def simulate_radial(cfg: SimulationConfig, collect_stats: bool = False):
@@ -123,41 +135,22 @@ def simulate_radial(cfg: SimulationConfig, collect_stats: bool = False):
     """
     dts = _step_sizes(cfg.t, cfg.step)
     sqrt_dts = np.sqrt(dts)
+    late = np.cumsum(dts) >= 1.0
     nu = 0.5 * (cfg.d - 1)
-    times = np.cumsum(dts)
-
-    n_blocks = (cfg.paths + _BLOCK - 1) // _BLOCK
-    out = np.empty(cfg.paths)
     reflections = 0
-    late_steps = 0
-    for b in range(n_blocks):
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([cfg.seed, b], dtype=np.uint64))
-        )
-        r = np.full(_BLOCK, cfg.r0)
-        k = 0
-        while k < len(dts):
-            chunk = min(_SLAB, len(dts) - k)
-            xi = rng.standard_normal((_BLOCK, chunk))  # path-major slab
-            if collect_stats:
-                for j in range(chunk):
-                    dt = dts[k + j]
-                    # coth R - 1/R is bounded on (0, inf): ~R/3 at 0, ->1 at inf
-                    reg = np.where(r > 1e-4, 1.0 / np.tanh(r) - 1.0 / r, r / 3.0)
-                    a = r + nu * dt * reg + sqrt_dts[k + j] * xi[:, j]
-                    r = 0.5 * (a + np.sqrt(a * a + 4.0 * nu * dt))
-                    if times[k + j] >= 1.0:
-                        reflections += int(np.count_nonzero(r < R_FLOOR))
-                        late_steps += _BLOCK
-                    np.maximum(r, R_FLOOR, out=r)
-            else:
-                _step_slab_numpy(r, xi, dts[k : k + chunk], sqrt_dts[k : k + chunk], nu)
-            k += chunk
-        lo = b * _BLOCK
-        hi = min(lo + _BLOCK, cfg.paths)
-        out[lo:hi] = r[: hi - lo]
+
+    def step_slab(rs: list[np.ndarray], xi: np.ndarray, k: int, live: int) -> None:
+        nonlocal reflections
+        (r,) = rs
+        for j in range(xi.shape[1]):
+            root = _advance(r, dts[k + j], sqrt_dts[k + j] * xi[:, j], nu)
+            if collect_stats and late[k + j]:
+                reflections += int(np.count_nonzero(root[:live] < R_FLOOR))
+            np.maximum(root, R_FLOOR, out=r)
+
+    (out,) = _run_blocks(cfg, len(dts), 1, 1, step_slab)
     if collect_stats:
-        return out, SimStats(len(dts), reflections, late_steps)
+        return out, SimStats(len(dts), reflections, cfg.paths * int(np.count_nonzero(late)))
     return out
 
 
@@ -174,26 +167,20 @@ def simulate_radial_pair(cfg: SimulationConfig) -> tuple[np.ndarray, np.ndarray]
     if n < 1 or abs(n * cfg.step - cfg.t) > 1e-9 * max(cfg.t, 1.0):
         raise ValueError("paired run requires t to be an integral multiple of step")
     nu = 0.5 * (cfg.d - 1)
-    n_blocks = (cfg.paths + _BLOCK - 1) // _BLOCK
-    out_c = np.empty(cfg.paths)
-    out_f = np.empty(cfg.paths)
-    for b in range(n_blocks):
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([cfg.seed, b], dtype=np.uint64))
-        )
-        rc = np.full(_BLOCK, cfg.r0)
-        rf = np.full(_BLOCK, cfg.r0)
-        k = 0
-        while k < n:
-            chunk = min(_SLAB, n - k)
-            xi = rng.standard_normal((_BLOCK, 2 * chunk))
-            _pair_slab_numpy(rc, rf, xi, cfg.step, nu)
-            k += chunk
-        lo = b * _BLOCK
-        hi = min(lo + _BLOCK, cfg.paths)
-        out_c[lo:hi] = rc[: hi - lo]
-        out_f[lo:hi] = rf[: hi - lo]
-    return out_c, out_f
+    half = 0.5 * cfg.step
+    sq_half = math.sqrt(half)
+
+    def step_slab(rs: list[np.ndarray], xi: np.ndarray, k: int, live: int) -> None:
+        rc, rf = rs
+        for j in range(0, xi.shape[1], 2):
+            e1 = xi[:, j]
+            e2 = xi[:, j + 1]
+            np.maximum(_advance(rf, half, sq_half * e1, nu), R_FLOOR, out=rf)
+            np.maximum(_advance(rf, half, sq_half * e2, nu), R_FLOOR, out=rf)
+            np.maximum(_advance(rc, cfg.step, sq_half * (e1 + e2), nu), R_FLOOR, out=rc)
+
+    coarse, fine = _run_blocks(cfg, n, 2, 2, step_slab)
+    return coarse, fine
 
 
 @dataclass(frozen=True)

@@ -158,36 +158,51 @@ def tail_d3(t: float, x: float, spec: QuadratureSpec = DEFAULT_SPEC) -> TailEsti
 
 
 def tail_odd(d: Dimension | int, t: float, x: float, spec: QuadratureSpec = DEFAULT_SPEC) -> TailEstimate:
-    """Odd-dimension tail: boundary sum at T plus the d=3 tail at time n^2 t."""
+    """Odd-dimension tail: boundary sum at T plus the d=3 tail at time n^2 t.
+
+    The error estimate adds to the d=3 tail's the rounding of each boundary
+    term, whose log sums O(t)-sized pieces. KernelError is raised once that
+    rounding reaches 1 (from about t = 1e14 to 1e15, by d) or the sum exceeds 1.
+    """
     dd = d if isinstance(d, Dimension) else Dimension(int(d))
     if not dd.is_odd:
         raise ValueError(f"odd dimension required, got {dd.d}")
+    fp = FluctuationPoint(dd, t, x)
     n = dd.n
+    if not math.isfinite(n * n * t):
+        raise KernelError(f"base time n^2 t overflows at d={dd.d}, t={t}")
     base = tail_d3(n * n * t, x, spec)
     value, err = base.value, base.error_estimate
-    fp = FluctuationPoint(dd, t, x)
     T = fp.threshold
     if n >= 2 and T > 0.0:
         parts: list[LogValue] = []
+        sizes: list[float] = []
         for m in range(1, n):
             expansion = evaluate_expansion_log(sinh_power_derivative(2 * n - 1, m - 1), T)
             if expansion.sign == 0:
                 continue
             qv = q_odd(2 * n + 1 - 2 * m, EvaluationPoint(t, T))
-            lg = (
-                log_surface_area(2 * n + 1)
-                - (2 * n - m) * m * t / 2.0
-                - m * LN2PI
-                + qv.log
-                + expansion.log
-            )
+            decay = (2 * n - m) * m * t / 2.0
+            lg = log_surface_area(2 * n + 1) - decay - m * LN2PI + qv.log + expansion.log
+            if lg == -math.inf:
+                continue  # its Gaussian factor e^{-T^2/(2t)} alone is beyond the double range
             parts.append(LogValue(1, lg))
+            sizes.append(decay + abs(qv.log) + abs(expansion.log))
         boundary = log_sum(parts)
-        # the sum is a difference of two probabilities; a larger one means its
-        # O(t)-sized log terms cancelled beyond double precision
-        if boundary.log > 0.0:
+        # each part's log sums terms of size O(t), through which T's rounding
+        # enters too, so it is off by a few eps times their total size and the
+        # part by up to the factor e^{2 eps size}
+        rounding = 0.0
+        for part, size in zip(parts, sizes):
+            delta = 2.0 * _EPS * size
+            rounding += part.value * math.expm1(delta) if delta < 700.0 else math.exp(min(0.0, part.log + delta))
+        # the sum is a difference of two probabilities: past 1, or with a
+        # rounding bound of 1, its O(t)-sized log terms cancelled beyond
+        # double precision
+        if boundary.log > 0.0 or rounding >= 1.0:
             raise KernelError(f"odd-d boundary sum lost all precision at d={dd.d}, t={t}, x={x}")
         value += boundary.value
+        err += rounding
     return _finalize(value, err, "odd_reduction")
 
 

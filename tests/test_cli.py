@@ -2,12 +2,14 @@ import contextlib
 import io
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypbm.cli import main
+from hypbm.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -98,6 +100,13 @@ class TestSimulateCommand:
         header = f1.read_text().splitlines()[0]
         assert header == "d,t,x,estimate,standard_error,paths,seed"
 
+    @pytest.mark.parametrize("flag", ["--abs-tol", "--rel-tol"])
+    def test_rejects_quadrature_tolerances(self, flag):
+        # the simulator runs no quadrature: the flag would do nothing
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--d", "3", "--t", "1", "--x", "0", "--paths", "10", flag, "1e-6"])
+        assert exc.value.code == 2
+
 
 class TestVerifyCommand:
     def test_identities_suite(self, capsys):
@@ -146,7 +155,9 @@ class TestErrorPaths:
         assert code == 2
         assert "HYPBM_THREADS" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [["--t", "1e300", "--x", "1"], ["--t", "1e21", "--x", "-3"]])
+    @pytest.mark.parametrize(
+        "argv", [["--t", "1e300", "--x", "1"], ["--t", "1e21", "--x", "-3"], ["--t", "1e308", "--x", "0"]]
+    )
     def test_odd_tail_at_huge_time_is_numerical_failure(self, capsys, argv):
         # the boundary sum's O(t) log terms cancel beyond double precision
         # here: the tail must fail loudly, neither print NaN nor escape as an
@@ -155,6 +166,27 @@ class TestErrorPaths:
         out = capsys.readouterr()
         assert code == 1
         assert "numerical failure" in out.err and out.out == ""
+
+
+    def test_odd_tail_far_beyond_the_bulk_is_zero(self, capsys):
+        # every boundary term's Gaussian factor e^{-T^2/(2t)} is beyond the double range
+        code, out, _ = run_cli(capsys, "tail", "--d", "5", "--t", "1", "--x", "1e300")
+        assert code == 0
+        assert out.strip().splitlines()[1].split(",")[3] == "0.0"
+
+
+def _readme_cli_lines() -> list[str]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("hypbm ")]
+    assert lines, "README's CLI block has no hypbm lines"
+    return lines
+
+
+class TestReadme:
+    @pytest.mark.parametrize("line", _readme_cli_lines())
+    def test_cli_example_parses(self, line):
+        build_parser().parse_args(shlex.split(line, comments=True)[1:])
 
 
 _FUZZ_VALUES = st.one_of(

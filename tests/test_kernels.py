@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -18,6 +19,7 @@ from hypbm.kernels import (
     q_even,
     q_odd,
     _log_odd_bracket,
+    descent_gap,
 )
 from hypbm.logspace import logsinh
 from hypbm.quadrature import DEFAULT_SPEC, integrate_adaptive
@@ -72,6 +74,12 @@ class TestClosedFormD3:
     def test_no_underflow_in_log_form(self):
         lv = q3(EvaluationPoint(1000.0, 3000.0))
         assert lv.sign == 1 and math.isfinite(lv.log) and lv.log < -5000
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_log_finite_where_r_squared_overflows(self, d):
+        # r^2 overflows, r^2/(2t) = 2e300 does not: log q is about -4.5e300 (d=3)
+        lv = heat_kernel(d, EvaluationPoint(1e300, 2e300))
+        assert math.isfinite(lv.log) and lv.log < -4e300
 
 
 class TestOddKernels:
@@ -196,6 +204,56 @@ class TestEvenKernels:
     )
     def test_small_radius_against_mpmath(self, d, t, r, log_q):
         assert heat_kernel(d, EvaluationPoint(t, r)).log == pytest.approx(log_q, abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "d,t,r", [(2, 7.5e15, 0.0), (4, 7.2e15, 7.2e15), (2, 1e6, 0.0), (4, 1e6, 0.0), (4, 1e6, 3e3)]
+    )
+    def test_huge_time_against_mpmath_descent(self, d, t, r):
+        # the integrand decays like e^{-(d-1) w^2/2} whatever t is; a range set
+        # by the Gaussian in s alone left every node of the first panel past
+        # that decay for t ~ 1e16, and the integral at 0
+        with mp.workdps(50):
+            tt, rr = mp.mpf(t), mp.mpf(r)
+
+            def q_upper(s):  # q_3, or q_5 = -e^{-3t/2} / (2 pi sinh s) d/ds q_3
+                q3s = mp.exp(-tt / 2 - s * s / (2 * tt)) / (2 * mp.pi * tt) ** 1.5
+                if d == 2:
+                    return q3s * s / mp.sinh(s)
+                sh = mp.sinh(s)
+                minus_dq3 = q3s * (s * s / (tt * sh) - 1 / sh + s * mp.cosh(s) / sh**2)
+                return mp.exp(-3 * tt / 2) * minus_dq3 / (2 * mp.pi * sh)
+
+            def f(w):
+                if w < mp.mpf("1e-20"):
+                    return mp.mpf(0)  # bounded integrand: this piece is below 1e-40 of the total
+                s = rr + w * w
+                return 2 * w * q_upper(s) * mp.sinh(s) / mp.sqrt(2 * mp.sinh((s + rr) / 2) * mp.sinh(w * w / 2))
+
+            nodes = [0, 0.25, 0.5, 0.75, 1, 1.5, 2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 24]
+            want = float(mp.log(2) / 2 + (2 * d - 1) * tt / 8 + mp.log(mp.quad(f, nodes)))
+        got = q_even(d, EvaluationPoint(t, r)).log
+        # the O(t) prefactor terms are good to a few ulps of log q
+        assert abs(got - want) <= 1e-8 + 4.0 * np.finfo(float).eps * abs(want)
+
+
+class TestDescentGap:
+    # int_r^u sinh s (cosh s - cosh r)^{-1/2} ds = 2 sqrt(cosh u - cosh r), with
+    # s = r + w^2 and cosh s - cosh r = e^s descent_gap(r, w^2), as q_even and
+    # tail_even substitute
+    @staticmethod
+    def integral(r, upper):
+        def f(w):
+            ww = w * w
+            s = r + ww
+            return 2.0 * w * np.sinh(s) * np.exp(-0.5 * s) / np.sqrt(descent_gap(r, ww))
+
+        return integrate_adaptive(f, 0.0, math.sqrt(upper - r), DEFAULT_SPEC).value
+
+    def test_exact_antiderivative_interior(self):
+        assert self.integral(1.0, 2.0) == pytest.approx(2.9793388906053555, rel=1e-12)
+
+    def test_exact_antiderivative_origin(self):
+        assert self.integral(0.0, 1.0) == pytest.approx(1.4738800966364174, rel=1e-12)
 
 
 class TestMillsonStepNumeric:

@@ -46,6 +46,11 @@ def test_log_sum_signed_cancellation():
     assert log_sum(vals).value == pytest.approx(4.0, rel=1e-15)
 
 
+def test_log_sum_parts_underflowed_to_minus_infinity_are_zero():
+    assert log_sum([LogValue(1, -math.inf), LogValue(-1, -math.inf)]) == LogValue.zero()
+    assert log_sum([LogValue(1, -math.inf), LogValue.from_value(2.5)]).value == 2.5
+
+
 @pytest.mark.parametrize("x", [1e-8, 1e-3, 0.5, 1.0, 19.9, 20.1, 100.0, 1e4])
 def test_hyperbolic_logs_match_mpmath(x):
     import mpmath as mp

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypbm import sim
 from hypbm.sim import (
+    SimStats,
     SimulationConfig,
     empirical_tail,
     ks_distance_to_normal,
@@ -48,11 +50,49 @@ class TestDeterminism:
         a = simulate_radial(SimulationConfig(d=3, t=1.0, step=1e-2, paths=7, seed=5))
         b = simulate_radial(SimulationConfig(d=3, t=1.0, step=1e-2, paths=300, seed=5))
         assert np.array_equal(a, b[:7])
+        pa = simulate_radial_pair(SimulationConfig(d=4, t=1.0, step=1e-2, paths=7, seed=5))
+        pb = simulate_radial_pair(SimulationConfig(d=4, t=1.0, step=1e-2, paths=300, seed=5))
+        assert all(np.array_equal(x, y[:7]) for x, y in zip(pa, pb))
 
     def test_seed_changes_output(self):
         a = simulate_radial(SimulationConfig(d=3, t=1.0, step=1e-2, paths=16, seed=1))
         b = simulate_radial(SimulationConfig(d=3, t=1.0, step=1e-2, paths=16, seed=2))
         assert not np.array_equal(a, b)
+
+
+# two blocks of 32768 paths, the last one partial, and two steps past t = 1
+PINNED = SimulationConfig(d=3, t=1.05, step=0.05, paths=40000, seed=17)
+
+
+class TestPinnedStream:
+    # first and last samples recorded from the block/Philox/slab layout and
+    # the implicit step: a change to either shows here bit for bit
+    def test_single_chain(self):
+        s = simulate_radial(PINNED)
+        assert (s[0], s[-1]) == (1.2932304543880044, 3.6746860435233177)
+
+    def test_with_stats(self):
+        s, stats = simulate_radial(PINNED, collect_stats=True)
+        assert (s[0], s[-1]) == (1.2932304543880044, 3.6746860435233177)
+        assert stats == SimStats(21, 0, 2 * PINNED.paths)
+
+    def test_coupled_pair(self):
+        coarse, fine = simulate_radial_pair(SimulationConfig(d=4, t=0.5, step=0.05, paths=40000, seed=19))
+        assert (coarse[0], coarse[-1]) == (1.4015687748252628, 1.3737240418528174)
+        assert (fine[0], fine[-1]) == (1.4782208354314812, 1.4292405820654945)
+
+    def test_remainder_step(self):
+        # t is not a multiple of step: 21 full steps and one of 0.02
+        cfg = SimulationConfig(d=2, t=1.07, step=0.05, paths=50, seed=23)
+        s, stats = simulate_radial(cfg, collect_stats=True)
+        assert (s[0], s[-1]) == (1.2344928119134497, 0.9058884089762351)
+        assert stats == SimStats(22, 0, 3 * cfg.paths)
+
+    def test_stats_count_only_requested_paths(self, monkeypatch):
+        # a step that lands every path at the origin hits the floor every time
+        monkeypatch.setattr(sim, "_advance", lambda r, dt, noise, nu: np.zeros_like(r))
+        _, stats = simulate_radial(SimulationConfig(d=3, t=1.05, step=0.05, paths=7, seed=5), collect_stats=True)
+        assert stats == SimStats(21, 14, 14)
 
 
 class TestLawChecks:

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypbm.kernels import Dimension, EvaluationPoint
+from hypbm.calculus import sinh_power_derivative
+from hypbm.kernels import Dimension, EvaluationPoint, KernelError, build_odd_kernel
 from hypbm.quadrature import QuadratureSpec, integrate_adaptive
 from hypbm.tails import (
     FluctuationPoint,
@@ -115,7 +116,47 @@ class TestTailD3:
             assert got.error_estimate < 1e-14
 
 
+def _odd_tail_mp(d, t, x):
+    """The odd-d reduction evaluated in mpmath at 50 digits from the exact term
+    tables: the d=3 tail at n^2 t plus, at T = x sqrt t + (d-1)t/2, the boundary
+    sum over m < n of omega_d e^{-(2n-m)mt/2} (2 pi)^{-m} q_{d-2m}(t,T) D^{m-1} sinh^{2n-1} T."""
+    n = d // 2
+    with mp.workdps(50):
+        t, x = mp.mpf(t), mp.mpf(x)
+        s = n * mp.sqrt(t)
+        lo = max(x, -s)
+        Q = lambda z: mp.erfc(z / mp.sqrt(2)) / 2
+        value = Q(lo) + Q(lo + 2 * s) + mp.npdf(lo) * (1 - mp.exp(-2 * s * (lo + s))) / s
+        T = mp.sqrt(t) * x + (d - 1) * t / 2
+        if T <= 0:
+            return value
+        omega = 2 * mp.pi ** (mp.mpf(d) / 2) / mp.gamma(mp.mpf(d) / 2)
+        ch, sh = mp.cosh(T), mp.sinh(T)
+        for m in range(1, n):
+            expansion = sum(c * ch**a * sh**b for c, a, b in sinh_power_derivative(2 * n - 1, m - 1).terms)
+            kernel = build_odd_kernel(d - 2 * m)
+            k = kernel.m
+            q = mp.exp(-k * k * t / 2 - T * T / (2 * t)) / ((2 * mp.pi * t) ** 1.5 * (2 * mp.pi) ** (k - 1)) * sum(
+                c * T**p * ch**a / (t**i * sh**b) for c, i, p, a, b in kernel.terms
+            )
+            value += omega * mp.exp(-(2 * n - m) * m * t / 2) / (2 * mp.pi) ** m * q * expansion
+        return value
+
+
 class TestTailOdd:
+    @pytest.mark.parametrize("d", [5, 7, 9])
+    def test_error_estimate_covers_boundary_rounding(self, d):
+        # the boundary terms' logs are O(t), so their rounding outgrows the
+        # d=3 base's by far at large t; past t ~ 1e15 the sum fails loudly
+        for k in range(2, 17):
+            for x in (-1.0, 0.0, 1.0):
+                try:
+                    est = tail_odd(d, 10.0**k, x)
+                except KernelError:
+                    assert k >= 15, (k, x)
+                    continue
+                assert abs(est.value - float(_odd_tail_mp(d, 10.0**k, x))) <= est.error_estimate, (k, x)
+
     def test_d3_reduces_exactly(self):
         a = tail_odd(3, 2.0, 0.3)
         b = tail_d3(2.0, 0.3)
