@@ -293,11 +293,16 @@ def q_even(d: int, p: EvaluationPoint, spec: QuadratureSpec = DEFAULT_SPEC) -> L
     t, r = p.t, p.r
     sqrt_t = math.sqrt(t)
     mult = spec.tail_sigma_multiplier
-    s_max = math.hypot(r, mult * sqrt_t) + sqrt_t
-    # w^2 also stops where e^{-(d-1) w^2/2} has decayed by e^{-(mult+1)^2}:
-    # twice tail_even's Gaussian margin, the other half for the fold's
-    # polynomial growth; at large t the Gaussian bound in s lies far past this
-    w_hi = math.sqrt(min(s_max - r, 2.0 * (mult + 1.0) ** 2 / (d - 1)))
+    # the Gaussian bound hypot(r, mult sqrt_t) + sqrt_t on s, less r, with
+    # hypot - r formed as width^2 / (hypot + r), which does not cancel to 0
+    width = mult * sqrt_t
+    s_span = width * width / (math.hypot(r, width) + r) + sqrt_t
+    # w^2 also stops where the larger rate of e^{-(d-1) w^2/2 - r w^2/t} alone
+    # reaches (mult+1)^2, so that the integrand has decayed there by at least
+    # e^{-(mult+1)^2}: twice tail_even's Gaussian margin, the other half for
+    # the fold's polynomial growth; at large t, or at r far past sqrt(t), the
+    # Gaussian bound in s lies far past this
+    w_hi = math.sqrt(min(s_span, (mult + 1.0) ** 2 / max(0.5 * (d - 1), r / t)))
     shift = 0.5 * (d - 1) * r
 
     def fw(w: np.ndarray) -> np.ndarray:
@@ -322,7 +327,7 @@ def q_even(d: int, p: EvaluationPoint, spec: QuadratureSpec = DEFAULT_SPEC) -> L
         - (d - 1) ** 2 * t / 8.0
         - 1.5 * math.log(2.0 * math.pi * t)
         - (d // 2 - 1) * LN2PI
-        - r * r / (2.0 * t)
+        - r * (r / (2.0 * t))
         - shift
         + math.log(res.value)
     )
@@ -384,7 +389,7 @@ def davies_envelope(d: Dimension | int, p: EvaluationPoint) -> LogValue:
         -0.5 * dd * math.log(t)
         - (dd - 1) ** 2 * t / 8.0
         - (dd - 1) * r / 2.0
-        - r * r / (2.0 * t)
+        - r * (r / (2.0 * t))
         + 0.5 * (dd - 3) * math.log1p(r + t)
         + math.log1p(r)
     )

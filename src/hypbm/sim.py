@@ -34,9 +34,12 @@ one implicit step (_advance); the runs differ only in how a slab of noise
 advances their chains.
 
 Reproducibility: path i's noise is a fixed function of (seed, i). Paths are
-grouped into fixed blocks of 32768; block b draws from a counter-based
-Philox stream keyed (seed, b) in a fixed slab layout, so results do not
-depend on the total number of paths requested.
+grouped into fixed blocks of 32768, and the steps into slabs of 64. Slab s of
+block b draws from its own counter-based Philox stream, key (seed, b) and
+counter (0, 0, 0, s), path-major: row i of the draw is path b*32768 + i. A
+block with fewer paths draws only its own rows, and these are the first rows
+of the full block's draw, so results do not depend on the total number of
+paths requested, and no path is simulated that was not asked for.
 """
 
 from __future__ import annotations
@@ -48,7 +51,8 @@ import numpy as np
 from scipy.special import ndtr
 
 _BLOCK = 32768
-_SLAB = 128
+_SLAB = 64
+_ROWS = 512  # paths drawn per call, so that the transposed copy stays in cache
 R_FLOOR = 1e-6
 
 
@@ -97,33 +101,71 @@ def _step_sizes(t: float, step: float) -> np.ndarray:
     return np.full(n_full, step)
 
 
-def _advance(r: np.ndarray, dt: float, noise: np.ndarray, nu: float) -> np.ndarray:
-    """One implicit step of every path: the positive root, before the R_FLOOR clamp."""
+def _advance(r: np.ndarray, dt: float, noise: np.ndarray, nu: float, work: tuple) -> np.ndarray:
+    """One implicit step of every path: the positive root, before the R_FLOOR clamp.
+
+    The root is written into work = _scratch(len(r)) and returned. The
+    operations, in their order, are those of
+    reg = where(r > 1e-4, coth r - 1/r, r/3), a = r + nu dt reg + noise,
+    root = (a + sqrt(a^2 + 4 nu dt)) / 2, so the root is that formula's bit
+    for bit.
+    """
+    u, v, mask = work
     # coth R - 1/R is bounded on (0, inf): ~R/3 at 0, ->1 at inf
-    reg = np.where(r > 1e-4, 1.0 / np.tanh(r) - 1.0 / r, r / 3.0)
-    a = r + nu * dt * reg + noise
-    return 0.5 * (a + np.sqrt(a * a + 4.0 * nu * dt))
+    np.divide(1.0, np.tanh(r, out=u), out=u)
+    np.subtract(u, np.divide(1.0, r, out=v), out=u)
+    reg = np.divide(r, 3.0, out=v)
+    np.copyto(reg, u, where=np.greater(r, 1e-4, out=mask))
+    a = np.multiply(nu * dt, reg, out=v)
+    np.add(r, a, out=a)
+    np.add(a, noise, out=a)
+    root = np.multiply(a, a, out=u)
+    np.add(root, 4.0 * nu * dt, out=root)
+    np.sqrt(root, out=root)
+    np.add(a, root, out=root)
+    return np.multiply(0.5, root, out=root)
+
+
+def _scratch(n: int) -> tuple:
+    """The arrays (u, v, mask) that _advance writes through, for n paths."""
+    return np.empty(n), np.empty(n), np.empty(n, dtype=bool)
 
 
 def _run_blocks(cfg: SimulationConfig, steps: int, normals_per_step: int, chains: int, step_slab) -> list[np.ndarray]:
     """Terminal values of `chains` chains per path, started at cfg.r0.
 
-    Block b of _BLOCK paths draws from a Philox stream keyed (seed, b), one
-    (_BLOCK, normals_per_step * chunk) slab per chunk of at most _SLAB steps,
-    and step_slab(rs, xi, k, live) advances the block's chains rs over steps
-    k .. k + chunk - 1; only the first `live` rows are requested paths.
+    Block b holds the `live` requested paths among b*_BLOCK .. (b+1)*_BLOCK - 1.
+    Each chunk of at most _SLAB steps is slab s = k // _SLAB: a Philox stream
+    keyed (seed, b) at counter (0, 0, 0, s), from which the block's paths draw
+    normals_per_step * chunk normals each, path by path. The draw is made
+    _ROWS paths at a time and copied into a step-major buffer xi, so that the
+    normals of step slot j are the contiguous row xi[j]. Then
+    step_slab(rs, xi, k, noise, work) advances the chains rs over steps
+    k .. k + chunk - 1, with a row `noise` and _advance's `work` as scratch.
+    Every buffer is allocated once per block.
     """
     outs = [np.empty(cfg.paths) for _ in range(chains)]
+    width = normals_per_step * min(_SLAB, steps)
     for b in range((cfg.paths + _BLOCK - 1) // _BLOCK):
-        rng = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, b], dtype=np.uint64)))
-        rs = [np.full(_BLOCK, cfg.r0) for _ in range(chains)]
+        key = np.array([cfg.seed, b], dtype=np.uint64)
         lo = b * _BLOCK
         live = min(_BLOCK, cfg.paths - lo)
+        rs = [np.full(live, cfg.r0) for _ in range(chains)]
+        rows = np.empty(min(_ROWS, live) * width)
+        xi = np.empty((width, live))
+        noise, work = np.empty(live), _scratch(live)
         for k in range(0, steps, _SLAB):
-            chunk = min(_SLAB, steps - k)
-            step_slab(rs, rng.standard_normal((_BLOCK, normals_per_step * chunk)), k, live)  # path-major
+            cols = normals_per_step * min(_SLAB, steps - k)
+            counter = np.array([0, 0, 0, k // _SLAB], dtype=np.uint64)
+            rng = np.random.Generator(np.random.Philox(key=key, counter=counter))
+            for i in range(0, live, _ROWS):
+                n = min(_ROWS, live - i)
+                draw = rows[: n * cols].reshape(n, cols)
+                rng.standard_normal(out=draw)  # path-major
+                np.copyto(xi[:cols, i : i + n], draw.T)
+            step_slab(rs, xi[:cols], k, noise, work)
         for out, r in zip(outs, rs):
-            out[lo : lo + live] = r[:live]
+            out[lo : lo + live] = r
     return outs
 
 
@@ -139,13 +181,13 @@ def simulate_radial(cfg: SimulationConfig, collect_stats: bool = False):
     nu = 0.5 * (cfg.d - 1)
     reflections = 0
 
-    def step_slab(rs: list[np.ndarray], xi: np.ndarray, k: int, live: int) -> None:
+    def step_slab(rs: list[np.ndarray], xi: np.ndarray, k: int, noise: np.ndarray, work: tuple) -> None:
         nonlocal reflections
         (r,) = rs
-        for j in range(xi.shape[1]):
-            root = _advance(r, dts[k + j], sqrt_dts[k + j] * xi[:, j], nu)
+        for j, row in enumerate(xi):
+            root = _advance(r, dts[k + j], np.multiply(sqrt_dts[k + j], row, out=noise), nu, work)
             if collect_stats and late[k + j]:
-                reflections += int(np.count_nonzero(root[:live] < R_FLOOR))
+                reflections += int(np.count_nonzero(root < R_FLOOR))
             np.maximum(root, R_FLOOR, out=r)
 
     (out,) = _run_blocks(cfg, len(dts), 1, 1, step_slab)
@@ -170,14 +212,13 @@ def simulate_radial_pair(cfg: SimulationConfig) -> tuple[np.ndarray, np.ndarray]
     half = 0.5 * cfg.step
     sq_half = math.sqrt(half)
 
-    def step_slab(rs: list[np.ndarray], xi: np.ndarray, k: int, live: int) -> None:
+    def step_slab(rs: list[np.ndarray], xi: np.ndarray, k: int, noise: np.ndarray, work: tuple) -> None:
         rc, rf = rs
-        for j in range(0, xi.shape[1], 2):
-            e1 = xi[:, j]
-            e2 = xi[:, j + 1]
-            np.maximum(_advance(rf, half, sq_half * e1, nu), R_FLOOR, out=rf)
-            np.maximum(_advance(rf, half, sq_half * e2, nu), R_FLOOR, out=rf)
-            np.maximum(_advance(rc, cfg.step, sq_half * (e1 + e2), nu), R_FLOOR, out=rc)
+        for e1, e2 in zip(xi[0::2], xi[1::2]):
+            np.maximum(_advance(rf, half, np.multiply(sq_half, e1, out=noise), nu, work), R_FLOOR, out=rf)
+            np.maximum(_advance(rf, half, np.multiply(sq_half, e2, out=noise), nu, work), R_FLOOR, out=rf)
+            coarse = np.multiply(sq_half, np.add(e1, e2, out=noise), out=noise)
+            np.maximum(_advance(rc, cfg.step, coarse, nu, work), R_FLOOR, out=rc)
 
     coarse, fine = _run_blocks(cfg, n, 2, 2, step_slab)
     return coarse, fine

@@ -41,6 +41,12 @@ class TestKernelCommand:
         default = float(out.strip().splitlines()[1].split(",")[4])
         assert tight == pytest.approx(default, abs=1e-9)
 
+    @pytest.mark.parametrize("argv", ["--d 2 --t 1 --r 1e17", "--d 2 --t 1e300 --r 2e300", "--d 4 --t 1e300 --r 2e300"])
+    def test_even_kernel_at_huge_radius(self, capsys, argv):
+        code, out, err = run_cli(capsys, "kernel", *argv.split())
+        assert code == 0, err
+        assert math.isfinite(float(out.strip().splitlines()[1].split(",")[4]))
+
 
 class TestTailCommand:
     def test_d2_center(self, capsys):

@@ -80,6 +80,8 @@ class TestClosedFormD3:
         # r^2 overflows, r^2/(2t) = 2e300 does not: log q is about -4.5e300 (d=3)
         lv = heat_kernel(d, EvaluationPoint(1e300, 2e300))
         assert math.isfinite(lv.log) and lv.log < -4e300
+        env = davies_envelope(d, EvaluationPoint(1e300, 2e300))
+        assert math.isfinite(env.log) and env.log < -4e300
 
 
 class TestOddKernels:
@@ -204,6 +206,15 @@ class TestEvenKernels:
     )
     def test_small_radius_against_mpmath(self, d, t, r, log_q):
         assert heat_kernel(d, EvaluationPoint(t, r)).log == pytest.approx(log_q, abs=1e-8)
+
+    @pytest.mark.parametrize("d,t,r", [(2, 1.0, 1e17), (4, 1.0, 1e17), (2, 1e300, 2e300), (4, 1e300, 2e300), (6, 1.0, 1e8)])
+    def test_huge_radius_keeps_its_leading_terms(self, d, t, r):
+        # the range hypot(r, 12 sqrt t) + sqrt t - r cancelled to 0 at r ~ 1e16 sqrt t,
+        # a range of sqrt t left the peak, of width sqrt(t/r) in w, below every
+        # node, and r^2 overflowed: each raised "integral not positive"
+        lv = q_even(d, EvaluationPoint(t, r))
+        lead = -r * (r / (2.0 * t)) - 0.5 * (d - 1) * r - (d - 1) ** 2 * t / 8.0
+        assert math.isfinite(lv.log) and lv.log == pytest.approx(lead, rel=1e-14)
 
     @pytest.mark.parametrize(
         "d,t,r", [(2, 7.5e15, 0.0), (4, 7.2e15, 7.2e15), (2, 1e6, 0.0), (4, 1e6, 0.0), (4, 1e6, 3e3)]

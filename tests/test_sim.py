@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -54,6 +55,15 @@ class TestDeterminism:
         pb = simulate_radial_pair(SimulationConfig(d=4, t=1.0, step=1e-2, paths=300, seed=5))
         assert all(np.array_equal(x, y[:7]) for x, y in zip(pa, pb))
 
+    def test_prefix_stability_across_slabs(self):
+        # MULTI_SLAB's steps span several slabs, each from its own Philox counter
+        few = dataclasses.replace(MULTI_SLAB, paths=7)
+        assert round(few.t / few.step) > sim._SLAB
+        assert np.array_equal(simulate_radial(few), simulate_radial(MULTI_SLAB)[:7])
+        pa = simulate_radial_pair(few)
+        pb = simulate_radial_pair(MULTI_SLAB)
+        assert all(np.array_equal(x, y[:7]) for x, y in zip(pa, pb))
+
     def test_seed_changes_output(self):
         a = simulate_radial(SimulationConfig(d=3, t=1.0, step=1e-2, paths=16, seed=1))
         b = simulate_radial(SimulationConfig(d=3, t=1.0, step=1e-2, paths=16, seed=2))
@@ -62,6 +72,8 @@ class TestDeterminism:
 
 # two blocks of 32768 paths, the last one partial, and two steps past t = 1
 PINNED = SimulationConfig(d=3, t=1.05, step=0.05, paths=40000, seed=17)
+# the same two blocks over 200 steps, four slabs
+MULTI_SLAB = SimulationConfig(d=3, t=1.0, step=5e-3, paths=40000, seed=5)
 
 
 class TestPinnedStream:
@@ -88,11 +100,63 @@ class TestPinnedStream:
         assert (s[0], s[-1]) == (1.2344928119134497, 0.9058884089762351)
         assert stats == SimStats(22, 0, 3 * cfg.paths)
 
+    def test_multi_slab(self):
+        # recorded when each slab got its own Philox counter
+        s = simulate_radial(MULTI_SLAB)
+        assert (s[0], s[-1]) == (1.1100354713773921, 1.4253638589953663)
+        coarse, fine = simulate_radial_pair(MULTI_SLAB)
+        assert (coarse[0], coarse[-1]) == (1.586930366430127, 3.2151199759103632)
+        assert (fine[0], fine[-1]) == (1.5911565262739935, 3.219504444482439)
+
     def test_stats_count_only_requested_paths(self, monkeypatch):
         # a step that lands every path at the origin hits the floor every time
-        monkeypatch.setattr(sim, "_advance", lambda r, dt, noise, nu: np.zeros_like(r))
+        monkeypatch.setattr(sim, "_advance", lambda r, dt, noise, nu, work: np.zeros_like(r))
         _, stats = simulate_radial(SimulationConfig(d=3, t=1.05, step=0.05, paths=7, seed=5), collect_stats=True)
         assert stats == SimStats(21, 14, 14)
+
+
+class _Proxy:
+    """`target` with some attributes replaced."""
+
+    def __init__(self, target, **overrides):
+        self._target = target
+        vars(self).update(overrides)
+
+    def __getattr__(self, name):
+        return getattr(self._target, name)
+
+
+class TestDrawsOnlyRequestedPaths:
+    @pytest.fixture
+    def normals(self, monkeypatch):
+        # numpy as sim sees it, but every Generator counts its standard_normal draws
+        drawn = []
+
+        def counted(*args, **kwargs):
+            gen = np.random.Generator(*args, **kwargs)
+
+            def standard_normal(*a, **k):
+                out = gen.standard_normal(*a, **k)
+                drawn.append(out.size)
+                return out
+
+            return _Proxy(gen, standard_normal=standard_normal)
+
+        monkeypatch.setattr(sim, "np", _Proxy(np, random=_Proxy(np.random, Generator=counted)))
+        return drawn
+
+    # 70 steps: two slabs; 32768 paths is one full block, 40000 one and a part
+    @pytest.mark.parametrize("paths", [7, 32768, 40000])
+    def test_single_chain(self, normals, paths):
+        s = simulate_radial(SimulationConfig(d=3, t=0.7, step=0.01, paths=paths, seed=3))
+        assert s.shape == (paths,)
+        assert sum(normals) == paths * 70 * 1
+
+    @pytest.mark.parametrize("paths", [7, 32768, 40000])
+    def test_coupled_pair(self, normals, paths):
+        coarse, _ = simulate_radial_pair(SimulationConfig(d=3, t=0.7, step=0.01, paths=paths, seed=3))
+        assert coarse.shape == (paths,)
+        assert sum(normals) == paths * 70 * 2
 
 
 class TestLawChecks:
