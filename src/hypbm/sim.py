@@ -34,23 +34,32 @@ one implicit step (_advance); the runs differ only in how a slab of noise
 advances their chains.
 
 Reproducibility: path i's noise is a fixed function of (seed, i). Paths are
-grouped into fixed blocks of 32768, and the steps into slabs of 64. Slab s of
-block b draws from its own counter-based Philox stream, key (seed, b) and
-counter (0, 0, 0, s), path-major: row i of the draw is path b*32768 + i. A
-block with fewer paths draws only its own rows, and these are the first rows
-of the full block's draw, so results do not depend on the total number of
-paths requested, and no path is simulated that was not asked for.
+grouped into fixed blocks of 8192, and the steps into slabs of 64. Slab s of
+block b draws from its own SFC64 stream, seeded by SeedSequence([seed, b, s]),
+path-major: row i of the draw is path b*8192 + i. A block with fewer paths
+draws only its own rows, and these are the first rows of the full block's
+draw, so results do not depend on the total number of paths requested, and no
+path is simulated that was not asked for.
+
+Blocks are independent, so runs of up to two consecutive blocks are the
+tasks of a pool of threads; numpy releases the interpreter lock in its ufuncs
+and in standard_normal. The pool has one thread per usable core. Each block
+keeps its own streams, each task writes only its own slice of the output, and
+the step is elementwise, so the samples do not depend on the number of
+threads.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
-_BLOCK = 32768
+_BLOCK = 8192
+_RUN = 2  # blocks per task at most: long numpy calls, few thread hand-offs
 _SLAB = 64
 _ROWS = 512  # paths drawn per call, so that the transposed copy stays in cache
 R_FLOOR = 1e-6
@@ -131,42 +140,73 @@ def _scratch(n: int) -> tuple:
     return np.empty(n), np.empty(n), np.empty(n, dtype=bool)
 
 
-def _run_blocks(cfg: SimulationConfig, steps: int, normals_per_step: int, chains: int, step_slab) -> list[np.ndarray]:
-    """Terminal values of `chains` chains per path, started at cfg.r0.
+def _threads(blocks: int) -> int:
+    """Threads for `blocks` blocks: one per usable core, at most one per block."""
+    try:
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        usable = os.cpu_count() or 1
+    return min(usable, blocks)
 
-    Block b holds the `live` requested paths among b*_BLOCK .. (b+1)*_BLOCK - 1.
-    Each chunk of at most _SLAB steps is slab s = k // _SLAB: a Philox stream
-    keyed (seed, b) at counter (0, 0, 0, s), from which the block's paths draw
+
+def _run_blocks(cfg: SimulationConfig, steps: int, normals_per_step: int, chains: int, step_slab) -> tuple[list[np.ndarray], int]:
+    """Terminal values of `chains` chains per path, started at cfg.r0, and a count.
+
+    Block b holds the requested paths among b*_BLOCK .. (b+1)*_BLOCK - 1.
+    Each chunk of at most _SLAB steps is slab s = k // _SLAB: an SFC64 stream
+    seeded by SeedSequence([seed, b, s]), from which the block's paths draw
     normals_per_step * chunk normals each, path by path. The draw is made
     _ROWS paths at a time and copied into a step-major buffer xi, so that the
     normals of step slot j are the contiguous row xi[j]. Then
     step_slab(rs, xi, k, noise, work) advances the chains rs over steps
-    k .. k + chunk - 1, with a row `noise` and _advance's `work` as scratch.
-    Every buffer is allocated once per block.
+    k .. k + chunk - 1, with a row `noise` and _advance's `work` as scratch,
+    and returns a count of its own (the floor hits it saw, or 0). The count
+    returned is the sum over every slab.
+
+    The blocks are split into runs of at most _RUN consecutive blocks, their
+    number a multiple of the thread count, so that the threads get about the
+    same number of paths. A run is one task: it allocates its buffers once,
+    steps all its paths with one numpy call per operation, and writes only
+    its own slice of the outputs. Every operation is elementwise, so a path's
+    value does not depend on the run it falls in. The runs go to a pool of
+    _threads(blocks) threads, or run serially in the calling thread when that
+    is one. The counts are summed per run and then in run order.
     """
     outs = [np.empty(cfg.paths) for _ in range(chains)]
     width = normals_per_step * min(_SLAB, steps)
-    for b in range((cfg.paths + _BLOCK - 1) // _BLOCK):
-        key = np.array([cfg.seed, b], dtype=np.uint64)
-        lo = b * _BLOCK
-        live = min(_BLOCK, cfg.paths - lo)
+
+    def run(lo: int, hi: int) -> int:
+        live = hi - lo
         rs = [np.full(live, cfg.r0) for _ in range(chains)]
         rows = np.empty(min(_ROWS, live) * width)
         xi = np.empty((width, live))
         noise, work = np.empty(live), _scratch(live)
+        count = 0
         for k in range(0, steps, _SLAB):
             cols = normals_per_step * min(_SLAB, steps - k)
-            counter = np.array([0, 0, 0, k // _SLAB], dtype=np.uint64)
-            rng = np.random.Generator(np.random.Philox(key=key, counter=counter))
             for i in range(0, live, _ROWS):
+                if i % _BLOCK == 0:  # lo is a block boundary, and _ROWS divides _BLOCK
+                    seq = np.random.SeedSequence([cfg.seed, (lo + i) // _BLOCK, k // _SLAB])
+                    rng = np.random.Generator(np.random.SFC64(seq))
                 n = min(_ROWS, live - i)
                 draw = rows[: n * cols].reshape(n, cols)
                 rng.standard_normal(out=draw)  # path-major
                 np.copyto(xi[:cols, i : i + n], draw.T)
-            step_slab(rs, xi[:cols], k, noise, work)
+            count += step_slab(rs, xi[:cols], k, noise, work)
         for out, r in zip(outs, rs):
-            out[lo : lo + live] = r
-    return outs
+            out[lo:hi] = r
+        return count
+
+    blocks = (cfg.paths + _BLOCK - 1) // _BLOCK
+    threads = _threads(blocks)
+    runs = threads * -(-blocks // (threads * _RUN))
+    edges = [min(j * blocks // runs * _BLOCK, cfg.paths) for j in range(runs + 1)]
+    if threads == 1:
+        counts = list(map(run, edges[:-1], edges[1:]))
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            counts = list(pool.map(run, edges[:-1], edges[1:]))
+    return outs, sum(counts)
 
 
 def simulate_radial(cfg: SimulationConfig, collect_stats: bool = False):
@@ -179,18 +219,18 @@ def simulate_radial(cfg: SimulationConfig, collect_stats: bool = False):
     sqrt_dts = np.sqrt(dts)
     late = np.cumsum(dts) >= 1.0
     nu = 0.5 * (cfg.d - 1)
-    reflections = 0
 
-    def step_slab(rs: list[np.ndarray], xi: np.ndarray, k: int, noise: np.ndarray, work: tuple) -> None:
-        nonlocal reflections
+    def step_slab(rs: list[np.ndarray], xi: np.ndarray, k: int, noise: np.ndarray, work: tuple) -> int:
         (r,) = rs
+        reflections = 0
         for j, row in enumerate(xi):
             root = _advance(r, dts[k + j], np.multiply(sqrt_dts[k + j], row, out=noise), nu, work)
             if collect_stats and late[k + j]:
                 reflections += int(np.count_nonzero(root < R_FLOOR))
             np.maximum(root, R_FLOOR, out=r)
+        return reflections
 
-    (out,) = _run_blocks(cfg, len(dts), 1, 1, step_slab)
+    (out,), reflections = _run_blocks(cfg, len(dts), 1, 1, step_slab)
     if collect_stats:
         return out, SimStats(len(dts), reflections, cfg.paths * int(np.count_nonzero(late)))
     return out
@@ -212,15 +252,16 @@ def simulate_radial_pair(cfg: SimulationConfig) -> tuple[np.ndarray, np.ndarray]
     half = 0.5 * cfg.step
     sq_half = math.sqrt(half)
 
-    def step_slab(rs: list[np.ndarray], xi: np.ndarray, k: int, noise: np.ndarray, work: tuple) -> None:
+    def step_slab(rs: list[np.ndarray], xi: np.ndarray, k: int, noise: np.ndarray, work: tuple) -> int:
         rc, rf = rs
         for e1, e2 in zip(xi[0::2], xi[1::2]):
             np.maximum(_advance(rf, half, np.multiply(sq_half, e1, out=noise), nu, work), R_FLOOR, out=rf)
             np.maximum(_advance(rf, half, np.multiply(sq_half, e2, out=noise), nu, work), R_FLOOR, out=rf)
             coarse = np.multiply(sq_half, np.add(e1, e2, out=noise), out=noise)
             np.maximum(_advance(rc, cfg.step, coarse, nu, work), R_FLOOR, out=rc)
+        return 0
 
-    coarse, fine = _run_blocks(cfg, n, 2, 2, step_slab)
+    (coarse, fine), _ = _run_blocks(cfg, n, 2, 2, step_slab)
     return coarse, fine
 
 
@@ -248,6 +289,8 @@ def ks_distance_to_normal(samples: np.ndarray, d: int, t: float) -> float:
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("ks distance requires at least one sample")
+    from scipy.special import ndtr  # imported here: scipy costs more to import than all of hypbm
+
     z = np.sort((samples - 0.5 * (d - 1) * t) / math.sqrt(t))
     cdf = ndtr(z)
     n = z.size

@@ -2,13 +2,17 @@ import contextlib
 import io
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypbm import sim
 from hypbm.cli import build_parser, main
 
 
@@ -106,6 +110,21 @@ class TestSimulateCommand:
         header = f1.read_text().splitlines()[0]
         assert header == "d,t,x,estimate,standard_error,paths,seed"
 
+    def test_output_does_not_depend_on_thread_count(self, capsys, monkeypatch, tmp_path):
+        # 40000 paths: five blocks of the simulator, the last one partial, which
+        # fall into different runs on one and on two threads
+        args = ["simulate", "--d", "3", "--t", "1", "--x", "-1,0,1", "--paths", "40000", "--step", "0.01", "--seed", "3"]
+        outs = []
+        for threads in (1, 2):
+            monkeypatch.setattr(sim, "_threads", lambda blocks, n=threads: min(n, blocks))
+            code, stdout, _ = run_cli(capsys, *args)
+            assert code == 0
+            path = tmp_path / f"{threads}.csv"
+            assert main([*args, "--out", str(path)]) == 0
+            outs.append((stdout, path.read_bytes()))
+        assert outs[0] == outs[1]
+        assert outs[0][0].encode() == outs[0][1]
+
     @pytest.mark.parametrize("flag", ["--abs-tol", "--rel-tol"])
     def test_rejects_quadrature_tolerances(self, flag):
         # the simulator runs no quadrature: the flag would do nothing
@@ -179,6 +198,16 @@ class TestErrorPaths:
         code, out, _ = run_cli(capsys, "tail", "--d", "5", "--t", "1", "--x", "1e300")
         assert code == 0
         assert out.strip().splitlines()[1].split(",")[3] == "0.0"
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy takes longer to import than the rest of hypbm; only the KS distance needs it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, hypbm.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def _readme_cli_lines() -> list[str]:

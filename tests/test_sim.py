@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -56,7 +58,7 @@ class TestDeterminism:
         assert all(np.array_equal(x, y[:7]) for x, y in zip(pa, pb))
 
     def test_prefix_stability_across_slabs(self):
-        # MULTI_SLAB's steps span several slabs, each from its own Philox counter
+        # MULTI_SLAB's steps span several slabs, each from its own SFC64 stream
         few = dataclasses.replace(MULTI_SLAB, paths=7)
         assert round(few.t / few.step) > sim._SLAB
         assert np.array_equal(simulate_radial(few), simulate_radial(MULTI_SLAB)[:7])
@@ -70,49 +72,91 @@ class TestDeterminism:
         assert not np.array_equal(a, b)
 
 
-# two blocks of 32768 paths, the last one partial, and two steps past t = 1
+# five blocks of 8192 paths, the last one partial, and two steps past t = 1
 PINNED = SimulationConfig(d=3, t=1.05, step=0.05, paths=40000, seed=17)
-# the same two blocks over 200 steps, four slabs
+# the same five blocks over 200 steps, four slabs
 MULTI_SLAB = SimulationConfig(d=3, t=1.0, step=5e-3, paths=40000, seed=5)
 
 
 class TestPinnedStream:
-    # first and last samples recorded from the block/Philox/slab layout and
+    # first and last samples recorded from the block/SFC64/slab layout and
     # the implicit step: a change to either shows here bit for bit
     def test_single_chain(self):
         s = simulate_radial(PINNED)
-        assert (s[0], s[-1]) == (1.2932304543880044, 3.6746860435233177)
+        assert (s[0], s[-1]) == (3.4513960853443613, 1.396656362100391)
 
     def test_with_stats(self):
         s, stats = simulate_radial(PINNED, collect_stats=True)
-        assert (s[0], s[-1]) == (1.2932304543880044, 3.6746860435233177)
+        assert (s[0], s[-1]) == (3.4513960853443613, 1.396656362100391)
         assert stats == SimStats(21, 0, 2 * PINNED.paths)
 
     def test_coupled_pair(self):
         coarse, fine = simulate_radial_pair(SimulationConfig(d=4, t=0.5, step=0.05, paths=40000, seed=19))
-        assert (coarse[0], coarse[-1]) == (1.4015687748252628, 1.3737240418528174)
-        assert (fine[0], fine[-1]) == (1.4782208354314812, 1.4292405820654945)
+        assert (coarse[0], coarse[-1]) == (1.1016203230034654, 0.8979320421986758)
+        assert (fine[0], fine[-1]) == (1.175981590298588, 0.946062157595517)
 
     def test_remainder_step(self):
         # t is not a multiple of step: 21 full steps and one of 0.02
         cfg = SimulationConfig(d=2, t=1.07, step=0.05, paths=50, seed=23)
         s, stats = simulate_radial(cfg, collect_stats=True)
-        assert (s[0], s[-1]) == (1.2344928119134497, 0.9058884089762351)
+        assert (s[0], s[-1]) == (1.2962222960619285, 1.5531448812419102)
         assert stats == SimStats(22, 0, 3 * cfg.paths)
 
     def test_multi_slab(self):
-        # recorded when each slab got its own Philox counter
+        # recorded when each slab got its own SFC64 stream
         s = simulate_radial(MULTI_SLAB)
-        assert (s[0], s[-1]) == (1.1100354713773921, 1.4253638589953663)
+        assert (s[0], s[-1]) == (1.7842775348802644, 1.5420220739044261)
         coarse, fine = simulate_radial_pair(MULTI_SLAB)
-        assert (coarse[0], coarse[-1]) == (1.586930366430127, 3.2151199759103632)
-        assert (fine[0], fine[-1]) == (1.5911565262739935, 3.219504444482439)
+        assert (coarse[0], coarse[-1]) == (1.764778666034402, 2.4234419707873576)
+        assert (fine[0], fine[-1]) == (1.7762274839719927, 2.4224655112502553)
 
     def test_stats_count_only_requested_paths(self, monkeypatch):
         # a step that lands every path at the origin hits the floor every time
         monkeypatch.setattr(sim, "_advance", lambda r, dt, noise, nu, work: np.zeros_like(r))
         _, stats = simulate_radial(SimulationConfig(d=3, t=1.05, step=0.05, paths=7, seed=5), collect_stats=True)
         assert stats == SimStats(21, 14, 14)
+
+
+class TestThreads:
+    """MULTI_SLAB's five blocks fall into runs of 1, 2, 2 blocks on one thread
+    and of 1, 1, 1, 2 blocks on two threads."""
+
+    @staticmethod
+    def _runs(monkeypatch, fn):
+        results = []
+        for threads in (1, 2):  # set here, so that two threads run on any machine
+            monkeypatch.setattr(sim, "_threads", lambda blocks, n=threads: min(n, blocks))
+            results.append(fn())
+        return results
+
+    def test_samples_do_not_depend_on_thread_count(self, monkeypatch):
+        one, two = self._runs(monkeypatch, lambda: simulate_radial(MULTI_SLAB))
+        assert np.array_equal(one, two)
+        one, two = self._runs(monkeypatch, lambda: simulate_radial_pair(MULTI_SLAB))
+        assert all(np.array_equal(x, y) for x, y in zip(one, two))
+
+    def test_floor_hits_do_not_depend_on_thread_count(self, monkeypatch):
+        # every path hits the floor at each of the 21 steps from t = 1 on,
+        # while the interpreter switches threads as often as it can
+        monkeypatch.setattr(sim, "_advance", lambda r, dt, noise, nu, work: np.zeros_like(r))
+        cfg = dataclasses.replace(MULTI_SLAB, t=2.0, step=0.05)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = self._runs(monkeypatch, lambda: simulate_radial(cfg, collect_stats=True)[1])
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs == [SimStats(40, 21 * cfg.paths, 21 * cfg.paths)] * 2
+
+    def test_thread_count(self, monkeypatch):
+        # one thread per usable core, from the affinity mask or else the core count
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert [sim._threads(blocks) for blocks in (1, 2, 5)] == [1, 2, 3]
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert [sim._threads(blocks) for blocks in (1, 5)] == [1, 4]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert sim._threads(5) == 1
 
 
 class _Proxy:
@@ -145,7 +189,7 @@ class TestDrawsOnlyRequestedPaths:
         monkeypatch.setattr(sim, "np", _Proxy(np, random=_Proxy(np.random, Generator=counted)))
         return drawn
 
-    # 70 steps: two slabs; 32768 paths is one full block, 40000 one and a part
+    # 70 steps: two slabs; 32768 paths is four full blocks, 40000 four and a part
     @pytest.mark.parametrize("paths", [7, 32768, 40000])
     def test_single_chain(self, normals, paths):
         s = simulate_radial(SimulationConfig(d=3, t=0.7, step=0.01, paths=paths, seed=3))
