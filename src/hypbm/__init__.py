@@ -53,6 +53,7 @@ from .quadrature import (
     QuadratureError,
     QuadratureResult,
     QuadratureSpec,
+    QuadratureStack,
     integrate_adaptive,
 )
 from .sim import (
@@ -110,6 +111,7 @@ __all__ = [
     "QuadratureError",
     "QuadratureResult",
     "QuadratureSpec",
+    "QuadratureStack",
     "integrate_adaptive",
     "EmpiricalTail",
     "SimulationConfig",

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from decimal import Decimal, InvalidOperation
 from typing import Sequence
@@ -25,8 +23,6 @@ from .quadrature import DEFAULT_SPEC, QuadratureError, QuadratureSpec
 from .sim import SimulationConfig, empirical_tail, simulate_radial
 from .tails import radial_density, tail
 from .verify import SUITES
-
-THREADS_ENV = "HYPBM_THREADS"
 
 
 def _parse_dims(text: str) -> list[int]:
@@ -109,23 +105,9 @@ def _spec_from(args) -> QuadratureSpec:
     return spec
 
 
-def _workers() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"{THREADS_ENV} must be an integer >= 1, got {raw!r}")
-    return workers
-
-
-def _map_ordered(fn, jobs: list):
-    workers = _workers()
-    if workers == 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
+def _map_ordered(fn, jobs: list) -> list:
+    """The sweep's rows, one fn call per job, in order."""
+    return [fn(job) for job in jobs]
 
 
 def _cmd_kernel(args) -> int:
@@ -157,8 +139,7 @@ def _cmd_tail(args) -> int:
     rows = []
     for d in args.d:
         for t in args.t:
-            for x in args.x:
-                est = tail(Dimension(d), t, x, spec)
+            for x, est in zip(args.x, tail(Dimension(d), t, args.x, spec)):
                 rows.append(
                     {
                         "d": d,

@@ -4,7 +4,10 @@ The headline quantity is Delta(t) = sup_x |P((R_t - (d-1)t/2)/sqrt(t) >= x)
 - Phi(x)|, which should decay like t^{-1/2} with a matching lower bound at
 x = 0 (for d = 2 and odd d). The sup over the real line is replaced by a
 search over [-10, 10]: outside that window both the tail and Phi sit within
-1e-20 of their limits, far below every tolerance in play.
+1e-20 of their limits, far below every tolerance in play. The search's
+coarse grid is one array call of tail (for even d one stacked quadrature);
+only the golden-section refinement, each step depending on the last, calls
+it point by point.
 """
 
 from __future__ import annotations
@@ -77,10 +80,12 @@ def sup_discrepancy(
 ) -> SupResult:
     """sup_x |tail(d, t, x) - Phi(x)| by coarse grid plus golden-section refine.
 
-    Ties on the coarse grid break toward the smallest x. A three-point check
-    around the refined maximizer guards the unimodality assumption; the
-    returned delta is the max over every point evaluated, so refinement can
-    never lose against the grid.
+    The coarse grid is one tail call over the whole array, the refinement
+    one call per point; evaluations counts the points of both. Ties on the
+    coarse grid break toward the smallest x. A three-point check around the
+    refined maximizer guards the unimodality assumption; the returned delta
+    is the max over every point evaluated, so refinement can never lose
+    against the grid.
     """
     dd = d if isinstance(d, Dimension) else Dimension(int(d))
     xs = np.arange(search.x_lo, search.x_hi + 0.5 * search.coarse_step, search.coarse_step)
@@ -89,7 +94,8 @@ def sup_discrepancy(
     def f(x: float) -> float:
         return abs(tail(dd, t, float(x), spec).value - normal_tail(float(x)))
 
-    vals = np.array([f(x) for x in xs])
+    coarse = tail(dd, t, xs, spec)
+    vals = np.array([abs(est.value - normal_tail(float(x))) for est, x in zip(coarse, xs)])
     evals += len(xs)
     i = int(np.argmax(vals))  # first max = smallest x on ties
     best_x, best_v = float(xs[i]), float(vals[i])

@@ -1,15 +1,21 @@
-"""Adaptive one-dimensional Gauss-Kronrod quadrature.
+"""Adaptive one-dimensional Gauss-Kronrod quadrature over a stack of intervals.
 
 A nested 7/15 Gauss-Kronrod rule with batched bisection drives everything.
-Integrands are vectorized callables (ndarray -> ndarray); each refinement
-round evaluates every new panel's nodes in one call, which keeps pure-Python
-overhead out of the hot loop.
+integrate_adaptive takes one interval [a, b] and a vectorized integrand
+f(nodes) -> values, or a stack of intervals [a_i, b_i] and an integrand
+f(nodes, owner) -> values, where owner[n] is the index of the interval that
+node n belongs to. Every interval keeps its own panels, split threshold,
+convergence test and subdivision limit, and leaves the loop once it
+converges; each round evaluates the new panels of all the others in one
+integrand call, which keeps pure-Python overhead out of the hot loop. A
+panel's rule and an interval's sums run in an order of its own, so each
+interval's result is bitwise the one it gets when integrated alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -46,7 +52,7 @@ _NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])          # ascending, 15 nodes
 _WK = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _wg_full = np.zeros(15)
 _wg_full[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])   # Gauss nodes sit at odd slots
-_WGF = _wg_full
+_KG = np.stack([_WK, _wg_full])                             # K15 and G7 weights as rows
 
 
 @dataclass(frozen=True)
@@ -87,71 +93,132 @@ class QuadratureError(RuntimeError):
         self.best = best
 
 
-def _panel_rule(f: Callable[[np.ndarray], np.ndarray], lows: np.ndarray, highs: np.ndarray):
-    """Apply G7/K15 to a batch of panels; returns (K15, err, nevals)."""
+class QuadratureStack(tuple):
+    """One QuadratureResult per interval of a stack, in order.
+
+    evaluations is the whole call's count, as a single interval's result
+    reports it.
+    """
+
+    @property
+    def evaluations(self) -> int:
+        return sum(res.evaluations for res in self)
+
+
+def _panel_rule(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lows: np.ndarray, highs: np.ndarray, owner: np.ndarray):
+    """Apply G7/K15 to a batch of panels, each owned by an interval; returns (K15, err)."""
     half = 0.5 * (highs - lows)
-    mid = 0.5 * (highs + lows)
-    xs = mid[:, None] + half[:, None] * _NODES[None, :]
-    fx = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
-    if not np.all(np.isfinite(fx)):
+    xs = (0.5 * (highs + lows))[:, None] + half[:, None] * _NODES
+    fx = np.asarray(f(xs.ravel(), owner.repeat(_NODES.size)), dtype=float).reshape(xs.shape)
+    if not np.isfinite(fx).all():
         bad = xs.ravel()[~np.isfinite(fx.ravel())][0]
-        raise QuadratureError(f"integrand returned non-finite value near x={bad!r}")
-    k15 = half * (fx @ _WK)
-    g7 = half * (fx @ _WGF)
-    resabs = half * (np.abs(fx) @ _WK)
-    diff = np.abs(k15 - g7)
-    # QUADPACK-style sharpened estimate, scale-invariant via resabs
+        raise QuadratureError(f"integrand returned non-finite value near x={float(bad)!r}")
+    # one dot product per panel: a BLAS matrix product's sums depend on the
+    # panel's place in the batch
+    kg = np.vecdot(fx[:, None, :], _KG)
+    k15 = half * kg[:, 0]
+    diff = np.abs(k15 - half * kg[:, 1])
+    resabs = half * np.vecdot(np.abs(fx), _WK)
+    # QUADPACK-style sharpened estimate, scale-invariant via resabs (where
+    # resabs is 0, so is diff)
     with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = np.where(resabs > 0.0, np.minimum(diff, (200.0 * diff / np.maximum(resabs, 1e-300)) ** 1.5 * resabs), 0.0)
-    return k15, scaled, xs.size
+        scaled = np.minimum(diff, (200.0 * diff / np.maximum(resabs, 1e-300)) ** 1.5 * resabs)
+    return k15, scaled
 
 
 def integrate_adaptive(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
+    f: Callable[..., np.ndarray],
+    a,
+    b,
     spec: QuadratureSpec = DEFAULT_SPEC,
     *,
-    seed_points: Sequence[float] = (),
-) -> QuadratureResult:
-    """Integrate a vectorized integrand over the finite interval [a, b].
+    seed_points=(),
+):
+    """Integrate a vectorized integrand over [a, b], or over each interval of a stack.
 
-    seed_points pre-split the interval where the caller knows the integrand
-    is concentrated.
+    Scalar a and b: f(nodes) is the integrand, seed_points a sequence of
+    points that pre-split the interval where the caller knows the integrand
+    is concentrated, and the result a QuadratureResult. 1-d arrays a and b:
+    f(nodes, owner) is the integrand of interval owner[n] at nodes[n],
+    seed_points a 2-d array with a row of points per interval (points
+    outside their interval, NaN among them, are ignored), and the result a
+    QuadratureStack. An interval with b <= a integrates to 0.
     """
-    if not (b > a):
-        return QuadratureResult(0.0, 0.0, 0)
+    if np.ndim(a) == 0 and np.ndim(b) == 0:
+        if not (b > a):
+            return QuadratureResult(0.0, 0.0, 0)
+        cuts = np.array(sorted({float(a), float(b), *(float(p) for p in seed_points if a < p < b)}))
+        return _integrate(lambda x, owner: f(x), cuts[:-1], cuts[1:], np.zeros(len(cuts) - 1, dtype=np.intp), 1, spec)[0]
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if not len(a):
+        return QuadratureStack()
+    # a panel between every two distinct cuts of a row, once points outside
+    # [a, b] are clipped onto its ends (all of them onto b where b <= a) and
+    # NaN is sorted last
+    cuts = np.column_stack([a, np.asarray(seed_points, dtype=float).reshape(len(a), -1), b])
+    np.clip(cuts, a[:, None], b[:, None], out=cuts)
+    cuts.sort(axis=1)
+    valid = cuts[:, 1:] > cuts[:, :-1]
+    return QuadratureStack(_integrate(f, cuts[:, :-1][valid], cuts[:, 1:][valid], valid.nonzero()[0], len(a), spec))
 
-    cuts = sorted({float(a), float(b), *(float(p) for p in seed_points if a < p < b)})
-    lows = np.array(cuts[:-1])
-    highs = np.array(cuts[1:])
-    vals, errs, n = _panel_rule(f, lows, highs)
-    evaluations = n
+
+def _integrate(f, lows: np.ndarray, highs: np.ndarray, owner: np.ndarray, m: int, spec: QuadratureSpec) -> list[QuadratureResult]:
+    """The panel loop behind integrate_adaptive, over m intervals at once.
+
+    lows, highs and owner give the starting panels in ascending order per
+    interval; an interval without any integrates to 0. Panels then sit in
+    one flat array in the order [kept, left halves, right halves] of the
+    last split, so each interval's own panels keep the order they have when
+    it is integrated alone, and np.bincount sums them in that order. A
+    converged interval's panels leave the arrays. QuadratureError carries
+    the best estimate of the first interval that reaches
+    spec.max_subdivisions panels unconverged.
+    """
+    # each split adds one panel and evaluates two: 2 * panels - first panels evaluated
+    first = np.bincount(owner, minlength=m)
+    results = [QuadratureResult(0.0, 0.0, 0)] * m
+    active = first > 0
+    if not active.any():
+        return results
+    vals, errs = _panel_rule(f, lows, highs, owner)
 
     while True:
-        total = float(np.sum(vals))
-        err_total = float(np.sum(errs))
-        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
-        if err_total <= tol:
-            return QuadratureResult(total, err_total, evaluations)
-        if len(lows) >= spec.max_subdivisions:
-            best = QuadratureResult(total, err_total, evaluations)
+        count = np.bincount(owner, minlength=m)
+        total = np.bincount(owner, vals, m)
+        err_total = np.bincount(owner, errs, m)
+        tol = np.maximum(spec.rel_tol * np.abs(total), spec.abs_tol)
+        done = active & (err_total <= tol)
+        if done.any():
+            for i in done.nonzero()[0]:
+                results[i] = QuadratureResult(float(total[i]), float(err_total[i]), _NODES.size * int(2 * count[i] - first[i]))
+            active ^= done
+            if not active.any():
+                return results
+            live = active[owner]
+            lows, highs, vals, errs, owner = lows[live], highs[live], vals[live], errs[live], owner[live]
+            count[done] = 0
+        if count.max() >= spec.max_subdivisions:
+            i = int(np.argmax(count >= spec.max_subdivisions))
+            best = QuadratureResult(float(total[i]), float(err_total[i]), _NODES.size * int(2 * count[i] - first[i]))
             raise QuadratureError(
                 f"no convergence within {spec.max_subdivisions} panels "
-                f"(err {err_total:.3e} > tol {tol:.3e})",
+                f"(err {err_total[i]:.3e} > tol {tol[i]:.3e})",
                 best=best,
             )
-        # split every panel carrying a meaningful share of the error
-        threshold = max(float(np.max(errs)) / 8.0, tol / (2.0 * len(lows)))
-        split = errs >= threshold
-        if not np.any(split):
-            split[np.argmax(errs)] = True
-        mids = 0.5 * (lows[split] + highs[split])
-        new_lows = np.concatenate([lows[~split], lows[split], mids])
-        new_highs = np.concatenate([highs[~split], mids, highs[split]])
-        keep_vals, keep_errs = vals[~split], errs[~split]
-        fresh_vals, fresh_errs, n = _panel_rule(f, np.concatenate([lows[split], mids]), np.concatenate([mids, highs[split]]))
-        evaluations += n
-        lows, highs = new_lows, new_highs
-        vals = np.concatenate([keep_vals, fresh_vals])
-        errs = np.concatenate([keep_errs, fresh_errs])
+        # split every panel carrying a meaningful share of its interval's
+        # error: the largest always does, and a NaN error splits them all
+        top = np.zeros(m)
+        np.maximum.at(top, owner, errs)
+        keep = errs < np.maximum(top / 8.0, tol / (2.0 * np.maximum(count, 1)))[owner]
+        split = ~keep
+        left, right, whose = lows[split], highs[split], owner[split]
+        mids = 0.5 * (left + right)
+        fresh_lows = np.concatenate([left, mids])
+        fresh_highs = np.concatenate([mids, right])
+        fresh_owner = np.concatenate([whose, whose])
+        fresh_vals, fresh_errs = _panel_rule(f, fresh_lows, fresh_highs, fresh_owner)
+        lows = np.concatenate([lows[keep], fresh_lows])
+        highs = np.concatenate([highs[keep], fresh_highs])
+        vals = np.concatenate([vals[keep], fresh_vals])
+        errs = np.concatenate([errs[keep], fresh_errs])
+        owner = np.concatenate([owner[keep], fresh_owner])

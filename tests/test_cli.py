@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from hypbm import sim
 from hypbm.cli import build_parser, main
+from hypbm.tails import tail
 
 
 def run_cli(capsys, *argv):
@@ -76,6 +77,16 @@ class TestTailCommand:
         assert code == 0
         xs = [line.split(",")[2] for line in out.strip().splitlines()[1:]]
         assert xs == ["0.0", "0.1", "0.2", "0.3", "0.4", "0.5", "0.6", "0.7", "0.8", "0.9", "1.0"]
+
+    def test_rows_match_scalar_tails_in_order(self, capsys):
+        code, out, _ = run_cli(capsys, "tail", "--d", "2,3,4", "--t", "1,10", "--x", "-3,-0.5,0,2")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        want = [(d, t, x) for d in (2, 3, 4) for t in (1.0, 10.0) for x in (-3.0, -0.5, 0.0, 2.0)]
+        assert [(int(r[0]), float(r[1]), float(r[2])) for r in rows] == want
+        for r, (d, t, x) in zip(rows, want):
+            est = tail(d, t, x)
+            assert r[3:] == [repr(est.value), repr(est.error_estimate), est.method]
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "tail", "--d", "3", "--t", "1", "--x", "0", "--format", "json")
@@ -172,13 +183,6 @@ class TestErrorPaths:
         assert code == 2
         err = capsys.readouterr().err
         assert "invalid argument" in err and "numerical failure" not in err
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
-    def test_invalid_thread_count_exit_2(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("HYPBM_THREADS", value)
-        code = main(["sweep", "--d", "3", "--t", "10"])
-        assert code == 2
-        assert "HYPBM_THREADS" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv", [["--t", "1e300", "--x", "1"], ["--t", "1e21", "--x", "-3"], ["--t", "1e308", "--x", "0"]]

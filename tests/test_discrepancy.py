@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+from hypbm import discrepancy as discrepancy_module
 from hypbm.discrepancy import (
     DiscrepancyCurve,
     DiscrepancyRecord,
@@ -41,6 +43,55 @@ class TestSupDiscrepancy:
             for t in (1.0, 3.0, 10.0, 100.0):
                 worst = max(worst, math.sqrt(t) * sup_discrepancy(d, t).delta)
         assert worst <= 1.0
+
+
+# the C7 sweep (d = 2..5, t = 10..1000 at 5 log-spaced points) as computed
+# one tail call per grid point: (d, t, delta, argmax_x, evaluations)
+C7_ROWS = [
+    (2, 10.0, 0.17069152281334266, -0.14048915926443392, 420),
+    (2, 31.622776601683796, 0.09751103841958908, -0.08444185374849213, 420),
+    (2, 100.00000000000001, 0.055149518162838085, -0.04872109512200897, 420),
+    (2, 316.227766016838, 0.03107226586615608, -0.027626796742350444, 420),
+    (2, 1000.0000000000002, 0.01748399967512637, -0.015586149609432349, 420),
+    (3, 10.0, 0.12615662596796134, 1.4210854715202004e-13, 420),
+    (3, 31.622776601683796, 0.07094308430318425, 1.4210854715202004e-13, 420),
+    (3, 100.00000000000001, 0.039894228040143254, 1.4210854715202004e-13, 420),
+    (3, 316.227766016838, 0.022434173063540175, 1.4210854715202004e-13, 420),
+    (3, 1000.0000000000002, 0.012615662610100775, 1.4210854715202004e-13, 420),
+    (4, 10.0, 0.11205168460221682, 0.04338553438013743, 420),
+    (4, 31.622776601683796, 0.06291949646448264, 0.024557833599285633, 420),
+    (4, 100.00000000000001, 0.03536570655523569, 0.013841401729595646, 420),
+    (4, 316.227766016838, 0.019884647629135888, 0.007783399882618508, 420),
+    (4, 1000.0000000000002, 0.011181433718150002, 0.0043845248931336425, 420),
+    (5, 10.0, 0.10534015604069674, 0.06300033649581076, 420),
+    (5, 31.622776601683796, 0.05915659180830507, 0.035520167240489675, 420),
+    (5, 100.00000000000001, 0.033251837075358115, 0.019979328016293707, 420),
+    (5, 316.227766016838, 0.018696326491236204, 0.011255588615689123, 420),
+    (5, 1000.0000000000002, 0.010513262429771075, 0.006321210645804526, 420),
+]
+
+
+class TestCoarseGridBatch:
+    def test_one_array_tail_call(self, monkeypatch):
+        calls = []
+
+        def counting(d, t, x, spec):
+            calls.append(np.ndim(x))
+            return tail(d, t, x, spec)
+
+        monkeypatch.setattr(discrepancy_module, "tail", counting)
+        for d in (2, 3):
+            calls.clear()
+            res = sup_discrepancy(d, 30.0)
+            assert calls.count(1) == 1 and calls[0] == 1
+            assert len(calls) - 1 + 401 == res.evaluations
+
+    @pytest.mark.parametrize("d,t,delta,argmax_x,evaluations", C7_ROWS)
+    def test_c7_rows_unchanged(self, d, t, delta, argmax_x, evaluations):
+        res = sup_discrepancy(d, t)
+        assert res.delta == pytest.approx(delta, abs=1e-12)
+        assert res.argmax_x == pytest.approx(argmax_x, abs=1e-12)
+        assert res.evaluations == evaluations
 
 
 class TestCurveAndFit:

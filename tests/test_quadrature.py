@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hypbm.quadrature import (
     QuadratureError,
+    QuadratureResult,
     QuadratureSpec,
     integrate_adaptive,
 )
@@ -79,3 +80,61 @@ class TestAdaptive:
         vals = [integrate_adaptive(f, 0.0, upper, SPEC).value for upper in (10.0, 12.0, 14.0)]
         assert abs(vals[1] - vals[0]) < SPEC.abs_tol
         assert abs(vals[2] - vals[1]) < SPEC.abs_tol
+
+
+def _bump(c: float, w: float):
+    """A peak of width ~1/sqrt(c) with an oscillation of frequency w."""
+    return lambda x: np.exp(-c * x * x) * np.cos(w * x)
+
+
+_INTERVAL = st.tuples(
+    st.floats(min_value=-3.0, max_value=1.0),  # a
+    st.floats(min_value=0.0, max_value=6.0),  # b - a; 0 leaves the interval empty
+    st.floats(min_value=0.1, max_value=400.0),  # c
+    st.floats(min_value=0.0, max_value=30.0),  # w
+    st.lists(st.one_of(st.floats(min_value=-4.0, max_value=8.0), st.just(math.nan)), min_size=3, max_size=3),
+)
+
+
+class TestStack:
+    @given(st.lists(_INTERVAL, min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_each_interval_as_if_alone(self, intervals):
+        a = np.array([iv[0] for iv in intervals])
+        b = a + np.array([iv[1] for iv in intervals])
+        cs = np.array([iv[2] for iv in intervals])
+        ws = np.array([iv[3] for iv in intervals])
+        seeds = np.array([iv[4] for iv in intervals])
+        stack = integrate_adaptive(
+            lambda x, owner: np.exp(-cs[owner] * x * x) * np.cos(ws[owner] * x), a, b, SPEC, seed_points=seeds
+        )
+        assert len(stack) == len(intervals)
+        for i, res in enumerate(stack):
+            alone = integrate_adaptive(_bump(cs[i], ws[i]), a[i], b[i], SPEC, seed_points=list(seeds[i]))
+            assert res == alone, i
+        assert stack.evaluations == sum(res.evaluations for res in stack)
+
+    def test_empty_interval_is_zero(self):
+        stack = integrate_adaptive(lambda x, owner: np.ones_like(x), [0.0, 1.0, 2.0], [1.0, 1.0, 1.0])
+        assert stack[0].value == pytest.approx(1.0, rel=1e-14)
+        assert stack[1] == stack[2] == QuadratureResult(0.0, 0.0, 0)
+
+    def test_subdivision_limit_carries_that_intervals_best(self):
+        spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-9, max_subdivisions=16)
+        hard = lambda x: np.abs(np.sin(50.0 / (np.abs(x) + 1e-3)))
+        with pytest.raises(QuadratureError) as alone:
+            integrate_adaptive(hard, 0.0, 1.0, spec)
+        f = lambda x, owner: np.where(owner == 1, hard(x), np.exp(-x * x))
+        with pytest.raises(QuadratureError) as stacked:
+            integrate_adaptive(f, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], spec)
+        assert stacked.value.best == alone.value.best
+        assert stacked.value.best.value > 0.0
+
+    def test_nonfinite_value_names_its_node(self):
+        def f(x, owner):
+            with np.errstate(divide="ignore"):
+                return np.where(owner == 1, 1.0 / (x - 2.5), 1.0)
+
+        # 2.5 is the middle node of [2, 3]'s first panel
+        with pytest.raises(QuadratureError, match="non-finite value near x=2.5"):
+            integrate_adaptive(f, [0.0, 2.0], [1.0, 3.0], SPEC)

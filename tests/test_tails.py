@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from hypbm.calculus import sinh_power_derivative
 from hypbm.kernels import Dimension, EvaluationPoint, KernelError, build_odd_kernel
-from hypbm.quadrature import QuadratureSpec, integrate_adaptive
+from hypbm import tails as tails_module
+from hypbm.quadrature import QuadratureResult, QuadratureSpec, QuadratureStack, integrate_adaptive
 from hypbm.tails import (
     FluctuationPoint,
     direct_kernel_quadrature,
@@ -308,6 +309,56 @@ class TestDispatchAndBounds:
         bound = (1.0 + np.abs(u)) * np.exp(-0.5 * u * u) * 2.0 ** (n - 0.5)
         assert np.all(vals >= 0.0)
         assert np.all(vals <= bound + 1e-12)
+
+
+class TestArrayX:
+    @staticmethod
+    def grid(d: int, t: float) -> np.ndarray:
+        """x from below the pinned threshold's boundary to past the bulk, the boundary itself included."""
+        xb = FluctuationPoint(Dimension(d), t, 0.0).boundary_x
+        return np.r_[xb - 1.0, xb, np.nextafter(xb, 0.0), np.linspace(xb + 1e-3, 4.0, 9), -0.0, 0.0, 1e-300]
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("t", [1e-3, 0.5, 10.0, 300.0])
+    def test_each_point_bitwise_as_alone(self, d, t):
+        xs = self.grid(d, t)
+        ests = tail(d, t, xs)
+        assert isinstance(ests, list) and len(ests) == len(xs)
+        for x, est in zip(xs, ests):
+            assert est == tail(d, t, float(x)), x
+
+    @pytest.mark.parametrize("d", [2, 4, 6, 8])
+    def test_pinned_points_are_exactly_one(self, d):
+        t = 10.0
+        xs = self.grid(d, t)
+        xb = FluctuationPoint(Dimension(d), t, 0.0).boundary_x
+        for x, est in zip(xs, tail_even(d, t, xs)):
+            if x <= xb:
+                assert est == tails_module.TailEstimate(1.0, 0.0, "even_decomposition"), x
+            else:  # integrated, even where the value clamps to 1
+                assert est.error_estimate > 0.0, x
+
+    def test_clamp_widens_the_error_per_point(self, monkeypatch):
+        d, t = 4, 10.0
+        xs = np.array([-1.0, 0.0, 1.0])
+        plain = tail(d, t, xs)
+
+        def overshooting(*args, **kwargs):
+            third = integrate_adaptive(*args, **kwargs)[2]
+            return QuadratureStack((QuadratureResult(1.0 + 1e-7, 1e-12, 0), QuadratureResult(-2e-7, 1e-12, 0), third))
+
+        monkeypatch.setattr(tails_module, "integrate_adaptive", overshooting)
+        ests = tail(d, t, xs)
+        assert (ests[0].value, ests[0].error_estimate) == (1.0, pytest.approx(1e-7, rel=1e-6))
+        assert (ests[1].value, ests[1].error_estimate) == (0.0, 2e-7)
+        assert ests[2] == plain[2]
+
+    def test_empty_and_invalid_arrays(self):
+        assert tail(4, 1.0, np.array([])) == [] and tail(5, 1.0, []) == []
+        with pytest.raises(ValueError):
+            tail(4, 1.0, [0.0, math.nan])
+        with pytest.raises(ValueError):
+            tail(4, 1.0, np.zeros((2, 2)))
 
 
 class TestDirectOracleGuards:
