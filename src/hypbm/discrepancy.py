@@ -5,9 +5,12 @@ The headline quantity is Delta(t) = sup_x |P((R_t - (d-1)t/2)/sqrt(t) >= x)
 x = 0 (for d = 2 and odd d). The sup over the real line is replaced by a
 search over [-10, 10]: outside that window both the tail and Phi sit within
 1e-20 of their limits, far below every tolerance in play. The search's
-coarse grid is one array call of tail (for even d one stacked quadrature);
-only the golden-section refinement, each step depending on the last, calls
-it point by point.
+coarse grid is one array call of tail (for even d one stacked quadrature).
+Each golden-section step depends on the last, so for even d the refinement's
+array calls look ahead: one call evaluates the point a step needs together
+with both candidates of each of the next few steps, and the search keeps
+only the points its path reaches. Odd-d points cost microseconds, so there
+the refinement evaluates exactly the points it visits.
 """
 
 from __future__ import annotations
@@ -25,6 +28,12 @@ from .tails import normal_tail, tail
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# golden steps planned per array tail call of an even-d refinement, for up
+# to 2^_LOOKAHEAD - 1 points a call: a stacked quadrature's cost is mostly its
+# per-round overhead, so 15 points cost little more than one. Against one
+# point a call, depths 3, 4 and 5 cut ten even searches (d = 2, 4, t = 10 to
+# 1000) by 25%, 34% and 28%.
+_LOOKAHEAD = 4
 
 
 @dataclass(frozen=True)
@@ -35,6 +44,24 @@ class SearchSpec:
     x_hi: float = 10.0
     coarse_step: float = 0.05
     x_resolution: float = 1e-4
+
+    def __post_init__(self) -> None:
+        fields = (self.x_lo, self.x_hi, self.coarse_step, self.x_resolution)
+        if not all(math.isfinite(v) for v in fields):
+            raise ValueError(f"search fields must be finite, got {self}")
+        if not self.x_lo < self.x_hi:
+            raise ValueError(f"x_lo must be below x_hi, got [{self.x_lo}, {self.x_hi}]")
+        if not self.coarse_step > 0.0:
+            raise ValueError(f"coarse_step must be positive, got {self.coarse_step}")
+        # grid points lie below x_hi + coarse_step. A bracket one ulp wide
+        # there can stop shrinking under rounding, so a resolution below that
+        # spacing would never end the refinement; at or above it every
+        # sequence of golden steps ends
+        floor = math.ulp(max(abs(self.x_lo), abs(self.x_hi)) + self.coarse_step)
+        if not self.x_resolution >= floor:
+            raise ValueError(
+                f"x_resolution {self.x_resolution} is below the double spacing {floor} on the search window"
+            )
 
 
 @dataclass(frozen=True)
@@ -72,6 +99,29 @@ class RateFit:
     residual: float
 
 
+def _golden_step(a: float, b: float, c: float, e: float, keep_left: bool) -> tuple[float, float, float, float]:
+    """One golden-section step on [a, b] with interior points c < e.
+
+    keep_left (f(c) >= f(e)) keeps [a, e] and adds a new c, otherwise [c, b]
+    is kept and a new e added. The search and its lookahead both step through
+    here, so a planned x is bitwise the x the search later asks for.
+    """
+    if keep_left:
+        b, e = e, c
+        return a, b, b - _GOLDEN * (b - a), e
+    a, c = c, e
+    return a, b, c, a + _GOLDEN * (b - a)
+
+
+def _lookahead(a: float, b: float, c: float, e: float, depth: int, resolution: float) -> list[float]:
+    """c, e and the interior points of every bracket the next depth - 1 steps can reach."""
+    points = [c, e]
+    if depth > 1 and b - a > resolution:
+        for keep_left in (True, False):
+            points += _lookahead(*_golden_step(a, b, c, e, keep_left), depth - 1, resolution)
+    return points
+
+
 def sup_discrepancy(
     d: Dimension | int,
     t: float,
@@ -80,53 +130,63 @@ def sup_discrepancy(
 ) -> SupResult:
     """sup_x |tail(d, t, x) - Phi(x)| by coarse grid plus golden-section refine.
 
-    The coarse grid is one tail call over the whole array, the refinement
-    one call per point; evaluations counts the points of both. Ties on the
+    The coarse grid is one tail call over the whole array. The refinement
+    evaluates for even d each needed point together with the candidates of
+    the next _LOOKAHEAD - 1 steps in one array call; points its path never
+    reaches are dropped. evaluations counts the grid, the points the
+    refinement visits and the check points, not the dropped ones. Ties on the
     coarse grid break toward the smallest x. A three-point check around the
-    refined maximizer guards the unimodality assumption; the returned delta
-    is the max over every point evaluated, so refinement can never lose
-    against the grid.
+    refined maximizer guards the unimodality assumption. The returned delta
+    is the max over the grid, the refinement's visited steps and the check,
+    so refinement can never lose against the grid.
     """
     dd = d if isinstance(d, Dimension) else Dimension(int(d))
+    resolution = search.x_resolution
     xs = np.arange(search.x_lo, search.x_hi + 0.5 * search.coarse_step, search.coarse_step)
-    evals = 0
 
-    def f(x: float) -> float:
-        return abs(tail(dd, t, float(x), spec).value - normal_tail(float(x)))
+    def f(points) -> list[float]:
+        ests = tail(dd, t, np.asarray(points, dtype=float), spec)
+        return [abs(est.value - normal_tail(float(x))) for est, x in zip(ests, points)]
 
-    coarse = tail(dd, t, xs, spec)
-    vals = np.array([abs(est.value - normal_tail(float(x))) for est, x in zip(coarse, xs)])
-    evals += len(xs)
+    vals = np.array(f(xs))
+    evals = len(xs)
     i = int(np.argmax(vals))  # first max = smallest x on ties
     best_x, best_v = float(xs[i]), float(vals[i])
 
+    # golden-section maximization of f on [a, b], reading f from the points
+    # evaluated so far; each array call looks depth - 1 steps ahead
+    depth = 1 if dd.is_odd else _LOOKAHEAD
+    known: dict[float, float] = {}
+
+    def ensure(a: float, b: float, c: float, e: float) -> tuple[float, float]:
+        if c not in known or e not in known:
+            new = [x for x in dict.fromkeys(_lookahead(a, b, c, e, depth, resolution)) if x not in known]
+            known.update(zip(new, f(new)))
+        return known[c], known[e]
+
     a = float(xs[max(i - 1, 0)])
     b = float(xs[min(i + 1, len(xs) - 1)])
-    # golden-section maximization of f on [a, b]
     c = b - _GOLDEN * (b - a)
     e = a + _GOLDEN * (b - a)
-    fc, fe = f(c), f(e)
+    fc, fe = ensure(a, b, c, e)
     evals += 2
-    while b - a > search.x_resolution:
-        if fc >= fe:
-            b, e, fe = e, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, e, fe
-            e = a + _GOLDEN * (b - a)
-            fe = f(e)
+    while b - a > resolution:
+        a, b, c, e = _golden_step(a, b, c, e, fc >= fe)
+        fc, fe = ensure(a, b, c, e)
         evals += 1
         for xx, vv in ((c, fc), (e, fe)):
             if vv > best_v:
                 best_v, best_x = vv, float(xx)
     # unimodality sanity: the refined point should not be dominated nearby
-    for xx in (best_x - 2 * search.x_resolution, best_x + 2 * search.x_resolution):
-        if search.x_lo <= xx <= search.x_hi:
-            vv = f(xx)
-            evals += 1
-            if vv > best_v:
-                best_v, best_x = vv, float(xx)
+    check = [
+        xx
+        for xx in (best_x - 2 * resolution, best_x + 2 * resolution)
+        if search.x_lo <= xx <= search.x_hi
+    ]
+    evals += len(check)
+    for xx, vv in zip(check, f(check)):
+        if vv > best_v:
+            best_v, best_x = vv, float(xx)
     return SupResult(best_v, best_x, evals)
 
 

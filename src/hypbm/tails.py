@@ -229,7 +229,7 @@ def tail_even(d: Dimension | int, t: float, x, spec: QuadratureSpec = DEFAULT_SP
     Every factor is computed in doubles without cancellation for every t,
     and the fold's mpmath switch keeps its noise a decade under spec.rel_tol,
     so the quadrature's estimate is the whole error. At T = 0 the tail is
-    exactly P(R_t >= 0) = 1.
+    exactly P(R_t >= 0) = 1, and where T overflows to inf exactly 0.
 
     x may be a 1-d array: the result is then a list with one TailEstimate
     per x, in order, from one stacked quadrature over the points with T > 0.
@@ -246,7 +246,11 @@ def _tail_even(dd: Dimension, t: float, xs: np.ndarray, spec: QuadratureSpec) ->
     """tail_even at every x of a 1-d array, each point its own interval of one stack."""
     Ts = np.array([FluctuationPoint(dd, t, float(x)).threshold for x in xs])
     out = [TailEstimate(1.0, 0.0, "even_decomposition")] * len(xs)
-    above = (Ts > 0.0).nonzero()[0]
+    # T overflows to inf only for x near the double maximum, where the tail is
+    # exactly 0; inside the integrand it would meet inf - inf
+    for i in (Ts == math.inf).nonzero()[0]:
+        out[i] = TailEstimate(0.0, 0.0, "even_decomposition")
+    above = ((Ts > 0.0) & (Ts < math.inf)).nonzero()[0]
     if not above.size:
         return out
     x, T = xs[above], Ts[above]

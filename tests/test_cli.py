@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -196,6 +197,16 @@ class TestErrorPaths:
         assert code == 1
         assert "numerical failure" in out.err and out.out == ""
 
+
+    @pytest.mark.parametrize("d", ["2", "4"])
+    def test_even_tail_at_the_largest_x_is_zero(self, capsys, d):
+        # the threshold sqrt(t) (x - boundary_x) overflows to inf: the tail is
+        # exactly 0, with no numerical failure and no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "tail", "--d", d, "--t", "3", "--x", "1.7e308")
+        assert code == 0 and err == ""
+        assert out.strip().splitlines()[1].split(",")[3] == "0.0"
 
     def test_odd_tail_far_beyond_the_bulk_is_zero(self, capsys):
         # every boundary term's Gaussian factor e^{-T^2/(2t)} is beyond the double range

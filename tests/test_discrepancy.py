@@ -8,15 +8,17 @@ from hypbm.discrepancy import (
     DiscrepancyCurve,
     DiscrepancyRecord,
     SearchSpec,
+    SupResult,
     discrepancy_curve,
     rate_fit,
     sharpness_at_zero,
     sharpness_d2_integral,
     sup_discrepancy,
 )
-from hypbm.tails import tail, tail_even
+from hypbm.tails import normal_tail, tail, tail_even
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class TestSupDiscrepancy:
@@ -45,6 +47,43 @@ class TestSupDiscrepancy:
         assert worst <= 1.0
 
 
+class TestSearchSpec:
+    @pytest.mark.parametrize("field", ["x_lo", "x_hi", "coarse_step", "x_resolution"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_field(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            SearchSpec(**{field: value})
+
+    @pytest.mark.parametrize("x_lo,x_hi", [(1.0, 1.0), (2.0, -2.0)])
+    def test_rejects_empty_window(self, x_lo, x_hi):
+        with pytest.raises(ValueError, match="x_lo must be below x_hi"):
+            SearchSpec(x_lo=x_lo, x_hi=x_hi)
+
+    @pytest.mark.parametrize("step", [0.0, -0.05])
+    def test_rejects_nonpositive_step(self, step):
+        with pytest.raises(ValueError, match="coarse_step must be positive"):
+            SearchSpec(coarse_step=step)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"x_resolution": 0.0},
+            {"x_resolution": -1e-4},
+            {"x_resolution": 1e-300},
+            {"x_lo": -1e6, "x_hi": 1e6, "x_resolution": 1e-12},
+        ],
+    )
+    def test_rejects_unresolvable_resolution(self, kwargs):
+        # a search would never end: the bracket stops shrinking at one ulp
+        with pytest.raises(ValueError, match="x_resolution"):
+            SearchSpec(**kwargs)
+
+    def test_finest_accepted_resolution_ends(self):
+        finest = SearchSpec(x_resolution=math.ulp(10.0 + 0.05))
+        for d in (3, 4):
+            assert sup_discrepancy(d, 10.0, search=finest) == _plain_sup_discrepancy(d, 10.0, finest)
+
+
 # the C7 sweep (d = 2..5, t = 10..1000 at 5 log-spaced points) as computed
 # one tail call per grid point: (d, t, delta, argmax_x, evaluations)
 C7_ROWS = [
@@ -71,20 +110,104 @@ C7_ROWS = [
 ]
 
 
+def _plain_sup_discrepancy(d, t, search=SearchSpec()):
+    """The golden-section search with one scalar tail call per refinement
+    point and no lookahead: the reference sup_discrepancy must equal bitwise."""
+    xs = np.arange(search.x_lo, search.x_hi + 0.5 * search.coarse_step, search.coarse_step)
+    evals = 0
+
+    def f(x):
+        return abs(tail(d, t, float(x)).value - normal_tail(float(x)))
+
+    coarse = tail(d, t, xs)
+    vals = np.array([abs(est.value - normal_tail(float(x))) for est, x in zip(coarse, xs)])
+    evals += len(xs)
+    i = int(np.argmax(vals))
+    best_x, best_v = float(xs[i]), float(vals[i])
+    a = float(xs[max(i - 1, 0)])
+    b = float(xs[min(i + 1, len(xs) - 1)])
+    c = b - GOLDEN * (b - a)
+    e = a + GOLDEN * (b - a)
+    fc, fe = f(c), f(e)
+    evals += 2
+    while b - a > search.x_resolution:
+        if fc >= fe:
+            b, e, fe = e, c, fc
+            c = b - GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, e, fe
+            e = a + GOLDEN * (b - a)
+            fe = f(e)
+        evals += 1
+        for xx, vv in ((c, fc), (e, fe)):
+            if vv > best_v:
+                best_v, best_x = vv, float(xx)
+    for xx in (best_x - 2 * search.x_resolution, best_x + 2 * search.x_resolution):
+        if search.x_lo <= xx <= search.x_hi:
+            vv = f(xx)
+            evals += 1
+            if vv > best_v:
+                best_v, best_x = vv, float(xx)
+    return SupResult(best_v, best_x, evals)
+
+
+class TestLookahead:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
+    def test_equals_plain_golden_section(self, d):
+        for t in (0.5, 3.0, 30.0, 300.0):
+            assert sup_discrepancy(d, t) == _plain_sup_discrepancy(d, t), t
+
+    @pytest.mark.parametrize(
+        "search,argmax_lo,argmax_hi",
+        [
+            # the profile peaks near 0, so the coarse argmax is the first or the last grid point
+            (SearchSpec(x_lo=1.0, x_hi=4.0), 1.0, 1.05),
+            (SearchSpec(x_lo=-4.0, x_hi=-1.0), -1.05, -1.0),
+            # x_resolution at least the bracket width: the refinement takes no step
+            (SearchSpec(x_resolution=0.2), -10.0, 10.0),
+            # 8 steps: the width test cuts the last batch to the one point its step needs
+            (SearchSpec(x_resolution=3e-3), -10.0, 10.0),
+        ],
+    )
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_edge_searches_equal_plain(self, d, search, argmax_lo, argmax_hi):
+        res = sup_discrepancy(d, 10.0, search=search)
+        assert res == _plain_sup_discrepancy(d, 10.0, search)
+        assert argmax_lo <= res.argmax_x <= argmax_hi
+
+
 class TestCoarseGridBatch:
-    def test_one_array_tail_call(self, monkeypatch):
-        calls = []
+    @staticmethod
+    def counted(monkeypatch) -> list[int]:
+        sizes = []
 
         def counting(d, t, x, spec):
-            calls.append(np.ndim(x))
+            sizes.append(np.size(x))
             return tail(d, t, x, spec)
 
         monkeypatch.setattr(discrepancy_module, "tail", counting)
-        for d in (2, 3):
-            calls.clear()
-            res = sup_discrepancy(d, 30.0)
-            assert calls.count(1) == 1 and calls[0] == 1
-            assert len(calls) - 1 + 401 == res.evaluations
+        return sizes
+
+    def test_even_calls_look_ahead(self, monkeypatch):
+        sizes = self.counted(monkeypatch)
+        res = sup_discrepancy(2, 30.0)
+        assert discrepancy_module._LOOKAHEAD == 4
+        # the grid; the c, e pair with both candidates of each of the next 3
+        # steps (2 + 2 + 4 + 8 points); for the 15 steps, three batches of a
+        # step's point and the candidates of the 3 steps after it (1 + 2 + 4
+        # + 8); the check at +-2 x_resolution. Paths that reach the same
+        # bracket share their points, which are evaluated once.
+        assert len(sizes) == 6 and sizes[0] == 401 and sizes[-1] == 2
+        assert 8 < sizes[1] <= 16 and all(8 < n <= 15 for n in sizes[2:-1])
+        assert res.evaluations == 401 + 2 + 15 + 2
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_odd_evaluates_only_visited_points(self, monkeypatch, d):
+        sizes = self.counted(monkeypatch)
+        res = sup_discrepancy(d, 30.0)
+        assert sizes[0] == 401 and sizes[1] == 2 and max(sizes[2:]) <= 2
+        assert sum(sizes) == res.evaluations
 
     @pytest.mark.parametrize("d,t,delta,argmax_x,evaluations", C7_ROWS)
     def test_c7_rows_unchanged(self, d, t, delta, argmax_x, evaluations):

@@ -338,6 +338,15 @@ class TestArrayX:
             else:  # integrated, even where the value clamps to 1
                 assert est.error_estimate > 0.0, x
 
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_overflowing_threshold_is_exactly_zero(self, d):
+        # T = sqrt(t) (x - boundary_x) overflows to inf; the finite point beside it is untouched
+        t = 3.0
+        ests = tail(d, t, np.array([0.5, 1.7e308]))
+        assert ests[1] == tails_module.TailEstimate(0.0, 0.0, "even_decomposition")
+        assert tail_even(d, t, 1.7e308) == ests[1]
+        assert ests[0] == tail(d, t, 0.5)
+
     def test_clamp_widens_the_error_per_point(self, monkeypatch):
         d, t = 4, 10.0
         xs = np.array([-1.0, 0.0, 1.0])
