@@ -23,7 +23,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .logspace import LN2, LogValue, log_sum, logcosh, logsinh
+import numpy as np
+
+from .logspace import LN2, LogValue, log_sum, logsinh
 
 
 def double_factorial(m: int) -> int:
@@ -113,12 +115,34 @@ def sinh_power_derivative(n: int, k: int) -> SinhPowerExpansion:
     return SinhPowerExpansion(n, k, tuple(terms))
 
 
-def evaluate_expansion_log(e: SinhPowerExpansion, r: float) -> LogValue:
-    """Evaluate an expansion at r >= 0 in sign/log form.
+def logcosh_minus_x(x: float) -> float:
+    """log(cosh x) - x = log((1 + e^{-2x}) / 2), bounded for all x >= 0."""
+    return math.log1p(math.exp(-2.0 * x)) - LN2
 
-    Each term contributes log|c| + a*log cosh r + b*log sinh r; the signed
-    log-sum keeps cosh^a sinh^b products finite far beyond the double
-    overflow threshold (r up to 1e4 and more).
+
+def logsinh_minus_x(x: float) -> float:
+    """log(sinh x) - x = log((1 - e^{-2x}) / 2) for x > 0, with no cancellation."""
+    return math.log(-math.expm1(-2.0 * x)) - LN2
+
+
+def vlogcosh_minus_x(x: np.ndarray) -> np.ndarray:
+    """Vectorized logcosh_minus_x. Past x = 9e307, -2x overflows to -inf and
+    numpy warns, though the value is right; callers there silence the warning."""
+    return np.log1p(np.exp(-2.0 * x)) - LN2
+
+
+def vlogsinh_minus_x(x: np.ndarray) -> np.ndarray:
+    """Vectorized logsinh_minus_x, with vlogcosh_minus_x's overflow past 9e307."""
+    return np.log(-np.expm1(-2.0 * x)) - LN2
+
+
+def evaluate_expansion_log_shifted(e: SinhPowerExpansion, r: float) -> LogValue:
+    """The expansion without its growth, e^{-(n-k) r} D^k sinh^n r, at r >= 0 in
+    sign/log form.
+
+    Every term c cosh^a sinh^b has total degree a + b = n - k, so each
+    contributes log|c| + a (log cosh r - r) + b (log sinh r - r), which stays
+    bounded: large r costs no digits.
     """
     if r < 0.0:
         raise ValueError(f"evaluation requires r >= 0, got {r}")
@@ -128,12 +152,16 @@ def evaluate_expansion_log(e: SinhPowerExpansion, r: float) -> LogValue:
         # only sinh^0 terms survive at the origin
         const = sum(c for c, _, b in e.terms if b == 0)
         return LogValue.from_value(float(const))
-    lc = logcosh(r)
-    ls = logsinh(r)
-    parts = []
-    for c, a, b in e.terms:
-        parts.append(LogValue(1 if c > 0 else -1, math.log(abs(c)) + a * lc + b * ls))
-    return log_sum(parts)
+    lc, ls = logcosh_minus_x(r), logsinh_minus_x(r)
+    return log_sum(LogValue(1 if c > 0 else -1, math.log(abs(c)) + a * lc + b * ls) for c, a, b in e.terms)
+
+
+def evaluate_expansion_log(e: SinhPowerExpansion, r: float) -> LogValue:
+    """Evaluate an expansion at r >= 0 in sign/log form: the shifted log plus
+    its growth (n - k) r, finite far beyond the double overflow threshold
+    (r up to 1e4 and more).
+    """
+    return evaluate_expansion_log_shifted(e, r).scaled((e.base_power - e.operator_applications) * r)
 
 
 def evaluate_expansion(e: SinhPowerExpansion, r: float) -> float:

@@ -36,7 +36,8 @@ from typing import Callable
 import mpmath as mp
 import numpy as np
 
-from .logspace import LN2, LN2PI, LogValue, log_sinhc, log_sum, logcosh, logsinh
+from .calculus import vlogcosh_minus_x, vlogsinh_minus_x
+from .logspace import LN2, LN2PI, LogValue, log_sinhc, logsinh
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_adaptive
 
 _EPS = float(np.finfo(float).eps)
@@ -150,25 +151,6 @@ def q3(p: EvaluationPoint) -> LogValue:
     return LogValue(1, lg)
 
 
-def _bracket_digits_lost(d: int, r: float) -> float:
-    # term magnitudes near the origin scale like r^{-(d-3)} against an O(1) sum
-    if r >= 1.0:
-        return 0.0
-    return (d - 3) * (-math.log10(r))
-
-
-def _eval_odd_bracket_float(expr: OddKernelExpression, t: float, r: float) -> LogValue:
-    lc = logcosh(r)
-    ls = logsinh(r)
-    lt = math.log(t)
-    lr = math.log(r)
-    parts = []
-    for c, i, p, a, b in expr.terms:
-        lg = math.log(abs(c)) - i * lt + p * lr + a * lc - b * ls
-        parts.append(LogValue(1 if c > 0 else -1, lg))
-    return log_sum(parts)
-
-
 def _eval_odd_bracket_mp(expr: OddKernelExpression, t: float, r: float, digits: float) -> LogValue:
     with mp.workdps(int(25 + digits)):
         rt, tt = mp.mpf(r), mp.mpf(t)
@@ -181,28 +163,6 @@ def _eval_odd_bracket_mp(expr: OddKernelExpression, t: float, r: float, digits: 
         return LogValue(1 if total > 0 else -1, float(mp.log(abs(total))))
 
 
-def q_odd(d: int, p: EvaluationPoint) -> LogValue:
-    """Kernel for odd d >= 3 via the exact symbolic expression."""
-    if d == 3:
-        return q3(p)
-    expr = build_odd_kernel(d)
-    r = max(p.r, 1e-6)  # kernel is even in r; O(r^2) flat extension at the origin
-    lost = _bracket_digits_lost(d, r)
-    if lost > 5.0:
-        bracket = _eval_odd_bracket_mp(expr, p.t, r, lost)
-    else:
-        bracket = _eval_odd_bracket_float(expr, p.t, r)
-        if bracket.sign <= 0:
-            bracket = _eval_odd_bracket_mp(expr, p.t, r, 30.0)
-    if bracket.sign <= 0:
-        raise KernelError(f"kernel bracket not positive at d={d}, t={p.t}, r={p.r}")
-    return LogValue(1, expr.log_prefactor(p.t) - r * (r / (2.0 * p.t)) + bracket.log)
-
-
-# --------------------------------------------------------------------------
-# even dimensions: one descent quadrature over the exact odd kernel
-# --------------------------------------------------------------------------
-
 @lru_cache(maxsize=None)
 def _bracket_table(d: int) -> tuple[np.ndarray, ...]:
     """build_odd_kernel(d) terms as (K, 1) columns: sign, log|c|, i, p, a, b."""
@@ -210,40 +170,33 @@ def _bracket_table(d: int) -> tuple[np.ndarray, ...]:
     return np.sign(c), np.log(np.abs(c)), i, p, a, b
 
 
-def _vlogcosh_minus_x(x: np.ndarray) -> np.ndarray:
-    """log(cosh x) - x = log((1 + e^{-2x}) / 2), bounded for all x >= 0."""
-    return np.log1p(np.exp(-2.0 * x)) - LN2
-
-
-def _vlogsinh_minus_x(x: np.ndarray) -> np.ndarray:
-    """log(sinh x) - x = log((1 - e^{-2x}) / 2) for x > 0, with no cancellation."""
-    return np.log(-np.expm1(-2.0 * x)) - LN2
-
-
 def _log_odd_bracket(d: int, t: float, r: np.ndarray, rel_tol: float = DEFAULT_SPEC.rel_tol) -> np.ndarray:
-    """log of q_d's bracket sum times e^{m r} (odd d = 2m+1 >= 5), at every
+    """log of q_d's bracket sum times e^{m r} (odd d = 2m+1 >= 3), at every
     r > 0 of an array.
 
     Every term's cosh^a sinh^{-b} has a - b = -m, so once e^{-m r} is factored
     out each term needs only log(cosh r) - r and log(sinh r) - r, which stay
-    bounded: large r costs no digits. The vectorized form of q_odd's
-    evaluation, for the descent quadratures' nodes: a signed log-sum over the
-    term table, redone in mpmath per point where too many digits are lost to
-    cancellation (counted as in _bracket_digits_lost), or where the float sum
-    is not positive.
+    bounded: large r costs no digits. The one float evaluation of an odd
+    bracket, for q_odd, the odd tails' boundary terms and the descent
+    quadratures' nodes: a signed log-sum over the term table, redone in mpmath
+    per point where too many digits are lost to cancellation (term magnitudes
+    near the origin scale like r^{-(d-3)} against an O(1) sum), or where the
+    float sum is not positive.
     """
     sign, log_c, i, p, a, b = _bracket_table(d)
     m = (d - 1) // 2
-    logs = log_c - i * math.log(t) + p * np.log(r) + a * _vlogcosh_minus_x(r) - b * _vlogsinh_minus_x(r)
-    top = np.max(logs, axis=0)
-    acc = np.sum(sign * np.exp(logs - top), axis=0)
+    # the shifted hyperbolic logs overflow harmlessly past r = 9e307, and a
+    # float sum that is not positive is redone below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        logs = log_c - i * math.log(t) + p * np.log(r) + a * vlogcosh_minus_x(r) - b * vlogsinh_minus_x(r)
+        top = logs.max(axis=0)
+        acc = (sign * np.exp(logs - top)).sum(axis=0)
+        out = top + np.log(acc)
     lost = (d - 3) * np.maximum(-np.log10(r), 0.0)
     # the float sum's noise is about 10^lost eps: switching past this many lost
-    # digits keeps it a decade under rel_tol, capped at q_odd's five digits
+    # digits keeps it a decade under rel_tol, capped at five digits
     switch = min(5.0, max(0.0, math.log10(rel_tol / _EPS) - 1.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = top + np.log(acc)
-    for j in np.flatnonzero((lost > switch) | (acc <= 0.0)):
+    for j in ((lost > switch) | (acc <= 0.0)).nonzero()[0]:
         digits = float(lost[j]) if lost[j] > switch else 30.0
         bracket = _eval_odd_bracket_mp(build_odd_kernel(d), t, float(r[j]), digits)
         if bracket.sign <= 0:
@@ -251,6 +204,20 @@ def _log_odd_bracket(d: int, t: float, r: np.ndarray, rel_tol: float = DEFAULT_S
         out[j] = bracket.log + m * r[j]
     return out
 
+
+def q_odd(d: int, p: EvaluationPoint) -> LogValue:
+    """Kernel for odd d >= 3 via the exact symbolic expression."""
+    if d == 3:
+        return q3(p)
+    expr = build_odd_kernel(d)
+    r = max(p.r, 1e-6)  # kernel is even in r; O(r^2) flat extension at the origin
+    bracket = float(_log_odd_bracket(d, p.t, np.array([r]))[0]) - expr.m * r
+    return LogValue(1, expr.log_prefactor(p.t) - r * (r / (2.0 * p.t)) + bracket)
+
+
+# --------------------------------------------------------------------------
+# even dimensions: one descent quadrature over the exact odd kernel
+# --------------------------------------------------------------------------
 
 def log_descent_fold(d: int, t: float, s: np.ndarray, rel_tol: float) -> np.ndarray:
     """The folded factor of the descent identity for even d = 2k+2, shifted by
@@ -264,7 +231,7 @@ def log_descent_fold(d: int, t: float, s: np.ndarray, rel_tol: float) -> np.ndar
     if d == 2:
         return np.log(s)
     # the bracket is even in s: O(s^2) flat extension at the origin, as in q_odd
-    return _log_odd_bracket(d + 1, t, np.maximum(s, 1e-6), rel_tol) + _vlogsinh_minus_x(s)
+    return _log_odd_bracket(d + 1, t, np.maximum(s, 1e-6), rel_tol) + vlogsinh_minus_x(s)
 
 
 def descent_gap(r: float, ww: np.ndarray) -> np.ndarray:
@@ -304,15 +271,20 @@ def q_even(d: int, p: EvaluationPoint, spec: QuadratureSpec = DEFAULT_SPEC) -> L
     # Gaussian bound in s lies far past this
     w_hi = math.sqrt(min(s_span, (mult + 1.0) ** 2 / max(0.5 * (d - 1), r / t)))
     shift = 0.5 * (d - 1) * r
+    # the fold's polynomial growth in s, factored out at s = max(r, 1) like the
+    # decay, so that the integrand stays finite at huge r; past r = 9e307 the
+    # fold's 2s overflows harmlessly
+    with np.errstate(over="ignore"):
+        fold_r = float(log_descent_fold(d, t, np.array([max(r, 1.0)]), spec.rel_tol)[0])
 
     def fw(w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float)
         ww = w * w
         s = r + ww
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             log_j = (
                 np.log(2.0 * w)
-                + log_descent_fold(d, t, s, spec.rel_tol)
+                + (log_descent_fold(d, t, s, spec.rel_tol) - fold_r)
                 - (2.0 * r * ww + ww * ww) / (2.0 * t)
                 - 0.5 * (d - 1) * ww
                 - 0.5 * np.log(descent_gap(r, ww))
@@ -329,6 +301,7 @@ def q_even(d: int, p: EvaluationPoint, spec: QuadratureSpec = DEFAULT_SPEC) -> L
         - (d // 2 - 1) * LN2PI
         - r * (r / (2.0 * t))
         - shift
+        + fold_r
         + math.log(res.value)
     )
     return LogValue(1, lg)

@@ -45,16 +45,16 @@ from typing import Literal
 
 import numpy as np
 
-from .calculus import evaluate_expansion_log, log_surface_area, sinh_power_derivative
+from .calculus import evaluate_expansion_log_shifted, log_surface_area, logsinh_minus_x, sinh_power_derivative
 from .kernels import (
     Dimension,
     EvaluationPoint,
     KernelError,
     LogValue,
+    _log_odd_bracket,
     descent_gap,
     heat_kernel,
     log_descent_fold,
-    q_odd,
 )
 from .logspace import LN2, LN2PI, log_sum, logsinh
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_adaptive
@@ -67,7 +67,6 @@ TailMethod = Literal[
     "odd_reduction",
     "even_decomposition",
     "direct_kernel_quadrature",
-    "monte_carlo",
 ]
 
 T_MIN = 1e-3
@@ -164,11 +163,18 @@ def tail_d3(t: float, x: float, spec: QuadratureSpec = DEFAULT_SPEC) -> TailEsti
 
 
 def tail_odd(d: Dimension | int, t: float, x: float, spec: QuadratureSpec = DEFAULT_SPEC) -> TailEstimate:
-    """Odd-dimension tail: boundary sum at T plus the d=3 tail at time n^2 t.
+    """Odd-dimension tail (d = 2n+1): the d=3 tail at time n^2 t plus a
+    boundary sum at T over m < n of
 
-    The error estimate adds to the d=3 tail's the rounding of each boundary
-    term, whose log sums O(t)-sized pieces. KernelError is raised once that
-    rounding reaches 1 (from about t = 1e14 to 1e15, by d) or the sum exceeds 1.
+      omega_d (2 pi)^{-m} e^{-(2n-m)mt/2} q_{2m'+1}(t,T) D^{m-1} sinh^{2n-1} T,   m' = n - m.
+
+    q_{2m'+1}'s bracket is e^{-m'T} times _log_odd_bracket's, and the
+    expansion, of total degree 2n - m, is e^{(2n-m)T} times its shifted log.
+    With the kernel's prefactor e^{-m'^2 t/2 - T^2/(2t)}, every O(t) exponent
+    cancels exactly: -(2n-m)mt/2 - m'^2 t/2 - T^2/(2t) + (2n-m-m')T = -x^2/2.
+    Each term's log is -x^2/2 plus pieces that stay bounded for every t, so
+    the tail holds to t = 1e300, and the error estimate adds a few eps per
+    term to the d=3 tail's. KernelError is raised only where n^2 t overflows.
     """
     dd = d if isinstance(d, Dimension) else Dimension(int(d))
     if not dd.is_odd:
@@ -180,35 +186,21 @@ def tail_odd(d: Dimension | int, t: float, x: float, spec: QuadratureSpec = DEFA
     base = tail_d3(n * n * t, x, spec)
     value, err = base.value, base.error_estimate
     T = fp.threshold
-    if n >= 2 and T > 0.0:
-        parts: list[LogValue] = []
-        sizes: list[float] = []
+    # past x*x = inf every term's factor e^{-x^2/2} is 0 (and T may be inf)
+    if n >= 2 and T > 0.0 and x * x < math.inf:
+        log_c = log_surface_area(dd.d) - 0.5 * x * x - 1.5 * math.log(2.0 * math.pi * t) - (n - 1) * LN2PI
+        parts = []
         for m in range(1, n):
-            expansion = evaluate_expansion_log(sinh_power_derivative(2 * n - 1, m - 1), T)
-            if expansion.sign == 0:
-                continue
-            qv = q_odd(2 * n + 1 - 2 * m, EvaluationPoint(t, T))
-            decay = (2 * n - m) * m * t / 2.0
-            lg = log_surface_area(2 * n + 1) - decay - m * LN2PI + qv.log + expansion.log
-            if lg == -math.inf:
-                continue  # its Gaussian factor e^{-T^2/(2t)} alone is beyond the double range
-            parts.append(LogValue(1, lg))
-            sizes.append(decay + abs(qv.log) + abs(expansion.log))
-        boundary = log_sum(parts)
-        # each part's log sums terms of size O(t), through which T's rounding
-        # enters too, so it is off by a few eps times their total size and the
-        # part by up to the factor e^{2 eps size}
-        rounding = 0.0
-        for part, size in zip(parts, sizes):
-            delta = 2.0 * _EPS * size
-            rounding += part.value * math.expm1(delta) if delta < 700.0 else math.exp(min(0.0, part.log + delta))
-        # the sum is a difference of two probabilities: past 1, or with a
-        # rounding bound of 1, its O(t)-sized log terms cancelled beyond
-        # double precision
-        if boundary.log > 0.0 or rounding >= 1.0:
-            raise KernelError(f"odd-d boundary sum lost all precision at d={dd.d}, t={t}, x={x}")
-        value += boundary.value
-        err += rounding
+            expansion = evaluate_expansion_log_shifted(sinh_power_derivative(2 * n - 1, m - 1), T)
+            if m == n - 1:  # q_3's bracket T / sinh T, in closed form as in q_odd
+                bracket = math.log(T) - logsinh_minus_x(T)
+            else:
+                bracket = float(_log_odd_bracket(2 * (n - m) + 1, t, np.array([T]), spec.rel_tol)[0])
+            parts.append(LogValue(expansion.sign, log_c + bracket + expansion.log))
+        value += log_sum(parts).value
+        # each term's log sums O(d) bounded pieces, a few eps each, and
+        # -x^2/2, whose rounding moves the term by a relative x^2 eps
+        err += _EPS * (4.0 * dd.d + x * x) * sum(abs(part.value) for part in parts)
     return _finalize(value, err, "odd_reduction")
 
 
@@ -259,7 +251,7 @@ def _tail_even(dd: Dimension, t: float, xs: np.ndarray, spec: QuadratureSpec) ->
     # b_j e^{-(2k-j)T} B(j+1, 1/2) for j = 0..2k, a column per point: the
     # coefficients of (v^2 + (1 + e^{-2T}) v + expm1(-2T)^2/4)^k by repeated
     # convolution, times B(j+1, 1/2) = 2 prod_{i<=j} i/(i+1/2)
-    m2T = -2.0 * T
+    m2T = -2.0 * np.minimum(T, 400.0)  # e^{-2T} is 0 past T = 373; the clamp keeps 2T finite
     constant, linear = 0.25 * np.expm1(m2T) ** 2, 1.0 + np.exp(m2T)
     coef = np.ones((1, len(T)))
     for _ in range(k):
@@ -284,9 +276,10 @@ def _tail_even(dd: Dimension, t: float, xs: np.ndarray, spec: QuadratureSpec) ->
         ww = w * w
         s = T_w + ww
         u = x_w + ww / sqrt_t
-        nu = descent_gap(T_w, ww)
-        inner = np.sqrt(nu) * np.sum(rows[2:] * nu**j * np.exp(-ww) ** (2 * k - j), axis=0)
-        with np.errstate(divide="ignore", over="ignore"):  # a non-finite value fails the quadrature
+        # a non-finite value fails the quadrature; 2T overflows harmlessly past 9e307
+        with np.errstate(divide="ignore", over="ignore"):
+            nu = descent_gap(T_w, ww)
+            inner = np.sqrt(nu) * np.sum(rows[2:] * nu**j * np.exp(-ww) ** (2 * k - j), axis=0)
             return 2.0 * w * inner * np.exp(log_c - 0.5 * u * u + log_descent_fold(dd.d, t, s, spec.rel_tol))
 
     # w = sqrt(sqrt(t) (u - x)) at the seed points u = -1, 0, 1 (the Gaussian

@@ -47,11 +47,27 @@ class TestKernelCommand:
         default = float(out.strip().splitlines()[1].split(",")[4])
         assert tight == pytest.approx(default, abs=1e-9)
 
-    @pytest.mark.parametrize("argv", ["--d 2 --t 1 --r 1e17", "--d 2 --t 1e300 --r 2e300", "--d 4 --t 1e300 --r 2e300"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "--d 2 --t 1 --r 1e17",
+            "--d 2 --t 1e300 --r 2e300",
+            "--d 4 --t 1e300 --r 2e300",
+            "--d 8 --t 1 --r 1e100",
+            "--d 4 --t 1 --r 1e154",
+        ],
+    )
     def test_even_kernel_at_huge_radius(self, capsys, argv):
-        code, out, err = run_cli(capsys, "kernel", *argv.split())
-        assert code == 0, err
-        assert math.isfinite(float(out.strip().splitlines()[1].split(",")[4]))
+        # the decay and the fold's polynomial growth in s ~ r are factored
+        # out, so log q keeps its leading terms to double precision
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "kernel", *argv.split())
+        assert code == 0 and err == ""
+        _, d, _, t, _, r = argv.split()
+        d, t, r = int(d), float(t), float(r)
+        want = -r * (r / (2.0 * t)) - (d - 1) * r / 2.0 - (d - 1) ** 2 * t / 8.0
+        assert float(out.strip().splitlines()[1].split(",")[4]) == pytest.approx(want, rel=1e-14)
 
 
 class TestTailCommand:
@@ -185,28 +201,33 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "invalid argument" in err and "numerical failure" not in err
 
-    @pytest.mark.parametrize(
-        "argv", [["--t", "1e300", "--x", "1"], ["--t", "1e21", "--x", "-3"], ["--t", "1e308", "--x", "0"]]
-    )
-    def test_odd_tail_at_huge_time_is_numerical_failure(self, capsys, argv):
-        # the boundary sum's O(t) log terms cancel beyond double precision
-        # here: the tail must fail loudly, neither print NaN nor escape as an
-        # OverflowError
-        code = main(["tail", "--d", "5", *argv])
-        out = capsys.readouterr()
-        assert code == 1
-        assert "numerical failure" in out.err and out.out == ""
+    @pytest.mark.parametrize("argv", [["--t", "1e300", "--x", "1"], ["--t", "1e21", "--x", "-3"]])
+    def test_odd_tail_at_huge_time_is_gaussian(self, capsys, argv):
+        # every boundary term's O(t) exponents cancel exactly into e^{-x^2/2}:
+        # the tail is Phi(x) to within O(t^{-1/2})
+        code, out, err = run_cli(capsys, "tail", "--d", "5", *argv)
+        assert code == 0 and err == ""
+        x = float(argv[3])
+        assert float(out.strip().splitlines()[1].split(",")[3]) == pytest.approx(0.5 * math.erfc(x / math.sqrt(2.0)), abs=1e-8)
 
+    def test_odd_tail_past_the_double_range_is_numerical_failure(self, capsys):
+        # n^2 t and T overflow: the tail must fail loudly, neither print NaN
+        # nor escape as an OverflowError
+        code, out, err = run_cli(capsys, "tail", "--d", "5", "--t", "1e308", "--x", "0")
+        assert code == 1
+        assert "numerical failure" in err and out == ""
 
     @pytest.mark.parametrize("d", ["2", "4"])
     def test_even_tail_at_the_largest_x_is_zero(self, capsys, d):
-        # the threshold sqrt(t) (x - boundary_x) overflows to inf: the tail is
-        # exactly 0, with no numerical failure and no numpy warning
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out, err = run_cli(capsys, "tail", "--d", d, "--t", "3", "--x", "1.7e308")
-        assert code == 0 and err == ""
-        assert out.strip().splitlines()[1].split(",")[3] == "0.0"
+        # the threshold sqrt(t) (x - boundary_x) overflows to inf at 1.7e308
+        # and 2T at 1e308: the tail is exactly 0, with no numerical failure
+        # and no numpy warning
+        for x in ("1.7e308", "1e308"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_cli(capsys, "tail", "--d", d, "--t", "3", "--x", x)
+            assert code == 0 and err == ""
+            assert out.strip().splitlines()[1].split(",")[3] == "0.0"
 
     def test_odd_tail_far_beyond_the_bulk_is_zero(self, capsys):
         # every boundary term's Gaussian factor e^{-T^2/(2t)} is beyond the double range
@@ -257,7 +278,8 @@ class TestFuzz:
     def test_exit_codes_and_tail_range(self, command, d, t, v):
         flag = "--x" if command == "tail" else "--r"
         stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the example
             try:
                 code = main([command, f"--d={d}", f"--t={t!r}", f"{flag}={v!r}"])
             except SystemExit as exc:  # argparse rejects the arguments

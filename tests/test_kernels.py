@@ -18,6 +18,7 @@ from hypbm.kernels import (
     q3,
     q_even,
     q_odd,
+    _eval_odd_bracket_mp,
     _log_odd_bracket,
     descent_gap,
 )
@@ -124,15 +125,17 @@ class TestOddKernels:
 
     @pytest.mark.parametrize("d", [5, 7, 9, 11, 13])
     def test_vectorized_bracket_matches_scalar_path(self, d):
-        # the array evaluation behind the even kernels (which returns the
-        # bracket times e^{m r}, d = 2m+1) against q_odd's scalar float/mpmath
-        # evaluation, across the fallback boundary
+        # the one float evaluation of an odd bracket (which returns the bracket
+        # times e^{m r}, d = 2m+1) against the scalar mpmath path at 40 digits
+        # beyond the (d-3) log10(1/r) that cancel near the origin, across the
+        # float-to-mpmath switch
         t = 2.0
         rs = np.array([1e-6, 1e-3, 0.05, 0.3, 1.0, 4.0, 30.0, 800.0])
         expr = build_odd_kernel(d)
         got = _log_odd_bracket(d, t, rs)
         for r, g in zip(rs, got):
-            want = q_odd(d, EvaluationPoint(t, float(r))).log - expr.log_prefactor(t) + r * r / (2.0 * t) + expr.m * r
+            lost = (d - 3) * max(0.0, -math.log10(r))
+            want = _eval_odd_bracket_mp(expr, t, float(r), 15.0 + lost).log + expr.m * r
             assert g == pytest.approx(want, abs=1e-9)
 
     @pytest.mark.parametrize("d,t", [(5, 1.0), (7, 5.0)])
