@@ -9,8 +9,9 @@ and iterate the Millson recursion
   q_d(t,r) = - e^{-(d-2)t/2} / (2 pi sinh r) * d q_{d-2}/dr (t,r)
 
 symbolically: the term family c * t^{-i} r^p cosh^a(r) sinh^{-b}(r) e^{-r^2/(2t)}
-is closed under it with exact integer coefficients, so q_5, q_7, ... evaluate
-like closed forms.
+is closed under it with exact integer coefficients. Near the origin, where those
+terms cancel, the recursion is read in z = cosh r as (-d/dz)^m: a Bell polynomial
+in positive terms from a Taylor series in z - 1, exact at r = 0.
 
 Even dimensions descend from the odd dimension above them,
 
@@ -33,7 +34,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-import mpmath as mp
 import numpy as np
 
 from .calculus import vlogcosh_minus_x, vlogsinh_minus_x
@@ -44,7 +44,7 @@ _EPS = float(np.finfo(float).eps)
 
 
 class KernelError(RuntimeError):
-    """Kernel evaluation failed (step underflow, cancellation, ...)."""
+    """Kernel or tail evaluation failed (integral not positive, step underflow, ...)."""
 
 
 @dataclass(frozen=True)
@@ -151,75 +151,80 @@ def q3(p: EvaluationPoint) -> LogValue:
     return LogValue(1, lg)
 
 
-def _eval_odd_bracket_mp(expr: OddKernelExpression, t: float, r: float, digits: float) -> LogValue:
-    with mp.workdps(int(25 + digits)):
-        rt, tt = mp.mpf(r), mp.mpf(t)
-        ch, sh = mp.cosh(rt), mp.sinh(rt)
-        total = mp.mpf(0)
-        for c, i, p, a, b in expr.terms:
-            total += c * rt**p * ch**a / (tt**i * sh**b)
-        if total == 0:
-            return LogValue.zero()
-        return LogValue(1 if total > 0 else -1, float(mp.log(abs(total))))
+# switch radius and series terms per odd d, measured against a 40-digit reference
+# for t = 1e-3..1e5: from the radius up the term table is within 2e-12 + eps |log q|,
+# and below it more terms no longer move a double
+_SERIES_SWITCH = {5: (0.05, 6), 7: (0.35, 12), 9: (0.65, 21), 11: (0.95, 34), 13: (1.25, 64)}
+_SERIES_SWITCH_ABOVE_13 = (1.4, 160)
 
 
 @lru_cache(maxsize=None)
-def _bracket_table(d: int) -> tuple[np.ndarray, ...]:
-    """build_odd_kernel(d) terms as (K, 1) columns: sign, log|c|, i, p, a, b."""
+def _bracket_table(d: int, terms: int) -> tuple[np.ndarray, ...]:
+    """build_odd_kernel(d) terms as (K, 1) columns: sign, log|c|, i, p, a, b; then the
+    (m, terms, 1) coefficients of u^k in (-1)^{j+1} G^(j)(1+u) / 2, j = 1..m, each one
+    int ratio rounded once, from G = acosh(1+u)^2 = 2 sum (-1)^{n+1} (2u)^n / (n^2 C(2n, n))."""
     c, i, p, a, b = (np.array(col, dtype=float)[:, None] for col in zip(*build_odd_kernel(d).terms))
-    return np.sign(c), np.log(np.abs(c)), i, p, a, b
-
-
-def _log_odd_bracket(d: int, t: float, r: np.ndarray, rel_tol: float = DEFAULT_SPEC.rel_tol) -> np.ndarray:
-    """log of q_d's bracket sum times e^{m r} (odd d = 2m+1 >= 3), at every
-    r > 0 of an array.
-
-    Every term's cosh^a sinh^{-b} has a - b = -m, so once e^{-m r} is factored
-    out each term needs only log(cosh r) - r and log(sinh r) - r, which stay
-    bounded: large r costs no digits. The one float evaluation of an odd
-    bracket, for q_odd, the odd tails' boundary terms and the descent
-    quadratures' nodes: a signed log-sum over the term table, redone in mpmath
-    per point where too many digits are lost to cancellation (term magnitudes
-    near the origin scale like r^{-(d-3)} against an O(1) sum), or where the
-    float sum is not positive.
-    """
-    sign, log_c, i, p, a, b = _bracket_table(d)
     m = (d - 1) // 2
-    # the shifted hyperbolic logs overflow harmlessly past r = 9e307, and a
-    # float sum that is not positive is redone below
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        logs = log_c - i * math.log(t) + p * np.log(r) + a * vlogcosh_minus_x(r) - b * vlogsinh_minus_x(r)
-        top = logs.max(axis=0)
-        acc = (sign * np.exp(logs - top)).sum(axis=0)
-        out = top + np.log(acc)
-    lost = (d - 3) * np.maximum(-np.log10(r), 0.0)
-    # the float sum's noise is about 10^lost eps: switching past this many lost
-    # digits keeps it a decade under rel_tol, capped at five digits
-    switch = min(5.0, max(0.0, math.log10(rel_tol / _EPS) - 1.0))
-    for j in ((lost > switch) | (acc <= 0.0)).nonzero()[0]:
-        digits = float(lost[j]) if lost[j] > switch else 30.0
-        bracket = _eval_odd_bracket_mp(build_odd_kernel(d), t, float(r[j]), digits)
-        if bracket.sign <= 0:
-            raise KernelError(f"kernel bracket not positive at d={d}, t={t}, r={r[j]}")
-        out[j] = bracket.log + m * r[j]
-    return out
+    series = [
+        [(-1) ** k * 2 ** (k + j) * math.perm(k + j, j) / ((k + j) ** 2 * math.comb(2 * (k + j), k + j)) for k in range(terms)]
+        for j in range(1, m + 1)
+    ]
+    return np.sign(c), np.log(np.abs(c)), i, p, a, b, np.array(series)[:, :, None]
+
+
+def _log_odd_bracket(d: int, t: float, r: np.ndarray) -> np.ndarray:
+    """log of q_d's bracket sum times e^{m r} (odd d = 2m+1 >= 3) at every r >= 0
+    of an array, for q_odd, the odd tails' boundary terms and the descent nodes.
+
+    From d's switch radius up, a log-sum over the term table, where each term's
+    cosh^a sinh^{-b} e^{m r} stays bounded. Below it, where those terms cancel,
+    z = cosh r turns Millson's (1/sinh r) d/dr into d/dz, and Faa di Bruno makes
+    the bracket t B_m(a_1, ..., a_m), B_m the complete Bell polynomial and
+    a_j = (-1)^{j+1} G^(j)(z) / (2t) > 0: positive terms, exact at r = 0. The Bell
+    recurrence runs on a_j lam^j, lam = min(t, 1), so nothing overflows for any t.
+    In an array of two or more, each value depends on its own r alone.
+    """
+    r_switch, terms = _SERIES_SWITCH.get(d, _SERIES_SWITCH_ABOVE_13)
+    sign, log_c, i, p, a, b, coef = _bracket_table(d, terms)
+    m = (d - 1) // 2
+    near = r < r_switch
+    series = table = 0.0
+    if near.any():
+        rs = np.minimum(r, r_switch)
+        powers = np.empty((terms, len(r)))
+        powers[0], powers[1:] = 1.0, 2.0 * np.sinh(0.5 * rs) ** 2  # u = cosh r - 1
+        np.cumprod(powers, axis=0, out=powers)
+        lam = min(t, 1.0)
+        g = (coef * powers).sum(axis=1) * (lam ** np.arange(m) * (lam / t))[:, None]
+        bell = [1.0]
+        for k in range(m):
+            bell.append(sum(math.comb(k, j) * bell[k - j] * g[j] for j in range(k + 1)))
+        series = math.log(t) - m * math.log(lam) + np.log(bell[m]) + m * rs
+    if not near.all():
+        rt = np.maximum(r, r_switch)
+        # the shifted hyperbolic logs overflow harmlessly past r = 9e307
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            logs = log_c - i * math.log(t) + p * np.log(rt) + a * vlogcosh_minus_x(rt) - b * vlogsinh_minus_x(rt)
+            top = logs.max(axis=0)
+            table = top + np.log((sign * np.exp(logs - top)).sum(axis=0))
+    return np.where(near, series, table)
 
 
 def q_odd(d: int, p: EvaluationPoint) -> LogValue:
-    """Kernel for odd d >= 3 via the exact symbolic expression."""
+    """Kernel for odd d >= 3: q3 in closed form, else the bracket of _log_odd_bracket."""
     if d == 3:
         return q3(p)
     expr = build_odd_kernel(d)
-    r = max(p.r, 1e-6)  # kernel is even in r; O(r^2) flat extension at the origin
-    bracket = float(_log_odd_bracket(d, p.t, np.array([r]))[0]) - expr.m * r
-    return LogValue(1, expr.log_prefactor(p.t) - r * (r / (2.0 * p.t)) + bracket)
+    t, r = p.t, p.r
+    bracket = float(_log_odd_bracket(d, t, np.array([r]))[0]) - expr.m * r
+    return LogValue(1, expr.log_prefactor(t) - r * (r / (2.0 * t)) + bracket)
 
 
 # --------------------------------------------------------------------------
 # even dimensions: one descent quadrature over the exact odd kernel
 # --------------------------------------------------------------------------
 
-def log_descent_fold(d: int, t: float, s: np.ndarray, rel_tol: float) -> np.ndarray:
+def log_descent_fold(d: int, t: float, s: np.ndarray) -> np.ndarray:
     """The folded factor of the descent identity for even d = 2k+2, shifted by
     its exponential decay: log(bracket(q_{d+1})(t,s) sinh s) + k s, so that
 
@@ -230,8 +235,7 @@ def log_descent_fold(d: int, t: float, s: np.ndarray, rel_tol: float) -> np.ndar
     """
     if d == 2:
         return np.log(s)
-    # the bracket is even in s: O(s^2) flat extension at the origin, as in q_odd
-    return _log_odd_bracket(d + 1, t, np.maximum(s, 1e-6), rel_tol) + vlogsinh_minus_x(s)
+    return _log_odd_bracket(d + 1, t, s) + vlogsinh_minus_x(s)
 
 
 def descent_gap(r: float, ww: np.ndarray) -> np.ndarray:
@@ -258,6 +262,8 @@ def q_even(d: int, p: EvaluationPoint, spec: QuadratureSpec = DEFAULT_SPEC) -> L
     if d < 2 or d % 2 == 1:
         raise ValueError(f"even dimension >= 2 required, got {d}")
     t, r = p.t, p.r
+    if r * (r / (2.0 * t)) == math.inf:  # log q is -inf, as for odd d
+        return LogValue(1, -math.inf)
     sqrt_t = math.sqrt(t)
     mult = spec.tail_sigma_multiplier
     # the Gaussian bound hypot(r, mult sqrt_t) + sqrt_t on s, less r, with
@@ -275,7 +281,7 @@ def q_even(d: int, p: EvaluationPoint, spec: QuadratureSpec = DEFAULT_SPEC) -> L
     # decay, so that the integrand stays finite at huge r; past r = 9e307 the
     # fold's 2s overflows harmlessly
     with np.errstate(over="ignore"):
-        fold_r = float(log_descent_fold(d, t, np.array([max(r, 1.0)]), spec.rel_tol)[0])
+        fold_r = float(log_descent_fold(d, t, np.array([max(r, 1.0)]))[0])
 
     def fw(w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float)
@@ -284,7 +290,7 @@ def q_even(d: int, p: EvaluationPoint, spec: QuadratureSpec = DEFAULT_SPEC) -> L
         with np.errstate(divide="ignore", over="ignore"):
             log_j = (
                 np.log(2.0 * w)
-                + (log_descent_fold(d, t, s, spec.rel_tol) - fold_r)
+                + (log_descent_fold(d, t, s) - fold_r)
                 - (2.0 * r * ww + ww * ww) / (2.0 * t)
                 - 0.5 * (d - 1) * ww
                 - 0.5 * np.log(descent_gap(r, ww))

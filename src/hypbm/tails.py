@@ -195,7 +195,7 @@ def tail_odd(d: Dimension | int, t: float, x: float, spec: QuadratureSpec = DEFA
             if m == n - 1:  # q_3's bracket T / sinh T, in closed form as in q_odd
                 bracket = math.log(T) - logsinh_minus_x(T)
             else:
-                bracket = float(_log_odd_bracket(2 * (n - m) + 1, t, np.array([T]), spec.rel_tol)[0])
+                bracket = float(_log_odd_bracket(2 * (n - m) + 1, t, np.array([T]))[0])
             parts.append(LogValue(expansion.sign, log_c + bracket + expansion.log))
         value += log_sum(parts).value
         # each term's log sums O(d) bounded pieces, a few eps each, and
@@ -218,10 +218,10 @@ def tail_even(d: Dimension | int, t: float, x, spec: QuadratureSpec = DEFAULT_SP
     and the V^{j+1/2} growth cancel exactly into e^{-u^2/2}, and the rescaled
     coefficients b_j e^{-(2k-j)T} are those of
     (v^2 + (1 + e^{-2T}) v + expm1(-2T)^2/4)^k, all nonnegative and O(1).
-    Every factor is computed in doubles without cancellation for every t,
-    and the fold's mpmath switch keeps its noise a decade under spec.rel_tol,
-    so the quadrature's estimate is the whole error. At T = 0 the tail is
-    exactly P(R_t >= 0) = 1, and where T overflows to inf exactly 0.
+    Every factor is computed in doubles without cancellation for every t, the
+    fold's bracket included, so the quadrature's estimate is the whole error.
+    At T = 0 the tail is exactly P(R_t >= 0) = 1, and where T overflows to inf
+    exactly 0.
 
     x may be a 1-d array: the result is then a list with one TailEstimate
     per x, in order, from one stacked quadrature over the points with T > 0.
@@ -280,7 +280,7 @@ def _tail_even(dd: Dimension, t: float, xs: np.ndarray, spec: QuadratureSpec) ->
         with np.errstate(divide="ignore", over="ignore"):
             nu = descent_gap(T_w, ww)
             inner = np.sqrt(nu) * np.sum(rows[2:] * nu**j * np.exp(-ww) ** (2 * k - j), axis=0)
-            return 2.0 * w * inner * np.exp(log_c - 0.5 * u * u + log_descent_fold(dd.d, t, s, spec.rel_tol))
+            return 2.0 * w * inner * np.exp(log_c - 0.5 * u * u + log_descent_fold(dd.d, t, s))
 
     # w = sqrt(sqrt(t) (u - x)) at the seed points u = -1, 0, 1 (the Gaussian
     # bulk) and u = x + 1, each where it lies above x, and at the top, where
@@ -342,7 +342,7 @@ def direct_kernel_quadrature(
     fp = FluctuationPoint(dd, t, x)
     T = fp.threshold
     # relative error of each density value: the even kernel's own quadrature
-    # tolerance, or the float round-off of the symbolic odd kernel
+    # tolerance, or the odd kernel's from its z = cosh r series and term table
     kernel_rel_err = spec.rel_tol if dd.d % 2 == 0 else 1e-11
     sqrt_t = math.sqrt(t)
     center = 0.5 * (dd.d - 1) * t

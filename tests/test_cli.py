@@ -55,11 +55,14 @@ class TestKernelCommand:
             "--d 4 --t 1e300 --r 2e300",
             "--d 8 --t 1 --r 1e100",
             "--d 4 --t 1 --r 1e154",
+            "--d 4 --t 1 --r 1.7e308",
+            "--d 2 --t 1 --r 1.7e308",
         ],
     )
     def test_even_kernel_at_huge_radius(self, capsys, argv):
         # the decay and the fold's polynomial growth in s ~ r are factored
-        # out, so log q keeps its leading terms to double precision
+        # out, so log q keeps its leading terms to double precision; where
+        # r^2/(2t) overflows, log q is -inf, as for odd d
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, "kernel", *argv.split())
@@ -236,11 +239,13 @@ class TestErrorPaths:
         assert out.strip().splitlines()[1].split(",")[3] == "0.0"
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy takes longer to import than the rest of hypbm; only the KS distance needs it
+@pytest.mark.parametrize("package", ["scipy", "mpmath"])
+def test_import_leaves_module_unloaded(package):
+    # scipy takes longer to import than the rest of hypbm, and only the KS
+    # distance needs it; mpmath is a test and benchmark reference only
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, hypbm.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = f"import sys, hypbm.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

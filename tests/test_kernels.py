@@ -18,12 +18,37 @@ from hypbm.kernels import (
     q3,
     q_even,
     q_odd,
-    _eval_odd_bracket_mp,
+    _SERIES_SWITCH,
+    _SERIES_SWITCH_ABOVE_13,
     _log_odd_bracket,
     descent_gap,
 )
-from hypbm.logspace import logsinh
+from hypbm.logspace import LogValue, logsinh
 from hypbm.quadrature import DEFAULT_SPEC, integrate_adaptive
+
+
+def eval_odd_bracket_mp(d: int, t: float, r: float, digits: float) -> LogValue:
+    """q_d's bracket from build_odd_kernel(d)'s exact terms in mpmath, with
+    25 + digits working digits: the reference for the float evaluation."""
+    with mp.workdps(int(25 + digits)):
+        rt, tt = mp.mpf(r), mp.mpf(t)
+        ch, sh = mp.cosh(rt), mp.sinh(rt)
+        total = mp.mpf(0)
+        for c, i, p, a, b in build_odd_kernel(d).terms:
+            total += c * rt**p * ch**a / (tt**i * sh**b)
+        if total == 0:
+            return LogValue.zero()
+        return LogValue(1 if total > 0 else -1, float(mp.log(abs(total))))
+
+
+def log_q_odd_mp(d: int, t: float, r: float) -> float:
+    """log q_d (odd d) with the bracket in mpmath at 40 digits beyond the
+    (d-3) log10(1/r) that its terms cancel near the origin. The bracket is
+    even in r and O(r^2) flat, so r = 0 is taken at r = 1e-30."""
+    r_mp = max(r, 1e-30)
+    lost = (d - 3) * max(0.0, -math.log10(r_mp))
+    expr = build_odd_kernel(d)
+    return expr.log_prefactor(t) - r * (r / (2.0 * t)) + eval_odd_bracket_mp(d, t, r_mp, 15.0 + lost).log
 
 
 def total_mass(d: int, t: float) -> float:
@@ -116,27 +141,64 @@ class TestOddKernels:
         assert got.value == pytest.approx(want.value, rel=1e-8)
 
     def test_small_radius_high_precision_path(self):
-        # near the origin the float bracket cancels; the value must stay
-        # positive, finite, and continuous down to r = 0
-        vals = [q_odd(7, EvaluationPoint(1.0, r)).value for r in (0.0, 1e-6, 1e-4, 1e-2, 0.05)]
-        assert all(v > 0 and math.isfinite(v) for v in vals)
-        assert vals[0] == pytest.approx(vals[1], rel=1e-9)
-        assert vals[0] == pytest.approx(vals[3], rel=1e-3)
+        # near the origin the term table cancels and the z = cosh r series
+        # takes over: exact at r = 0, continuous down to it, for every d
+        for d in (5, 7, 9, 11, 13):
+            vals = [q_odd(d, EvaluationPoint(1.0, r)).value for r in (0.0, 1e-6, 1e-4, 1e-2, 0.05)]
+            assert all(v > 0 and math.isfinite(v) for v in vals)
+            assert vals[0] == pytest.approx(vals[1], rel=1e-11)
+            assert vals[0] == pytest.approx(vals[3], rel=1e-3)
+            assert q_odd(d, EvaluationPoint(1.0, 0.0)).log == pytest.approx(log_q_odd_mp(d, 1.0, 0.0), abs=1e-13)
 
     @pytest.mark.parametrize("d", [5, 7, 9, 11, 13])
     def test_vectorized_bracket_matches_scalar_path(self, d):
-        # the one float evaluation of an odd bracket (which returns the bracket
-        # times e^{m r}, d = 2m+1) against the scalar mpmath path at 40 digits
-        # beyond the (d-3) log10(1/r) that cancel near the origin, across the
-        # float-to-mpmath switch
-        t = 2.0
-        rs = np.array([1e-6, 1e-3, 0.05, 0.3, 1.0, 4.0, 30.0, 800.0])
+        # log q_odd, one point at a time and as one array of r, against the
+        # scalar mpmath reference on both sides of every switch radius; the
+        # grid holds (7, 50, 0.06), (9, 2, 0.16), (11, 2, 0.24) and
+        # (13, 50, 0.32), where a term-table sum with an mpmath switch by
+        # lost digits was off by 1e-9 to 1e-7
+        rs = np.array([0.0, 1e-6, 1e-4, 1e-3, 0.01, 0.04, 0.06, 0.16, 0.24, 0.32, 0.5, 0.64, 0.66,
+                       0.8, 0.94, 0.96, 1.0, 1.24, 1.26, 1.5, 2.0])
         expr = build_odd_kernel(d)
-        got = _log_odd_bracket(d, t, rs)
-        for r, g in zip(rs, got):
-            lost = (d - 3) * max(0.0, -math.log10(r))
-            want = _eval_odd_bracket_mp(expr, t, float(r), 15.0 + lost).log + expr.m * r
-            assert g == pytest.approx(want, abs=1e-9)
+        for t in (1e-3, 0.01, 0.1, 2.0, 10.0, 50.0, 1e3, 1e5):
+            vector = expr.log_prefactor(t) - rs * (rs / (2.0 * t)) + _log_odd_bracket(d, t, rs) - expr.m * rs
+            for r, v in zip(rs, vector):
+                want = log_q_odd_mp(d, t, float(r))
+                tol = 1e-11 + 4.0 * np.finfo(float).eps * abs(want)
+                assert abs(q_odd(d, EvaluationPoint(t, float(r))).log - want) <= tol, (t, r)
+                assert abs(v - want) <= tol, (t, r)
+
+    @pytest.mark.parametrize("d", [5, 9, 13, 17])
+    def test_bracket_values_independent_of_the_array(self, d):
+        # series and table nodes mixed in one array, as a descent quadrature
+        # evaluates them: each value is bitwise what it is among other nodes,
+        # as stacked quadratures need (numpy sums a lone point's terms in
+        # another order, and no quadrature evaluates one node alone)
+        rs = np.array([0.0, 1e-7, 0.01, 0.049, 0.051, 0.3, 0.6, 0.7, 1.2, 1.3, 1.5, 3.0, 40.0])
+        for t in (1e-3, 0.7, 30.0):
+            whole = _log_odd_bracket(d, t, rs)
+            for j in range(len(rs) - 1):
+                assert (whole[j : j + 2] == _log_odd_bracket(d, t, rs[j : j + 2])).all(), (t, rs[j])
+            assert (whole[1::4] == _log_odd_bracket(d, t, rs[1::4])).all(), t
+
+    @pytest.mark.parametrize("d", [5, 7, 9, 11, 13, 15, 17, 19, 21])
+    def test_term_table_positive_above_the_switch(self, d):
+        # the term table serves every r from d's switch radius up: its float
+        # sum stays positive and finite there for every t, so no fallback or
+        # error path is needed
+        r_switch = _SERIES_SWITCH.get(d, _SERIES_SWITCH_ABOVE_13)[0]
+        rs = np.concatenate([np.linspace(r_switch, 3.0, 200), np.geomspace(3.0, 1.7e308, 400)])
+        for t in np.geomspace(1e-3, 1e300, 40):
+            assert np.isfinite(_log_odd_bracket(d, float(t), rs)).all(), t
+
+    @pytest.mark.parametrize("d", [5, 7])
+    def test_within_the_direct_oracles_quoted_error(self, d):
+        # direct_kernel_quadrature (d <= 7, t <= 50) adds a relative 1e-11 for
+        # the odd kernel's own error; (7, 50, 0.06) was off by 1.3e-9
+        for t in (1e-3, 0.1, 1.0, 10.0, 50.0):
+            for r in (0.0, 1e-3, 0.03, 0.06, 0.2, 0.5, 1.0, 3.0, 20.0):
+                got = q_odd(d, EvaluationPoint(t, r)).log
+                assert abs(got - log_q_odd_mp(d, t, r)) <= 1e-11, (t, r)
 
     @pytest.mark.parametrize("d,t", [(5, 1.0), (7, 5.0)])
     def test_normalization(self, d, t):
