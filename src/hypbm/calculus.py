@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .logspace import LN2, LogValue, log_sum, logsinh
+from .logspace import LN2, LogValue, logsinh, vlog_sum
 
 
 def double_factorial(m: int) -> int:
@@ -115,45 +115,42 @@ def sinh_power_derivative(n: int, k: int) -> SinhPowerExpansion:
     return SinhPowerExpansion(n, k, tuple(terms))
 
 
-def logcosh_minus_x(x: float) -> float:
-    """log(cosh x) - x = log((1 + e^{-2x}) / 2), bounded for all x >= 0."""
-    return math.log1p(math.exp(-2.0 * x)) - LN2
-
-
-def logsinh_minus_x(x: float) -> float:
-    """log(sinh x) - x = log((1 - e^{-2x}) / 2) for x > 0, with no cancellation."""
-    return math.log(-math.expm1(-2.0 * x)) - LN2
-
-
 def vlogcosh_minus_x(x: np.ndarray) -> np.ndarray:
-    """Vectorized logcosh_minus_x. Past x = 9e307, -2x overflows to -inf and
-    numpy warns, though the value is right; callers there silence the warning."""
+    """log(cosh x) - x = log((1 + e^{-2x}) / 2), bounded for all x >= 0. Past
+    x = 9e307, -2x overflows to -inf and numpy warns, though the value is
+    right; callers there silence the warning."""
     return np.log1p(np.exp(-2.0 * x)) - LN2
 
 
 def vlogsinh_minus_x(x: np.ndarray) -> np.ndarray:
-    """Vectorized logsinh_minus_x, with vlogcosh_minus_x's overflow past 9e307."""
+    """log(sinh x) - x = log((1 - e^{-2x}) / 2) for x > 0, with no cancellation,
+    and with vlogcosh_minus_x's overflow past 9e307."""
     return np.log(-np.expm1(-2.0 * x)) - LN2
 
 
-def evaluate_expansion_log_shifted(e: SinhPowerExpansion, r: float) -> LogValue:
+def evaluate_expansion_log_shifted(e: SinhPowerExpansion, r):
     """The expansion without its growth, e^{-(n-k) r} D^k sinh^n r, at r >= 0 in
     sign/log form.
 
     Every term c cosh^a sinh^b has total degree a + b = n - k, so each
     contributes log|c| + a (log cosh r - r) + b (log sinh r - r), which stays
-    bounded: large r costs no digits.
+    bounded: large r costs no digits. At r = 0 only the sinh^0 terms survive.
+
+    r may be a 1-d array: the result is then a (sign, log) pair of arrays, one
+    entry per r, each what a call with that r alone returns.
     """
-    if r < 0.0:
-        raise ValueError(f"evaluation requires r >= 0, got {r}")
-    if r == 0.0:
-        if e.min_sinh_exponent() < 0:
-            raise ValueError("expansion has negative sinh powers; r = 0 is outside its domain")
-        # only sinh^0 terms survive at the origin
-        const = sum(c for c, _, b in e.terms if b == 0)
-        return LogValue.from_value(float(const))
-    lc, ls = logcosh_minus_x(r), logsinh_minus_x(r)
-    return log_sum(LogValue(1 if c > 0 else -1, math.log(abs(c)) + a * lc + b * ls) for c, a, b in e.terms)
+    rs = np.atleast_1d(np.asarray(r, dtype=float))
+    if (rs < 0.0).any():
+        raise ValueError(f"evaluation requires r >= 0, got {rs[rs < 0.0][0]}")
+    if e.min_sinh_exponent() < 0 and (rs == 0.0).any():
+        raise ValueError("expansion has negative sinh powers; r = 0 is outside its domain")
+    # log sinh r - r is -inf at r = 0; past r = 9e307, -2r overflows harmlessly
+    with np.errstate(divide="ignore", over="ignore"):
+        lc, ls = vlogcosh_minus_x(rs), vlogsinh_minus_x(rs)
+    sign, lg = vlog_sum((1 if c > 0 else -1, math.log(abs(c)) + a * lc + (b * ls if b else 0.0)) for c, a, b in e.terms)
+    if np.ndim(r) == 0:
+        return LogValue(int(sign[0]), float(lg[0]))
+    return sign, lg
 
 
 def evaluate_expansion_log(e: SinhPowerExpansion, r: float) -> LogValue:

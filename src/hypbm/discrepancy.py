@@ -5,12 +5,12 @@ The headline quantity is Delta(t) = sup_x |P((R_t - (d-1)t/2)/sqrt(t) >= x)
 x = 0 (for d = 2 and odd d). The sup over the real line is replaced by a
 search over [-10, 10]: outside that window both the tail and Phi sit within
 1e-20 of their limits, far below every tolerance in play. The search's
-coarse grid is one array call of tail (for even d one stacked quadrature).
-Each golden-section step depends on the last, so for even d the refinement's
-array calls look ahead: one call evaluates the point a step needs together
-with both candidates of each of the next few steps, and the search keeps
-only the points its path reaches. Odd-d points cost microseconds, so there
-the refinement evaluates exactly the points it visits.
+coarse grid is one array call of tail (for even d one stacked quadrature,
+for odd d closed forms over arrays). Each golden-section step depends on
+the last, so the refinement's array calls look ahead: one call evaluates
+the point a step needs together with both candidates of each of the next
+few steps, and the search keeps only the points its path reaches. Both
+parities search alike: a default search makes 6 array calls of tail.
 """
 
 from __future__ import annotations
@@ -28,11 +28,12 @@ from .tails import normal_tail, tail
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# golden steps planned per array tail call of an even-d refinement, for up
-# to 2^_LOOKAHEAD - 1 points a call: a stacked quadrature's cost is mostly its
-# per-round overhead, so 15 points cost little more than one. Against one
-# point a call, depths 3, 4 and 5 cut ten even searches (d = 2, 4, t = 10 to
-# 1000) by 25%, 34% and 28%.
+# golden steps planned per array tail call of a refinement, for up to
+# 2^_LOOKAHEAD - 1 points a call: an array call's cost is mostly its fixed
+# overhead (for even d a stacked quadrature's per-round cost), so 15 points
+# cost little more than one. Against one point a call, depths 3, 4 and 5 cut
+# the C7 searches (t = 10 to 1000, five t per d) by 32%, 37% and 35% for
+# d = 2, 4 and by 36%, 44% and 38% for d = 3, 5 (medians of seven runs).
 _LOOKAHEAD = 4
 
 
@@ -131,8 +132,8 @@ def sup_discrepancy(
     """sup_x |tail(d, t, x) - Phi(x)| by coarse grid plus golden-section refine.
 
     The coarse grid is one tail call over the whole array. The refinement
-    evaluates for even d each needed point together with the candidates of
-    the next _LOOKAHEAD - 1 steps in one array call; points its path never
+    evaluates each needed point together with the candidates of the next
+    _LOOKAHEAD - 1 steps in one array call, at every d; points its path never
     reaches are dropped. evaluations counts the grid, the points the
     refinement visits and the check points, not the dropped ones. Ties on the
     coarse grid break toward the smallest x. A three-point check around the
@@ -145,8 +146,9 @@ def sup_discrepancy(
     xs = np.arange(search.x_lo, search.x_hi + 0.5 * search.coarse_step, search.coarse_step)
 
     def f(points) -> list[float]:
-        ests = tail(dd, t, np.asarray(points, dtype=float), spec)
-        return [abs(est.value - normal_tail(float(x))) for est, x in zip(ests, points)]
+        at = np.asarray(points, dtype=float)
+        values = np.array([est.value for est in tail(dd, t, at, spec)])
+        return np.abs(values - normal_tail(at)).tolist()
 
     vals = np.array(f(xs))
     evals = len(xs)
@@ -154,13 +156,12 @@ def sup_discrepancy(
     best_x, best_v = float(xs[i]), float(vals[i])
 
     # golden-section maximization of f on [a, b], reading f from the points
-    # evaluated so far; each array call looks depth - 1 steps ahead
-    depth = 1 if dd.is_odd else _LOOKAHEAD
+    # evaluated so far; each array call looks _LOOKAHEAD - 1 steps ahead
     known: dict[float, float] = {}
 
     def ensure(a: float, b: float, c: float, e: float) -> tuple[float, float]:
         if c not in known or e not in known:
-            new = [x for x in dict.fromkeys(_lookahead(a, b, c, e, depth, resolution)) if x not in known]
+            new = [x for x in dict.fromkeys(_lookahead(a, b, c, e, _LOOKAHEAD, resolution)) if x not in known]
             known.update(zip(new, f(new)))
         return known[c], known[e]
 

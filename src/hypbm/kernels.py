@@ -182,8 +182,10 @@ def _log_odd_bracket(d: int, t: float, r: np.ndarray) -> np.ndarray:
     the bracket t B_m(a_1, ..., a_m), B_m the complete Bell polynomial and
     a_j = (-1)^{j+1} G^(j)(z) / (2t) > 0: positive terms, exact at r = 0. The Bell
     recurrence runs on a_j lam^j, lam = min(t, 1), so nothing overflows for any t.
-    In an array of two or more, each value depends on its own r alone.
+    Each value depends on its own r alone, bitwise, in an array of any length.
     """
+    if len(r) == 1:  # numpy sums a lone column pairwise, two or more in order
+        return _log_odd_bracket(d, t, np.repeat(r, 2))[:1]
     r_switch, terms = _SERIES_SWITCH.get(d, _SERIES_SWITCH_ABOVE_13)
     sign, log_c, i, p, a, b, coef = _bracket_table(d, terms)
     m = (d - 1) // 2

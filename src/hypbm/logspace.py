@@ -59,18 +59,22 @@ class LogValue:
         return LogValue(self.sign, self.log + log_factor)
 
 
-def log_sum(values: Iterable[LogValue]) -> LogValue:
-    """Signed log-sum-exp of LogValues; a part whose log is -inf counts as zero."""
-    vals = [v for v in values if v.sign != 0 and v.log != -math.inf]
-    if not vals:
-        return LogValue.zero()
-    m = max(v.log for v in vals)
+def vlog_sum(parts: Iterable[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """Signed log-sum-exp at every point of a 1-d array: each part is a
+    (sign, log) pair, log an array and sign an array or a scalar, and the
+    parts are summed in order, so each point's result depends on its own
+    entries alone. A part with sign 0 or log -inf counts as zero; a zero sum
+    has sign 0, log -inf.
+    """
+    parts = [(sign, np.where(np.equal(sign, 0), -math.inf, lg)) for sign, lg in parts]
+    top = np.max([lg for _, lg in parts], axis=0)
+    # where every part is zero, any finite shift keeps exp(-inf - shift) = 0
+    shift = np.where(top == -math.inf, 0.0, top)
     acc = 0.0
-    for v in vals:
-        acc += v.sign * math.exp(v.log - m)
-    if acc == 0.0:
-        return LogValue.zero()
-    return LogValue(1 if acc > 0 else -1, m + math.log(abs(acc)))
+    for sign, lg in parts:
+        acc = acc + sign * np.exp(lg - shift)
+    with np.errstate(divide="ignore"):
+        return np.sign(acc).astype(int), shift + np.log(np.abs(acc))
 
 
 def logsinh(x: float) -> float:

@@ -31,10 +31,13 @@ T = 0 one) times the substitution's Jacobian, computed from quantities that
 stay O(1) for every t, so no shift, probe grid or log-space sum is needed.
 
 tail(d, t, x) also takes a 1-d array x and returns one TailEstimate per x,
-in order, each bitwise the scalar call's. For even d the points are the
-intervals of one stacked quadrature (integrate_adaptive), so a grid of x
-costs a handful of integrand calls instead of one quadrature per point;
-odd-d points cost microseconds each and are looped over.
+in order, each bitwise the scalar call's; a scalar x is the one-point case
+of the same path. Every parity takes its thresholds from one array rule
+(_thresholds). For even d the points are the intervals of one stacked
+quadrature (integrate_adaptive), so a grid of x costs a handful of integrand
+calls instead of one quadrature per point; for d = 3 and odd d every piece
+of the closed form is an array over x, so a 401-point grid costs about as
+much as a few scalar calls.
 """
 
 from __future__ import annotations
@@ -45,18 +48,17 @@ from typing import Literal
 
 import numpy as np
 
-from .calculus import evaluate_expansion_log_shifted, log_surface_area, logsinh_minus_x, sinh_power_derivative
+from .calculus import evaluate_expansion_log_shifted, log_surface_area, sinh_power_derivative, vlogsinh_minus_x
 from .kernels import (
     Dimension,
     EvaluationPoint,
     KernelError,
-    LogValue,
     _log_odd_bracket,
     descent_gap,
     heat_kernel,
     log_descent_fold,
 )
-from .logspace import LN2, LN2PI, log_sum, logsinh
+from .logspace import LN2, LN2PI, logsinh, vlog_sum
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_adaptive
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -72,6 +74,29 @@ TailMethod = Literal[
 T_MIN = 1e-3
 
 
+def _boundary_x(d: Dimension, t: float) -> float:
+    """x below which the threshold pins at zero: -(d-1) sqrt(t) / 2."""
+    return -0.5 * (d.d - 1) * math.sqrt(t)
+
+
+def _check(t: float, xs: np.ndarray) -> None:
+    """ValueError for a t or an x of a 1-d array that no tail accepts."""
+    if not (math.isfinite(t) and t >= T_MIN):
+        raise ValueError(f"t must be finite and >= {T_MIN}, got {t}")
+    if not np.isfinite(xs).all():
+        raise ValueError(f"x must be finite, got {xs[~np.isfinite(xs)][0]}")
+
+
+def _thresholds(d: Dimension, t: float, xs: np.ndarray) -> np.ndarray:
+    """The radius threshold T = sqrt(t) (x - boundary_x) v 0 at every x of a
+    1-d array, after _check: the one threshold rule of every tail."""
+    _check(t, xs)
+    boundary = _boundary_x(d, t)
+    # T overflows to inf only for x near the double maximum
+    with np.errstate(over="ignore"):
+        return np.where(xs <= boundary, 0.0, math.sqrt(t) * (xs - boundary))
+
+
 @dataclass(frozen=True)
 class FluctuationPoint:
     """Normalized deviation x at time t with its radius threshold T."""
@@ -81,21 +106,15 @@ class FluctuationPoint:
     x: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.t) and self.t >= T_MIN):
-            raise ValueError(f"t must be finite and >= {T_MIN}, got {self.t}")
-        if not math.isfinite(self.x):
-            raise ValueError(f"x must be finite, got {self.x}")
+        _check(self.t, np.array([self.x], dtype=float))
 
     @property
     def boundary_x(self) -> float:
-        """x below which the threshold pins at zero: -(d-1) sqrt(t) / 2."""
-        return -0.5 * (self.d.d - 1) * math.sqrt(self.t)
+        return _boundary_x(self.d, self.t)
 
     @property
     def threshold(self) -> float:
-        if self.x <= self.boundary_x:
-            return 0.0
-        return math.sqrt(self.t) * (self.x - self.boundary_x)
+        return float(_thresholds(self.d, self.t, np.array([self.x], dtype=float))[0])
 
 
 @dataclass(frozen=True)
@@ -105,15 +124,18 @@ class TailEstimate:
     method: TailMethod
 
 
-def normal_tail(x: float) -> float:
-    """Standard normal upper tail Phi(x) = P(Z >= x)."""
-    if math.isnan(x):
+# erfc elementwise: numpy has none, and scipy stays off the import path
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def normal_tail(x):
+    """Standard normal upper tail Phi(x) = P(Z >= x): a float at a number x, an
+    array at an array x, each entry bitwise the one-point value."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.isnan(xs).any():
         raise ValueError("normal_tail requires a non-NaN argument")
-    if x == math.inf:
-        return 0.0
-    if x == -math.inf:
-        return 1.0
-    return 0.5 * math.erfc(x / math.sqrt(2.0))
+    q = 0.5 * _erfc(xs / math.sqrt(2.0)).astype(float)
+    return q if np.ndim(x) else float(q[0])
 
 
 def radial_density(d: Dimension | int, p: EvaluationPoint, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
@@ -125,20 +147,31 @@ def radial_density(d: Dimension | int, p: EvaluationPoint, spec: QuadratureSpec 
     return math.exp(log_surface_area(dd) + q.log + (dd - 1) * logsinh(p.r))
 
 
-def _finalize(value: float, err: float, method: TailMethod) -> TailEstimate:
-    if not math.isfinite(value):
-        raise KernelError(f"{method} tail is not finite ({value!r})")
-    # clamp to [0,1]; a clamp beyond the quoted error widens the error instead
-    if value < 0.0:
-        err = max(err, -value)
-        value = 0.0
-    elif value > 1.0:
-        err = max(err, value - 1.0)
-        value = 1.0
-    return TailEstimate(value, err, method)
+def _clamp(value: np.ndarray, err: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Clamp every value to [0,1]; a clamp beyond the quoted error widens the error instead."""
+    # max(-value, value - 1) is the clamp's size where it acts, else at most 0 <= err
+    return np.minimum(np.maximum(value, 0.0), 1.0), np.maximum(err, np.maximum(-value, value - 1.0))
 
 
-def tail_d3(t: float, x: float, spec: QuadratureSpec = DEFAULT_SPEC) -> TailEstimate:
+def _finalize(value: np.ndarray, err: np.ndarray, method: TailMethod) -> list[TailEstimate]:
+    bad = ~np.isfinite(value)
+    if bad.any():
+        raise KernelError(f"{method} tail is not finite ({value[bad][0].item()!r})")
+    value, err = _clamp(value, err)
+    return [TailEstimate(v, e, method) for v, e in zip(value.tolist(), err.tolist())]
+
+
+def _per_x(x, tails):
+    """tails(xs) at a 1-d array x, or its one TailEstimate at a scalar x."""
+    if np.ndim(x) == 0:
+        return tails(np.array([x], dtype=float))[0]
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim != 1:
+        raise ValueError(f"x must be a number or a 1-d array, got shape {xs.shape}")
+    return tails(xs)
+
+
+def tail_d3(t: float, x, spec: QuadratureSpec = DEFAULT_SPEC):
     """d=3 tail probability in closed form for every t >= T_MIN.
 
     With l = max(x, -sqrt t), integrating (1 + v/sqrt t) e^{-v^2/2}
@@ -146,23 +179,37 @@ def tail_d3(t: float, x: float, spec: QuadratureSpec = DEFAULT_SPEC) -> TailEsti
     Phi(l) + phi(l)/sqrt t + Phi(l + 2 sqrt t) - phi(l + 2 sqrt t)/sqrt t; the two
     phi terms are combined through expm1, so all three terms are nonnegative
     and nothing cancels. spec is unused (the signature matches the other tails).
+
+    x may be a 1-d array, as for tail.
     """
-    FluctuationPoint(Dimension(3), t, x)
+    return _per_x(x, lambda xs: _tail_d3(t, xs))
+
+
+def _tail_d3(t: float, xs: np.ndarray) -> list[TailEstimate]:
+    _check(t, xs)
+    return _finalize(*_d3_parts(t, xs), "closed_form_d3")
+
+
+def _d3_parts(t: float, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The d=3 tail's value and error at every x, before the clamp."""
     sqrt_t = math.sqrt(t)
-    lo = max(x, -sqrt_t)
+    lo = np.maximum(xs, -sqrt_t)
     hi = lo + 2.0 * sqrt_t
-    q_lo, q_hi = normal_tail(lo), normal_tail(hi)
-    p = math.exp(-0.5 * lo * lo) / _SQRT_2PI * -math.expm1(-2.0 * sqrt_t * (lo + sqrt_t)) / sqrt_t
+    q = normal_tail(np.concatenate((lo, hi)))
+    q_lo, q_hi = q[: len(lo)], q[len(lo) :]
+    # lo * lo and the expm1 argument overflow to inf harmlessly at huge x
+    with np.errstate(over="ignore"):
+        p = np.exp(-0.5 * lo * lo) / _SQRT_2PI * -np.expm1(-2.0 * sqrt_t * (lo + sqrt_t)) / sqrt_t
     value = q_lo + q_hi + p
     # a few ulps per term, plus the rounding of each Gaussian argument a, which
     # moves a decaying term by a relative a^2 eps; a * (a * term) stays 0, not
     # inf * 0, where a huge argument has flushed its term to 0
-    lo_pos = max(lo, 0.0)
+    lo_pos = np.maximum(lo, 0.0)
     err = _EPS * (4.0 * value + lo_pos * (lo_pos * q_lo) + hi * (hi * q_hi) + lo * (lo * p))
-    return _finalize(value, err, "closed_form_d3")
+    return value, err
 
 
-def tail_odd(d: Dimension | int, t: float, x: float, spec: QuadratureSpec = DEFAULT_SPEC) -> TailEstimate:
+def tail_odd(d: Dimension | int, t: float, x, spec: QuadratureSpec = DEFAULT_SPEC):
     """Odd-dimension tail (d = 2n+1): the d=3 tail at time n^2 t plus a
     boundary sum at T over m < n of
 
@@ -175,32 +222,43 @@ def tail_odd(d: Dimension | int, t: float, x: float, spec: QuadratureSpec = DEFA
     Each term's log is -x^2/2 plus pieces that stay bounded for every t, so
     the tail holds to t = 1e300, and the error estimate adds a few eps per
     term to the d=3 tail's. KernelError is raised only where n^2 t overflows.
+
+    x may be a 1-d array, as for tail: every piece is an array over x.
     """
     dd = d if isinstance(d, Dimension) else Dimension(int(d))
     if not dd.is_odd:
         raise ValueError(f"odd dimension required, got {dd.d}")
-    fp = FluctuationPoint(dd, t, x)
+    return _per_x(x, lambda xs: _tail_odd(dd, t, xs))
+
+
+def _tail_odd(dd: Dimension, t: float, xs: np.ndarray) -> list[TailEstimate]:
+    T = _thresholds(dd, t, xs)
     n = dd.n
     if not math.isfinite(n * n * t):
         raise KernelError(f"base time n^2 t overflows at d={dd.d}, t={t}")
-    base = tail_d3(n * n * t, x, spec)
-    value, err = base.value, base.error_estimate
-    T = fp.threshold
+    value, err = _clamp(*_d3_parts(n * n * t, xs))
     # past x*x = inf every term's factor e^{-x^2/2} is 0 (and T may be inf)
-    if n >= 2 and T > 0.0 and x * x < math.inf:
+    with np.errstate(over="ignore"):
+        live = ((T > 0.0) & (xs * xs < math.inf)).nonzero()[0]
+    if n >= 2 and live.size:
+        x, T = xs[live], T[live]
         log_c = log_surface_area(dd.d) - 0.5 * x * x - 1.5 * math.log(2.0 * math.pi * t) - (n - 1) * LN2PI
         parts = []
         for m in range(1, n):
-            expansion = evaluate_expansion_log_shifted(sinh_power_derivative(2 * n - 1, m - 1), T)
+            sign, expansion = evaluate_expansion_log_shifted(sinh_power_derivative(2 * n - 1, m - 1), T)
             if m == n - 1:  # q_3's bracket T / sinh T, in closed form as in q_odd
-                bracket = math.log(T) - logsinh_minus_x(T)
+                bracket = np.log(T) - vlogsinh_minus_x(T)
             else:
-                bracket = float(_log_odd_bracket(2 * (n - m) + 1, t, np.array([T]))[0])
-            parts.append(LogValue(expansion.sign, log_c + bracket + expansion.log))
-        value += log_sum(parts).value
+                bracket = _log_odd_bracket(2 * (n - m) + 1, t, T)
+            parts.append((sign, log_c + bracket + expansion))
+        sign, total = vlog_sum(parts)
+        value[live] += sign * np.exp(total)
         # each term's log sums O(d) bounded pieces, a few eps each, and
         # -x^2/2, whose rounding moves the term by a relative x^2 eps
-        err += _EPS * (4.0 * dd.d + x * x) * sum(abs(part.value) for part in parts)
+        size = 0.0
+        for sign, lg in parts:
+            size = size + np.abs(sign * np.exp(lg))
+        err[live] += _EPS * (4.0 * dd.d + x * x) * size
     return _finalize(value, err, "odd_reduction")
 
 
@@ -229,22 +287,18 @@ def tail_even(d: Dimension | int, t: float, x, spec: QuadratureSpec = DEFAULT_SP
     dd = d if isinstance(d, Dimension) else Dimension(int(d))
     if dd.is_odd:
         raise ValueError(f"even dimension required, got {dd.d}")
-    if np.ndim(x) == 0:
-        return _tail_even(dd, t, np.array([x], dtype=float), spec)[0]
-    return _tail_even(dd, t, _x_array(x), spec)
+    return _per_x(x, lambda xs: _tail_even(dd, t, xs, spec))
 
 
 def _tail_even(dd: Dimension, t: float, xs: np.ndarray, spec: QuadratureSpec) -> list[TailEstimate]:
     """tail_even at every x of a 1-d array, each point its own interval of one stack."""
-    Ts = np.array([FluctuationPoint(dd, t, float(x)).threshold for x in xs])
-    out = [TailEstimate(1.0, 0.0, "even_decomposition")] * len(xs)
+    Ts = _thresholds(dd, t, xs)
     # T overflows to inf only for x near the double maximum, where the tail is
     # exactly 0; inside the integrand it would meet inf - inf
-    for i in (Ts == math.inf).nonzero()[0]:
-        out[i] = TailEstimate(0.0, 0.0, "even_decomposition")
+    value, err = np.where(Ts == math.inf, 0.0, 1.0), np.zeros(len(xs))
     above = ((Ts > 0.0) & (Ts < math.inf)).nonzero()[0]
     if not above.size:
-        return out
+        return _finalize(value, err, "even_decomposition")
     x, T = xs[above], Ts[above]
     k = dd.n - 1
     sqrt_t = math.sqrt(t)
@@ -290,40 +344,29 @@ def _tail_even(dd: Dimension, t: float, xs: np.ndarray, spec: QuadratureSpec) ->
     gaps[:, 4] = np.maximum(-x, 0.0) + spec.tail_sigma_multiplier + 1.0
     ws = np.sqrt(sqrt_t * np.where(gaps > 0.0, gaps, np.nan))
     stack = integrate_adaptive(f, np.zeros(len(x)), ws[:, 4], spec, seed_points=ws[:, :4])
-    for i, res in zip(above, stack):
-        out[i] = _finalize(res.value, res.error_estimate, "even_decomposition")
-    return out
-
-
-def _x_array(x) -> np.ndarray:
-    xs = np.asarray(x, dtype=float)
-    if xs.ndim != 1:
-        raise ValueError(f"x must be a number or a 1-d array, got shape {xs.shape}")
-    return xs
+    value[above] = [res.value for res in stack]
+    err[above] = [res.error_estimate for res in stack]
+    return _finalize(value, err, "even_decomposition")
 
 
 def tail(d: Dimension | int, t: float, x, spec: QuadratureSpec = DEFAULT_SPEC):
     """Tail probability for any d >= 2, dispatching to the right reduction.
 
     x may be a 1-d array: the result is then a list with one TailEstimate
-    per x, in order, each bitwise the one a call with that x alone returns.
-    Even d integrates the whole array as one stack of intervals; an odd-d
-    point costs microseconds and the array is looped over.
+    per x, in order, each bitwise the one a call with that x alone returns;
+    a scalar x is the one-point case of the same array path. Even d
+    integrates the whole array as one stack of intervals; d = 3 and odd d
+    evaluate every piece of their closed forms as arrays over x.
     """
     dd = d if isinstance(d, Dimension) else Dimension(int(d))
-    if np.ndim(x) == 0:
-        if dd.d == 3:
-            return tail_d3(t, x, spec)
-        if dd.is_odd:
-            return tail_odd(dd, t, x, spec)
-        return tail_even(dd, t, x, spec)
-    xs = _x_array(x)
     if dd.d == 3:
-        return [tail_d3(t, float(v), spec) for v in xs]
+        return tail_d3(t, x, spec)
     if dd.is_odd:
-        return [tail_odd(dd, t, float(v), spec) for v in xs]
+        return tail_odd(dd, t, x, spec)
+    if np.ndim(x) == 0:
+        return tail_even(dd, t, x, spec)
     # the stack itself, not tail_even: perfbench's trace note for tail_even reads x as a scalar
-    return _tail_even(dd, t, xs, spec)
+    return _per_x(x, lambda xs: _tail_even(dd, t, xs, spec))
 
 
 def direct_kernel_quadrature(
@@ -361,4 +404,4 @@ def direct_kernel_quadrature(
     ]
     res = integrate_adaptive(f, T, upper, spec, seed_points=seeds)
     err = res.error_estimate + kernel_rel_err * abs(res.value)
-    return _finalize(res.value, err, "direct_kernel_quadrature")
+    return _finalize(np.array([res.value]), np.array([err]), "direct_kernel_quadrature")[0]

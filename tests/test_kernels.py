@@ -171,13 +171,14 @@ class TestOddKernels:
     @pytest.mark.parametrize("d", [5, 9, 13, 17])
     def test_bracket_values_independent_of_the_array(self, d):
         # series and table nodes mixed in one array, as a descent quadrature
-        # evaluates them: each value is bitwise what it is among other nodes,
-        # as stacked quadratures need (numpy sums a lone point's terms in
-        # another order, and no quadrature evaluates one node alone)
+        # evaluates them: each value is bitwise what it is among other nodes
+        # and alone, which stacked quadratures, the array tails and q_odd's
+        # one-node call all rely on
         rs = np.array([0.0, 1e-7, 0.01, 0.049, 0.051, 0.3, 0.6, 0.7, 1.2, 1.3, 1.5, 3.0, 40.0])
         for t in (1e-3, 0.7, 30.0):
             whole = _log_odd_bracket(d, t, rs)
-            for j in range(len(rs) - 1):
+            for j in range(len(rs)):
+                assert (whole[j : j + 1] == _log_odd_bracket(d, t, rs[j : j + 1])).all(), (t, rs[j])
                 assert (whole[j : j + 2] == _log_odd_bracket(d, t, rs[j : j + 2])).all(), (t, rs[j])
             assert (whole[1::4] == _log_odd_bracket(d, t, rs[1::4])).all(), t
 

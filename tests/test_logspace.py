@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from hypbm.logspace import (
     LogValue,
     log_sinhc,
-    log_sum,
     logcosh,
     logsinh,
     vlogcosh,
+    vlog_sum,
     vlogsinh,
 )
 
@@ -39,16 +39,21 @@ def test_logvalue_product(a, b):
     assert got == pytest.approx(math.log(a) + math.log(b), rel=1e-12, abs=1e-12)
 
 
+def _log_sum(values):
+    sign, lg = vlog_sum((v.sign, np.array([v.log])) for v in values)
+    return LogValue(int(sign[0]), float(lg[0]))
+
+
 def test_log_sum_signed_cancellation():
     vals = [LogValue.from_value(v) for v in (1e20, -1e20, 3.5)]
-    assert log_sum(vals).value == pytest.approx(3.5, rel=1e-4)  # 1e20 cancellation eats digits
+    assert _log_sum(vals).value == pytest.approx(3.5, rel=1e-4)  # 1e20 cancellation eats digits
     vals = [LogValue.from_value(v) for v in (2.0, 3.0, -1.0)]
-    assert log_sum(vals).value == pytest.approx(4.0, rel=1e-15)
+    assert _log_sum(vals).value == pytest.approx(4.0, rel=1e-15)
 
 
 def test_log_sum_parts_underflowed_to_minus_infinity_are_zero():
-    assert log_sum([LogValue(1, -math.inf), LogValue(-1, -math.inf)]) == LogValue.zero()
-    assert log_sum([LogValue(1, -math.inf), LogValue.from_value(2.5)]).value == 2.5
+    assert _log_sum([LogValue(1, -math.inf), LogValue(-1, -math.inf)]) == LogValue.zero()
+    assert _log_sum([LogValue(1, -math.inf), LogValue.from_value(2.5)]).value == 2.5
 
 
 @pytest.mark.parametrize("x", [1e-8, 1e-3, 0.5, 1.0, 19.9, 20.1, 100.0, 1e4])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -321,14 +322,27 @@ class TestArrayX:
         xb = FluctuationPoint(Dimension(d), t, 0.0).boundary_x
         return np.r_[xb - 1.0, xb, np.nextafter(xb, 0.0), np.linspace(xb + 1e-3, 4.0, 9), -0.0, 0.0, 1e-300]
 
-    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("d", range(2, 14))
     @pytest.mark.parametrize("t", [1e-3, 0.5, 10.0, 300.0])
     def test_each_point_bitwise_as_alone(self, d, t):
-        xs = self.grid(d, t)
-        ests = tail(d, t, xs)
-        assert isinstance(ests, list) and len(ests) == len(xs)
-        for x, est in zip(xs, ests):
-            assert est == tail(d, t, float(x)), x
+        # the extremes overflow x * x, T and the Gaussian arguments to inf,
+        # which must neither warn nor touch the finite points beside them
+        xs = np.r_[self.grid(d, t), -1e308, 1e160, 1.7e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ests = tail(d, t, xs)
+            assert isinstance(ests, list) and len(ests) == len(xs)
+            for x, est in zip(xs, ests):
+                assert est == tail(d, t, float(x)), x
+
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_empty_array_gives_empty_list(self, d):
+        assert tail(d, 1.0, []) == []
+
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_nan_in_array_raises(self, d):
+        with pytest.raises(ValueError, match="x must be finite"):
+            tail(d, 1.0, [0.0, math.nan])
 
     @pytest.mark.parametrize("d", [2, 4, 6, 8])
     def test_pinned_points_are_exactly_one(self, d):
