@@ -37,7 +37,8 @@ of the same path. Every parity takes its thresholds from one array rule
 quadrature (integrate_adaptive), so a grid of x costs a handful of integrand
 calls instead of one quadrature per point; for d = 3 and odd d every piece
 of the closed form is an array over x, so a 401-point grid costs about as
-much as a few scalar calls.
+much as a few scalar calls. _tail_arrays returns the same numbers as arrays
+(values, errors, method), for callers that need no object per point.
 """
 
 from __future__ import annotations
@@ -153,22 +154,30 @@ def _clamp(value: np.ndarray, err: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(np.maximum(value, 0.0), 1.0), np.maximum(err, np.maximum(-value, value - 1.0))
 
 
-def _finalize(value: np.ndarray, err: np.ndarray, method: TailMethod) -> list[TailEstimate]:
+# a tail over an array of x before any TailEstimate is built: clamped values,
+# their error estimates and the method
+TailArrays = tuple[np.ndarray, np.ndarray, TailMethod]
+
+
+def _finalize(value: np.ndarray, err: np.ndarray, method: TailMethod) -> TailArrays:
     bad = ~np.isfinite(value)
     if bad.any():
         raise KernelError(f"{method} tail is not finite ({value[bad][0].item()!r})")
-    value, err = _clamp(value, err)
+    return (*_clamp(value, err), method)
+
+
+def _estimates(value: np.ndarray, err: np.ndarray, method: TailMethod) -> list[TailEstimate]:
     return [TailEstimate(v, e, method) for v, e in zip(value.tolist(), err.tolist())]
 
 
 def _per_x(x, tails):
-    """tails(xs) at a 1-d array x, or its one TailEstimate at a scalar x."""
+    """The TailEstimates of tails(xs) at a 1-d array x, or the one at a scalar x."""
     if np.ndim(x) == 0:
-        return tails(np.array([x], dtype=float))[0]
+        return _estimates(*tails(np.array([x], dtype=float)))[0]
     xs = np.asarray(x, dtype=float)
     if xs.ndim != 1:
         raise ValueError(f"x must be a number or a 1-d array, got shape {xs.shape}")
-    return tails(xs)
+    return _estimates(*tails(xs))
 
 
 def tail_d3(t: float, x, spec: QuadratureSpec = DEFAULT_SPEC):
@@ -185,7 +194,7 @@ def tail_d3(t: float, x, spec: QuadratureSpec = DEFAULT_SPEC):
     return _per_x(x, lambda xs: _tail_d3(t, xs))
 
 
-def _tail_d3(t: float, xs: np.ndarray) -> list[TailEstimate]:
+def _tail_d3(t: float, xs: np.ndarray) -> TailArrays:
     _check(t, xs)
     return _finalize(*_d3_parts(t, xs), "closed_form_d3")
 
@@ -231,7 +240,7 @@ def tail_odd(d: Dimension | int, t: float, x, spec: QuadratureSpec = DEFAULT_SPE
     return _per_x(x, lambda xs: _tail_odd(dd, t, xs))
 
 
-def _tail_odd(dd: Dimension, t: float, xs: np.ndarray) -> list[TailEstimate]:
+def _tail_odd(dd: Dimension, t: float, xs: np.ndarray) -> TailArrays:
     T = _thresholds(dd, t, xs)
     n = dd.n
     if not math.isfinite(n * n * t):
@@ -290,7 +299,7 @@ def tail_even(d: Dimension | int, t: float, x, spec: QuadratureSpec = DEFAULT_SP
     return _per_x(x, lambda xs: _tail_even(dd, t, xs, spec))
 
 
-def _tail_even(dd: Dimension, t: float, xs: np.ndarray, spec: QuadratureSpec) -> list[TailEstimate]:
+def _tail_even(dd: Dimension, t: float, xs: np.ndarray, spec: QuadratureSpec) -> TailArrays:
     """tail_even at every x of a 1-d array, each point its own interval of one stack."""
     Ts = _thresholds(dd, t, xs)
     # T overflows to inf only for x near the double maximum, where the tail is
@@ -369,6 +378,17 @@ def tail(d: Dimension | int, t: float, x, spec: QuadratureSpec = DEFAULT_SPEC):
     return _per_x(x, lambda xs: _tail_even(dd, t, xs, spec))
 
 
+def _tail_arrays(dd: Dimension, t: float, xs: np.ndarray, spec: QuadratureSpec = DEFAULT_SPEC) -> TailArrays:
+    """tail at every x of a 1-d array as (values, errors, method), each entry
+    bitwise the TailEstimate tail returns: the path for callers that read
+    arrays and need no object per point."""
+    if dd.d == 3:
+        return _tail_d3(t, xs)
+    if dd.is_odd:
+        return _tail_odd(dd, t, xs)
+    return _tail_even(dd, t, xs, spec)
+
+
 def direct_kernel_quadrature(
     d: Dimension | int, t: float, x: float, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> TailEstimate:
@@ -404,4 +424,4 @@ def direct_kernel_quadrature(
     ]
     res = integrate_adaptive(f, T, upper, spec, seed_points=seeds)
     err = res.error_estimate + kernel_rel_err * abs(res.value)
-    return _finalize(np.array([res.value]), np.array([err]), "direct_kernel_quadrature")[0]
+    return _estimates(*_finalize(np.array([res.value]), np.array([err]), "direct_kernel_quadrature"))[0]

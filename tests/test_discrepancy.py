@@ -15,6 +15,7 @@ from hypbm.discrepancy import (
     sharpness_d2_integral,
     sup_discrepancy,
 )
+from hypbm import tails as tails_module
 from hypbm.tails import normal_tail, tail, tail_even
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -27,7 +28,8 @@ class TestSupDiscrepancy:
         # the center excess dominates: delta ~ 1/sqrt(2 pi t) with argmax at 0
         assert res.delta == pytest.approx(INV_SQRT_2PI / math.sqrt(1000.0), rel=1e-3)
         assert abs(res.argmax_x) < 0.01
-        assert res.evaluations > 400
+        # the 160 grid points at |x| <= 4, c and e, 15 golden steps and the check
+        assert res.evaluations == 160 + 2 + 15 + 2
 
     def test_bounded_below_by_center_excess(self):
         for d, t in [(2, 7.0), (4, 3.0), (5, 12.0)]:
@@ -81,39 +83,47 @@ class TestSearchSpec:
     def test_finest_accepted_resolution_ends(self):
         finest = SearchSpec(x_resolution=math.ulp(10.0 + 0.05))
         for d in (3, 4):
-            assert sup_discrepancy(d, 10.0, search=finest) == _plain_sup_discrepancy(d, 10.0, finest)
+            _assert_same_sup(sup_discrepancy(d, 10.0, search=finest), _plain_sup_discrepancy(d, 10.0, finest))
 
 
-# the C7 sweep (d = 2..5, t = 10..1000 at 5 log-spaced points) as computed
-# one tail call per grid point: (d, t, delta, argmax_x, evaluations)
+# the C7 sweep (d = 2..5, t = 10..1000 at 5 log-spaced points): (d, t,
+# delta, argmax_x, evaluations). delta and argmax_x are those of a search
+# that evaluates all 401 grid points; evaluations counts the 160 grid points
+# at |x| <= 4, the refinement's 17 points and the check's 2, as the grid
+# points beyond the window are certified without being evaluated
 C7_ROWS = [
-    (2, 10.0, 0.17069152281334266, -0.14048915926443392, 420),
-    (2, 31.622776601683796, 0.09751103841958908, -0.08444185374849213, 420),
-    (2, 100.00000000000001, 0.055149518162838085, -0.04872109512200897, 420),
-    (2, 316.227766016838, 0.03107226586615608, -0.027626796742350444, 420),
-    (2, 1000.0000000000002, 0.01748399967512637, -0.015586149609432349, 420),
-    (3, 10.0, 0.12615662596796134, 1.4210854715202004e-13, 420),
-    (3, 31.622776601683796, 0.07094308430318425, 1.4210854715202004e-13, 420),
-    (3, 100.00000000000001, 0.039894228040143254, 1.4210854715202004e-13, 420),
-    (3, 316.227766016838, 0.022434173063540175, 1.4210854715202004e-13, 420),
-    (3, 1000.0000000000002, 0.012615662610100775, 1.4210854715202004e-13, 420),
-    (4, 10.0, 0.11205168460221682, 0.04338553438013743, 420),
-    (4, 31.622776601683796, 0.06291949646448264, 0.024557833599285633, 420),
-    (4, 100.00000000000001, 0.03536570655523569, 0.013841401729595646, 420),
-    (4, 316.227766016838, 0.019884647629135888, 0.007783399882618508, 420),
-    (4, 1000.0000000000002, 0.011181433718150002, 0.0043845248931336425, 420),
-    (5, 10.0, 0.10534015604069674, 0.06300033649581076, 420),
-    (5, 31.622776601683796, 0.05915659180830507, 0.035520167240489675, 420),
-    (5, 100.00000000000001, 0.033251837075358115, 0.019979328016293707, 420),
-    (5, 316.227766016838, 0.018696326491236204, 0.011255588615689123, 420),
-    (5, 1000.0000000000002, 0.010513262429771075, 0.006321210645804526, 420),
+    (2, 10.0, 0.17069152281334266, -0.14048915926443392, 179),
+    (2, 31.622776601683796, 0.09751103841958908, -0.08444185374849213, 179),
+    (2, 100.00000000000001, 0.055149518162838085, -0.04872109512200897, 179),
+    (2, 316.227766016838, 0.03107226586615608, -0.027626796742350444, 179),
+    (2, 1000.0000000000002, 0.01748399967512637, -0.015586149609432349, 179),
+    (3, 10.0, 0.12615662596796134, 1.4210854715202004e-13, 179),
+    (3, 31.622776601683796, 0.07094308430318425, 1.4210854715202004e-13, 179),
+    (3, 100.00000000000001, 0.039894228040143254, 1.4210854715202004e-13, 179),
+    (3, 316.227766016838, 0.022434173063540175, 1.4210854715202004e-13, 179),
+    (3, 1000.0000000000002, 0.012615662610100775, 1.4210854715202004e-13, 179),
+    (4, 10.0, 0.11205168460221682, 0.04338553438013743, 179),
+    (4, 31.622776601683796, 0.06291949646448264, 0.024557833599285633, 179),
+    (4, 100.00000000000001, 0.03536570655523569, 0.013841401729595646, 179),
+    (4, 316.227766016838, 0.019884647629135888, 0.007783399882618508, 179),
+    (4, 1000.0000000000002, 0.011181433718150002, 0.0043845248931336425, 179),
+    (5, 10.0, 0.10534015604069674, 0.06300033649581076, 179),
+    (5, 31.622776601683796, 0.05915659180830507, 0.035520167240489675, 179),
+    (5, 100.00000000000001, 0.033251837075358115, 0.019979328016293707, 179),
+    (5, 316.227766016838, 0.018696326491236204, 0.011255588615689123, 179),
+    (5, 1000.0000000000002, 0.010513262429771075, 0.006321210645804526, 179),
 ]
 
 
+def _grid(search):
+    return np.arange(search.x_lo, search.x_hi + 0.5 * search.coarse_step, search.coarse_step)
+
+
 def _plain_sup_discrepancy(d, t, search=SearchSpec()):
-    """The golden-section search with one scalar tail call per refinement
-    point and no lookahead: the reference sup_discrepancy must equal bitwise."""
-    xs = np.arange(search.x_lo, search.x_hi + 0.5 * search.coarse_step, search.coarse_step)
+    """The golden-section search over the whole grid, with one scalar tail call
+    per refinement point and no lookahead: the reference whose delta and
+    argmax_x sup_discrepancy must equal bitwise."""
+    xs = _grid(search)
     evals = 0
 
     def f(x):
@@ -152,11 +162,59 @@ def _plain_sup_discrepancy(d, t, search=SearchSpec()):
     return SupResult(best_v, best_x, evals)
 
 
+def _assert_same_sup(res, ref):
+    assert (res.delta, res.argmax_x) == (ref.delta, ref.argmax_x)
+
+
+@pytest.fixture
+def calls(monkeypatch) -> list[np.ndarray]:
+    """The x array of every tail call sup_discrepancy makes, in order."""
+    seen = []
+
+    def recording(d, t, xs, spec):
+        seen.append(np.array(xs, dtype=float))
+        return tails_module._tail_arrays(d, t, xs, spec)
+
+    monkeypatch.setattr(discrepancy_module, "_tail_arrays", recording)
+    return seen
+
+
+def _grid_evaluations(calls, search) -> int:
+    """How many grid points the search evaluated. Its leading calls are the
+    window, exactly the grid points at |x| <= 4 (no call when it holds none),
+    then at most one call of outer points, each a grid point beyond the
+    window and none twice."""
+    grid = _grid(search)
+    window = grid[np.abs(grid) <= discrepancy_module._WINDOW]
+    # the refinement's first call holds c, which lies strictly between grid points
+    k = next(k for k, at in enumerate(calls) if not np.isin(at, grid).all())
+    if window.size:
+        np.testing.assert_array_equal(calls[0], window)
+    rest = calls[1 if window.size else 0 : k]
+    assert len(rest) <= 1
+    outer = np.concatenate([np.empty(0), *rest])
+    assert not np.isin(outer, window).any() and len(np.unique(outer)) == len(outer)
+    return window.size + outer.size
+
+
+def _assert_equals_plain(calls, d, t, search=SearchSpec()):
+    """delta and argmax_x bitwise the full-grid reference's; evaluations its
+    count less the grid points certified instead of evaluated."""
+    calls.clear()
+    res = sup_discrepancy(d, t, search=search)
+    evaluated = _grid_evaluations(calls, search)
+    ref = _plain_sup_discrepancy(d, t, search)
+    _assert_same_sup(res, ref)
+    assert res.evaluations == ref.evaluations - (len(_grid(search)) - evaluated)
+    return res, evaluated
+
+
 class TestLookahead:
-    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
-    def test_equals_plain_golden_section(self, d):
-        for t in (0.5, 3.0, 30.0, 300.0):
-            assert sup_discrepancy(d, t) == _plain_sup_discrepancy(d, t), t
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_equals_plain_golden_section(self, calls, d):
+        for t in (1e-3, 0.5, 3.0, 30.0, 300.0, 1e5):
+            _, evaluated = _assert_equals_plain(calls, d, t)
+            assert evaluated == 160, t  # every outer point certified
 
     @pytest.mark.parametrize(
         "search,argmax_lo,argmax_hi",
@@ -168,33 +226,34 @@ class TestLookahead:
             (SearchSpec(x_resolution=0.2), -10.0, 10.0),
             # 8 steps: the width test cuts the last batch to the one point its step needs
             (SearchSpec(x_resolution=3e-3), -10.0, 10.0),
+            # windows partly or wholly outside |x| <= 4; the second has no window point
+            (SearchSpec(x_lo=3.0, x_hi=8.0), 3.0, 3.05),
+            (SearchSpec(x_lo=5.0, x_hi=10.0), 5.0, 5.05),
+            (SearchSpec(x_lo=-9.0, x_hi=-3.5), -3.55, -3.45),
         ],
     )
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_edge_searches_equal_plain(self, d, search, argmax_lo, argmax_hi):
-        res = sup_discrepancy(d, 10.0, search=search)
-        assert res == _plain_sup_discrepancy(d, 10.0, search)
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_edge_searches_equal_plain(self, calls, d, search, argmax_lo, argmax_hi):
+        res, _ = _assert_equals_plain(calls, d, 10.0, search)
         assert argmax_lo <= res.argmax_x <= argmax_hi
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_uncertified_grid_is_evaluated_whole(self, calls, d):
+        # at t = 1e9 the sup, about 1e-5, lies below the tail at x = 4: neither
+        # side is certified, so the window and the outer points are the grid
+        res, evaluated = _assert_equals_plain(calls, d, 1e9)
+        assert evaluated == 401 and [len(at) for at in calls[:2]] == [160, 241]
+        assert res.evaluations == 401 + 2 + 15 + 2
 
 
 class TestCoarseGridBatch:
-    @staticmethod
-    def counted(monkeypatch) -> list[int]:
-        sizes = []
-
-        def counting(d, t, x, spec):
-            sizes.append(np.size(x))
-            return tail(d, t, x, spec)
-
-        monkeypatch.setattr(discrepancy_module, "tail", counting)
-        return sizes
-
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
-    def test_calls_look_ahead(self, monkeypatch, d):
-        sizes = self.counted(monkeypatch)
+    def test_calls_look_ahead(self, calls, d):
         res = sup_discrepancy(d, 30.0)
+        sizes = [len(at) for at in calls]
         assert discrepancy_module._LOOKAHEAD == 4
-        # the grid; the c, e pair with both candidates of each of the next 3
+        # the grid's 160 points at |x| <= 4, whose edges certify the other
+        # 241; the c, e pair with both candidates of each of the next 3
         # steps (at most 2 + 2 + 4 + 8 points); for the 15 steps, three
         # batches of a step's point and the candidates of the 3 steps after
         # it (at most 1 + 2 + 4 + 8); the check at +-2 x_resolution. Paths
@@ -202,8 +261,8 @@ class TestCoarseGridBatch:
         # evaluated once, so a late batch may be small. Both parities search
         # alike, and the search is deterministic, so each batch is pinned.
         batches = {2: [14, 13, 13, 14], 3: [16, 15, 15, 15], 4: [16, 15, 13, 7], 5: [16, 13, 13, 13]}
-        assert sizes == [401, *batches[d], 2]
-        assert res.evaluations == 401 + 2 + 15 + 2
+        assert sizes == [160, *batches[d], 2]
+        assert res.evaluations == 160 + 2 + 15 + 2
 
     @pytest.mark.parametrize("d,t,delta,argmax_x,evaluations", C7_ROWS)
     def test_c7_rows_unchanged(self, d, t, delta, argmax_x, evaluations):

@@ -275,6 +275,15 @@ class TestDispatchAndBounds:
         for a, b in zip(vals, vals[1:]):
             assert b <= a + 1e-9
 
+    @pytest.mark.parametrize("d", range(2, 10))
+    @pytest.mark.parametrize("t", [1e-3, 1.0, 10.0, 1000.0, 1e5])
+    def test_monotone_on_the_search_grid_within_errors(self, d, t):
+        # the premise of the sup search's certificate: on its 401-point grid
+        # the tail never rises by more than the two points' error estimates
+        ests = tail(d, t, np.arange(-10.0, 10.025, 0.05))
+        for a, b in zip(ests, ests[1:]):
+            assert b.value <= a.value + a.error_estimate + b.error_estimate
+
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_values_in_unit_interval(self, d):
         for x in (-30.0, -3.0, 0.0, 3.0, 30.0):
@@ -334,6 +343,14 @@ class TestArrayX:
             assert isinstance(ests, list) and len(ests) == len(xs)
             for x, est in zip(xs, ests):
                 assert est == tail(d, t, float(x)), x
+
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_array_path_is_the_estimates(self, d):
+        # the (values, errors, method) arrays a search reads are bitwise the TailEstimates
+        xs = np.r_[self.grid(d, 10.0), 1.7e308]
+        values, errors, method = tails_module._tail_arrays(Dimension(d), 10.0, xs)
+        got = [tails_module.TailEstimate(v, e, method) for v, e in zip(values.tolist(), errors.tolist())]
+        assert got == tail(d, 10.0, xs)
 
     @pytest.mark.parametrize("d", range(2, 10))
     def test_empty_array_gives_empty_list(self, d):
