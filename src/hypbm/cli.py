@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import replace
@@ -18,10 +19,10 @@ from typing import Sequence
 
 from . import __version__
 from .discrepancy import SearchSpec, sup_discrepancy
-from .kernels import Dimension, EvaluationPoint, KernelError, heat_kernel
+from .kernels import Dimension, KernelError, _log_kernel
 from .quadrature import DEFAULT_SPEC, QuadratureError, QuadratureSpec
 from .sim import SimulationConfig, empirical_tail, simulate_radial
-from .tails import radial_density, tail
+from .tails import _radial_density, tail
 from .verify import SUITES
 
 
@@ -115,9 +116,9 @@ def _cmd_kernel(args) -> int:
     rows = []
     for d in args.d:
         for t in args.t:
-            for r in args.r:
-                q = heat_kernel(Dimension(d), EvaluationPoint(t, r), spec)
-                rows.append({"d": d, "t": t, "r": r, "q": q.value, "log_q": q.log})
+            log_q = _log_kernel(Dimension(d).d, t, args.r, spec).tolist()
+            # math.exp raises OverflowError where q leaves the double range
+            rows.extend({"d": d, "t": t, "r": r, "q": math.exp(lg), "log_q": lg} for r, lg in zip(args.r, log_q))
     _write_rows(["d", "t", "r", "q", "log_q"], rows, args)
     return 0
 
@@ -127,9 +128,8 @@ def _cmd_density(args) -> int:
     rows = []
     for d in args.d:
         for t in args.t:
-            for r in args.r:
-                rho = radial_density(Dimension(d), EvaluationPoint(t, r), spec)
-                rows.append({"d": d, "t": t, "r": r, "density": rho})
+            rho = _radial_density(Dimension(d).d, t, args.r, spec).tolist()
+            rows.extend({"d": d, "t": t, "r": r, "density": v} for r, v in zip(args.r, rho))
     _write_rows(["d", "t", "r", "density"], rows, args)
     return 0
 

@@ -23,8 +23,14 @@ d = 2 the folded factor q_3 sinh s is e^{-t/2} (2 pi t)^{-3/2} s e^{-s^2/(2t)},
 which is the classical q_2 integral. log_descent_fold evaluates that folded
 factor for every even d, for q_even here and for the even tails in tails.py.
 
-All kernels return LogValue: prefactors like e^{-m^2 t/2} underflow doubles
-by hundreds of orders across the supported (t, r) ranges.
+The kernel layer works on a 1-d array of r: _log_kernel(d, t, rs) returns
+log q at every r, each bitwise the value a one-point array gives. Odd d
+evaluates the closed form over the array; even d integrates every r as one
+interval of one stacked quadrature, as the even tails integrate every x.
+heat_kernel, q3, q_odd and q_even take one EvaluationPoint and are the
+one-point case of the same path. They return LogValue: prefactors like
+e^{-m^2 t/2} underflow doubles by hundreds of orders across the supported
+(t, r) ranges.
 """
 
 from __future__ import annotations
@@ -78,6 +84,12 @@ class EvaluationPoint:
             raise ValueError(f"t must be finite and positive, got {self.t}")
         if not (math.isfinite(self.r) and self.r >= 0.0):
             raise ValueError(f"r must be finite and nonnegative, got {self.r}")
+
+
+def _check_r(t: float, rs: np.ndarray) -> None:
+    """EvaluationPoint's ValueError for t, or for the first r of a 1-d array it rejects."""
+    bad = rs[~((rs >= 0.0) & (rs < math.inf))]
+    EvaluationPoint(t, bad[0].item() if len(bad) else 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -145,10 +157,20 @@ def build_odd_kernel(d: int) -> OddKernelExpression:
     return expr
 
 
+def _at(log_q: np.ndarray) -> LogValue:
+    """The LogValue of a one-point array of log q."""
+    return LogValue(1, log_q[0].item())
+
+
+# math's log_sinhc and hypot elementwise: numpy's own log, sinh and hypot
+# round differently in the last place on some inputs
+_log_sinhc = np.frompyfunc(log_sinhc, 1, 1)
+_hypot = np.frompyfunc(math.hypot, 2, 1)
+
+
 def q3(p: EvaluationPoint) -> LogValue:
     """Closed-form d=3 kernel; r/sinh r extended continuously to 1 at r=0."""
-    lg = -0.5 * p.t - 1.5 * math.log(2.0 * math.pi * p.t) - log_sinhc(p.r) - p.r * (p.r / (2.0 * p.t))
-    return LogValue(1, lg)
+    return _at(_log_q_odd(3, p.t, np.array([p.r], dtype=float)))
 
 
 # switch radius and series terms per odd d, measured against a 40-digit reference
@@ -214,12 +236,16 @@ def _log_odd_bracket(d: int, t: float, r: np.ndarray) -> np.ndarray:
 
 def q_odd(d: int, p: EvaluationPoint) -> LogValue:
     """Kernel for odd d >= 3: q3 in closed form, else the bracket of _log_odd_bracket."""
-    if d == 3:
-        return q3(p)
-    expr = build_odd_kernel(d)
-    t, r = p.t, p.r
-    bracket = float(_log_odd_bracket(d, t, np.array([r]))[0]) - expr.m * r
-    return LogValue(1, expr.log_prefactor(t) - r * (r / (2.0 * t)) + bracket)
+    return _at(_log_q_odd(d, p.t, np.array([p.r], dtype=float)))
+
+
+def _log_q_odd(d: int, t: float, rs: np.ndarray) -> np.ndarray:
+    # r^2 overflows to inf harmlessly near the double maximum: log q is -inf there
+    with np.errstate(over="ignore"):
+        if d == 3:
+            return -0.5 * t - 1.5 * math.log(2.0 * math.pi * t) - _log_sinhc(rs).astype(float) - rs * (rs / (2.0 * t))
+        expr = build_odd_kernel(d)
+        return expr.log_prefactor(t) - rs * (rs / (2.0 * t)) + (_log_odd_bracket(d, t, rs) - expr.m * rs)
 
 
 # --------------------------------------------------------------------------
@@ -260,59 +286,68 @@ def q_even(d: int, p: EvaluationPoint, spec: QuadratureSpec = DEFAULT_SPEC) -> L
     gap's e^{s/2} cancelled exactly, the working integrand
     2w e^{fold(s) - (2 r w^2 + w^4)/(2t) - (d-1) w^2/2} descent_gap^{-1/2}:
     no term grows with r or t, and the result is assembled in log space.
+
+    This is the one-point case of the array path: _log_kernel takes a 1-d
+    array of r, and every r is one interval of one stacked integrate_adaptive
+    call. Each interval keeps this kernel's own range rule in w, not the
+    window tail_even places in Gaussian units about the bulk: this integrand
+    peaks at w = 0 with a width of sqrt(t/r) (at r = 1e17 a range of sqrt(t)
+    in w put that peak below every node), so a shared rule would have to
+    branch on its caller.
     """
+    return _at(_log_q_even(d, p.t, np.array([p.r], dtype=float), spec))
+
+
+def _log_q_even(d: int, t: float, rs: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
     if d < 2 or d % 2 == 1:
         raise ValueError(f"even dimension >= 2 required, got {d}")
-    t, r = p.t, p.r
-    if r * (r / (2.0 * t)) == math.inf:  # log q is -inf, as for odd d
-        return LogValue(1, -math.inf)
     sqrt_t = math.sqrt(t)
     mult = spec.tail_sigma_multiplier
-    # the Gaussian bound hypot(r, mult sqrt_t) + sqrt_t on s, less r, with
-    # hypot - r formed as width^2 / (hypot + r), which does not cancel to 0
     width = mult * sqrt_t
-    s_span = width * width / (math.hypot(r, width) + r) + sqrt_t
-    # w^2 also stops where the larger rate of e^{-(d-1) w^2/2 - r w^2/t} alone
-    # reaches (mult+1)^2, so that the integrand has decayed there by at least
+    # Where r^2/(2t) overflows, log q is -inf, as for odd d. Elsewhere s stops
+    # at the Gaussian bound hypot(r, mult sqrt_t) + sqrt_t, with hypot - r
+    # formed as width^2 / (hypot + r), which does not cancel to 0. w^2 also
+    # stops where the larger rate of e^{-(d-1) w^2/2 - r w^2/t} alone reaches
+    # (mult+1)^2, so that the integrand has decayed there by at least
     # e^{-(mult+1)^2}: twice tail_even's Gaussian margin, the other half for
     # the fold's polynomial growth; at large t, or at r far past sqrt(t), the
-    # Gaussian bound in s lies far past this
-    w_hi = math.sqrt(min(s_span, (mult + 1.0) ** 2 / max(0.5 * (d - 1), r / t)))
-    shift = 0.5 * (d - 1) * r
-    # the fold's polynomial growth in s, factored out at s = max(r, 1) like the
-    # decay, so that the integrand stays finite at huge r; past r = 9e307 the
-    # fold's 2s overflows harmlessly
-    with np.errstate(over="ignore"):
-        fold_r = float(log_descent_fold(d, t, np.array([max(r, 1.0)]))[0])
+    # Gaussian bound in s lies far past this. That growth is factored out at
+    # s = max(r, 1) like the decay, so that the integrand stays finite at huge
+    # r. Near the double maximum hypot + r and the fold's 2s overflow
+    # harmlessly. At a subnormal t, r / t overflows and empties the range, and
+    # near the largest t, width^2 / (hypot + r) meets inf / inf: a NaN range,
+    # which integrates to 0 and fails below as "not positive"
+    with np.errstate(over="ignore", invalid="ignore"):
+        decay = rs * (rs / (2.0 * t))
+        live = (decay < math.inf).nonzero()[0]
+        r = rs[live]
+        s_span = width * width / (_hypot(r, width).astype(float) + r) + sqrt_t
+        w_hi = np.sqrt(np.minimum(s_span, (mult + 1.0) ** 2 / np.maximum(0.5 * (d - 1), r / t)))
+        fold_r = log_descent_fold(d, t, np.maximum(r, 1.0))
 
-    def fw(w: np.ndarray) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
+    def f(w: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        r_w = r[owner]
         ww = w * w
-        s = r + ww
+        s = r_w + ww
         with np.errstate(divide="ignore", over="ignore"):
             log_j = (
                 np.log(2.0 * w)
-                + (log_descent_fold(d, t, s) - fold_r)
-                - (2.0 * r * ww + ww * ww) / (2.0 * t)
+                + (log_descent_fold(d, t, s) - fold_r[owner])
+                - (2.0 * r_w * ww + ww * ww) / (2.0 * t)
                 - 0.5 * (d - 1) * ww
-                - 0.5 * np.log(descent_gap(r, ww))
+                - 0.5 * np.log(descent_gap(r_w, ww))
             )
         return np.exp(log_j)
 
-    res = integrate_adaptive(fw, 0.0, w_hi, spec)
-    if res.value <= 0.0:
-        raise KernelError(f"q{d} integral not positive at t={t}, r={r}")
-    lg = (
-        0.5 * LN2
-        - (d - 1) ** 2 * t / 8.0
-        - 1.5 * math.log(2.0 * math.pi * t)
-        - (d // 2 - 1) * LN2PI
-        - r * (r / (2.0 * t))
-        - shift
-        + fold_r
-        + math.log(res.value)
-    )
-    return LogValue(1, lg)
+    out = np.full(len(rs), -math.inf)
+    lg = 0.5 * LN2 - (d - 1) ** 2 * t / 8.0 - 1.5 * math.log(2.0 * math.pi * t) - (d // 2 - 1) * LN2PI
+    stack = integrate_adaptive(f, np.zeros(len(r)), w_hi, spec)
+    # each r's log q in doubles, with math's log, which np.log does not round alike
+    for j, r_j, fold_j, res in zip(live.tolist(), r.tolist(), fold_r.tolist(), stack):
+        if res.value <= 0.0:
+            raise KernelError(f"q{d} integral not positive at t={t}, r={r_j}")
+        out[j] = lg - r_j * (r_j / (2.0 * t)) - 0.5 * (d - 1) * r_j + fold_j + math.log(res.value)
+    return out
 
 
 def q2(p: EvaluationPoint, spec: QuadratureSpec = DEFAULT_SPEC) -> LogValue:
@@ -350,11 +385,19 @@ def millson_step_numeric(
 
 
 def heat_kernel(d: Dimension | int, p: EvaluationPoint, spec: QuadratureSpec = DEFAULT_SPEC) -> LogValue:
-    """q_d(t, r) for any d >= 2, dispatching on parity."""
+    """q_d(t, r) for any d >= 2, dispatching on parity: the one-point case of _log_kernel."""
     dd = d.d if isinstance(d, Dimension) else int(d)
-    if dd % 2 == 1:
-        return q_odd(dd, p)
-    return q_even(dd, p, spec)
+    return _at(_log_kernel(dd, p.t, np.array([p.r], dtype=float), spec))
+
+
+def _log_kernel(d: int, t: float, rs: np.ndarray, spec: QuadratureSpec = DEFAULT_SPEC) -> np.ndarray:
+    """log q_d(t, r) at every r of a 1-d array, each bitwise the one-point
+    value; every r is checked as EvaluationPoint checks it before any work."""
+    rs = np.asarray(rs, dtype=float)
+    _check_r(t, rs)
+    if d % 2 == 1:
+        return _log_q_odd(d, t, rs)
+    return _log_q_even(d, t, rs, spec)
 
 
 def davies_envelope(d: Dimension | int, p: EvaluationPoint) -> LogValue:
@@ -365,13 +408,17 @@ def davies_envelope(d: Dimension | int, p: EvaluationPoint) -> LogValue:
     dd = d.d if isinstance(d, Dimension) else int(d)
     if dd < 2:
         raise ValueError(f"dimension must be >= 2, got {dd}")
-    t, r = p.t, p.r
-    lg = (
-        -0.5 * dd * math.log(t)
-        - (dd - 1) ** 2 * t / 8.0
-        - (dd - 1) * r / 2.0
-        - r * (r / (2.0 * t))
-        + 0.5 * (dd - 3) * math.log1p(r + t)
-        + math.log1p(r)
-    )
-    return LogValue(1, lg)
+    return _at(_log_envelope(dd, p.t, np.array([p.r], dtype=float)))
+
+
+def _log_envelope(d: int, t: float, rs: np.ndarray) -> np.ndarray:
+    """log davies_envelope at every r of a 1-d array."""
+    with np.errstate(over="ignore"):
+        return (
+            -0.5 * d * math.log(t)
+            - (d - 1) ** 2 * t / 8.0
+            - (d - 1) * rs / 2.0
+            - rs * (rs / (2.0 * t))
+            + 0.5 * (d - 3) * np.log1p(rs + t)
+            + np.log1p(rs)
+        )

@@ -39,6 +39,11 @@ calls instead of one quadrature per point; for d = 3 and odd d every piece
 of the closed form is an array over x, so a 401-point grid costs about as
 much as a few scalar calls. _tail_arrays returns the same numbers as arrays
 (values, errors, method), for callers that need no object per point.
+
+The density likewise takes an array of r (_radial_density), from one kernel
+call over the whole array, so the brute-force mass integral (_radial_mass)
+evaluates each batch of its nodes at once; direct_kernel_quadrature and
+verify's normalization suite share that one integral.
 """
 
 from __future__ import annotations
@@ -54,13 +59,14 @@ from .kernels import (
     Dimension,
     EvaluationPoint,
     KernelError,
+    _check_r,
+    _log_kernel,
     _log_odd_bracket,
     descent_gap,
-    heat_kernel,
     log_descent_fold,
 )
 from .logspace import LN2, LN2PI, logsinh, vlog_sum
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_adaptive
+from .quadrature import DEFAULT_SPEC, QuadratureResult, QuadratureSpec, integrate_adaptive
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _EPS = float(np.finfo(float).eps)
@@ -140,12 +146,46 @@ def normal_tail(x):
 
 
 def radial_density(d: Dimension | int, p: EvaluationPoint, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """omega_d q_d(t,r) sinh^{d-1} r, the density of the radial law."""
+    """omega_d q_d(t,r) sinh^{d-1} r, the density of the radial law: the
+    one-point case of _radial_density."""
     dd = d.d if isinstance(d, Dimension) else int(d)
-    if p.r == 0.0:
-        return 0.0
-    q = heat_kernel(dd, p, spec)
-    return math.exp(log_surface_area(dd) + q.log + (dd - 1) * logsinh(p.r))
+    return _radial_density(dd, p.t, np.array([p.r], dtype=float), spec)[0].item()
+
+
+# math's exp and logsinh elementwise: numpy's round differently in the last
+# place on some inputs, and math.exp raises OverflowError where numpy gives inf
+_exp = np.frompyfunc(math.exp, 1, 1)
+_logsinh = np.frompyfunc(logsinh, 1, 1)
+
+
+def _radial_density(d: int, t: float, rs: np.ndarray, spec: QuadratureSpec = DEFAULT_SPEC) -> np.ndarray:
+    """radial_density at every r of a 1-d array, from one _log_kernel call
+    over the r > 0; at r = 0 it is 0, with no kernel evaluated."""
+    rs = np.asarray(rs, dtype=float)
+    _check_r(t, rs)
+    out = np.zeros(len(rs))
+    pos = (rs > 0.0).nonzero()[0]
+    log_q = _log_kernel(d, t, rs[pos], spec)
+    # where q is 0, so is the density, though sinh^{d-1} r may overflow
+    keep = log_q > -math.inf
+    pos, log_q = pos[keep], log_q[keep]
+    # logsinh's e^{-2r} meets -2r = -inf harmlessly past r = 9e307
+    with np.errstate(over="ignore"):
+        log_sinh = _logsinh(rs[pos]).astype(float)
+    out[pos] = _exp(log_surface_area(d) + log_q + (d - 1) * log_sinh).astype(float)
+    return out
+
+
+def _radial_mass(d: int, t: float, T: float, spec: QuadratureSpec) -> QuadratureResult:
+    """omega_d int_T^upper q_d sinh^{d-1}: the radial mass above T by brute-force
+    integration of _radial_density, unclamped, with upper mult sqrt(t) past the
+    larger of T and the bulk's center (d-1)t/2."""
+    sqrt_t = math.sqrt(t)
+    center = 0.5 * (d - 1) * t
+    mult = spec.tail_sigma_multiplier
+    upper = max(T, center) + mult * sqrt_t
+    seeds = [p for p in (center - mult * sqrt_t, center - sqrt_t, center, center + sqrt_t) if T < p < upper]
+    return integrate_adaptive(lambda rs: _radial_density(d, t, rs, spec), T, upper, spec, seed_points=seeds)
 
 
 def _clamp(value: np.ndarray, err: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -395,33 +435,20 @@ def direct_kernel_quadrature(
     """Brute-force tail by integrating the radial density from T.
 
     The internal oracle for the reduction paths; restricted to d in [2, 7]
-    and t <= 50, where the density stays inside the double range.
+    and t <= 50, where the density stays inside the double range. The
+    density runs over each batch of quadrature nodes as one kernel call, so
+    for even d every node is one interval of one stacked descent quadrature.
+    The mass integral is the one normalization_suite runs from T = 0; only
+    this oracle clamps it to [0, 1].
     """
     dd = d if isinstance(d, Dimension) else Dimension(int(d))
     if not (2 <= dd.d <= 7):
         raise ValueError(f"direct quadrature supports d in [2, 7], got {dd.d}")
     if t > 50.0:
         raise ValueError(f"direct quadrature supports t <= 50, got t={t}")
-    fp = FluctuationPoint(dd, t, x)
-    T = fp.threshold
+    res = _radial_mass(dd.d, t, FluctuationPoint(dd, t, x).threshold, spec)
     # relative error of each density value: the even kernel's own quadrature
     # tolerance, or the odd kernel's from its z = cosh r series and term table
     kernel_rel_err = spec.rel_tol if dd.d % 2 == 0 else 1e-11
-    sqrt_t = math.sqrt(t)
-    center = 0.5 * (dd.d - 1) * t
-    upper = max(T, center) + spec.tail_sigma_multiplier * sqrt_t
-
-    def f(rs: np.ndarray) -> np.ndarray:
-        out = np.empty(len(rs))
-        for j, r in enumerate(np.asarray(rs, dtype=float)):
-            out[j] = radial_density(dd, EvaluationPoint(t, float(r)), spec) if r > 0 else 0.0
-        return out
-
-    seeds = [
-        p
-        for p in (center - spec.tail_sigma_multiplier * sqrt_t, center - sqrt_t, center, center + sqrt_t)
-        if T < p < upper
-    ]
-    res = integrate_adaptive(f, T, upper, spec, seed_points=seeds)
     err = res.error_estimate + kernel_rel_err * abs(res.value)
     return _estimates(*_finalize(np.array([res.value]), np.array([err]), "direct_kernel_quadrature"))[0]

@@ -16,20 +16,18 @@ import numpy as np
 from .calculus import (
     double_factorial,
     evaluate_expansion,
-    log_surface_area,
     millson_identity_value,
     sinh_power_derivative,
 )
 from .kernels import (
     EvaluationPoint,
-    davies_envelope,
+    _log_envelope,
+    _log_kernel,
     heat_kernel,
     millson_step_numeric,
-    q_odd,
 )
-from .logspace import logsinh
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_adaptive
-from .tails import direct_kernel_quadrature, tail
+from .quadrature import DEFAULT_SPEC, QuadratureSpec
+from .tails import _radial_mass, direct_kernel_quadrature, tail
 
 
 @dataclass(frozen=True)
@@ -83,51 +81,33 @@ def normalization_suite(
     ts: Sequence[float] = (0.5, 1.0, 5.0, 20.0),
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> list[CheckResult]:
-    """Total radial mass omega_d int q_d sinh^{d-1} = 1 for each (d, t)."""
+    """Total radial mass omega_d int q_d sinh^{d-1} = 1 for each (d, t): the
+    brute-force tail oracle's mass integral from T = 0, unclamped."""
     out = []
     for d in ds:
         tol = 1e-5 if (d % 2 == 0 and d >= 4) else 1e-6
         for t in ts:
-            defect = abs(_normalization(d, float(t), spec) - 1.0)
+            defect = abs(_radial_mass(d, float(t), 0.0, spec).value - 1.0)
             out.append(
                 CheckResult(f"normalization d={d} t={t}", defect <= tol, f"|mass-1| = {defect:.2e} (tol {tol:g})")
             )
     return out
 
 
-def _normalization(d: int, t: float, spec: QuadratureSpec) -> float:
-    om = log_surface_area(d)
-
-    def f(rs: np.ndarray) -> np.ndarray:
-        out = np.empty(len(rs))
-        for j, r in enumerate(np.asarray(rs, dtype=float)):
-            if r <= 0.0:
-                out[j] = 0.0
-                continue
-            q = heat_kernel(d, EvaluationPoint(t, float(r)), spec)
-            out[j] = math.exp(om + q.log + (d - 1) * logsinh(float(r)))
-        return out
-
-    center = 0.5 * (d - 1) * t
-    sqrt_t = math.sqrt(t)
-    upper = max(0.0, center) + spec.tail_sigma_multiplier * sqrt_t
-    seeds = [p for p in (center - spec.tail_sigma_multiplier * sqrt_t, center - sqrt_t, center, center + sqrt_t) if 0.0 < p < upper]
-    return integrate_adaptive(f, 0.0, upper, spec, seed_points=seeds).value
-
-
 def millson_suite(spec: QuadratureSpec = DEFAULT_SPEC) -> list[CheckResult]:
-    """Symbolic odd kernels against one numerical recursion step."""
+    """Symbolic odd kernels and descent even kernels against one numerical
+    recursion step from the kernel two dimensions down."""
     out = []
     ts = (0.5, 1.0, 2.0, 5.0, 20.0)
     rs = (0.5, 1.0, 2.0, 4.0, 8.0)
-    for d in (5, 7):
+    for d in (5, 7, 4, 6, 8):
         worst = 0.0
         for t in ts:
             for r in rs:
                 p = EvaluationPoint(t, r)
-                sym = q_odd(d, p)
-                num = millson_step_numeric(lambda rr, t=t: q_odd(d - 2, EvaluationPoint(t, rr)), d, p)
-                worst = max(worst, abs(math.expm1(sym.log - num.log)))
+                got = heat_kernel(d, p, spec)
+                num = millson_step_numeric(lambda rr, t=t: heat_kernel(d - 2, EvaluationPoint(t, rr), spec), d, p)
+                worst = max(worst, abs(math.expm1(got.log - num.log)))
         out.append(CheckResult(f"recursion consistency d={d}", worst <= 1e-6, f"max rel err {worst:.2e}"))
     return out
 
@@ -141,11 +121,10 @@ def davies_suite(
         widths = []
         for nt, nr in ((8, 9), (15, 17)):
             lo, hi = math.inf, -math.inf
-            for t in np.geomspace(0.1, 50.0, nt):
-                for r in np.linspace(0.0, 40.0, nr):
-                    p = EvaluationPoint(float(t), float(r))
-                    lr = heat_kernel(d, p, spec).log - davies_envelope(d, p).log
-                    lo, hi = min(lo, lr), max(hi, lr)
+            rs = np.linspace(0.0, 40.0, nr)
+            for t in np.geomspace(0.1, 50.0, nt).tolist():
+                lr = _log_kernel(d, t, rs, spec) - _log_envelope(d, t, rs)
+                lo, hi = min(lo, lr.min()), max(hi, lr.max())
             widths.append(hi - lo)
         change = abs(widths[1] - widths[0]) / widths[0]
         ok = math.isfinite(widths[1]) and change < 0.05

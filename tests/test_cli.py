@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from hypbm import sim
 from hypbm.cli import build_parser, main
-from hypbm.tails import tail
+from hypbm.kernels import EvaluationPoint, heat_kernel
+from hypbm.tails import radial_density, tail
 
 
 def run_cli(capsys, *argv):
@@ -71,6 +72,31 @@ class TestKernelCommand:
         d, t, r = int(d), float(t), float(r)
         want = -r * (r / (2.0 * t)) - (d - 1) * r / 2.0 - (d - 1) ** 2 * t / 8.0
         assert float(out.strip().splitlines()[1].split(",")[4]) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("command", ["kernel", "density"])
+    def test_rows_match_scalar_calls_in_order(self, capsys, command):
+        code, out, _ = run_cli(capsys, command, "--d", "2..9", "--t", "0.1,1,10", "--r", "0,0.001,0.5,2,10")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        want = [(d, t, r) for d in range(2, 10) for t in (0.1, 1.0, 10.0) for r in (0.0, 0.001, 0.5, 2.0, 10.0)]
+        assert [(int(row[0]), float(row[1]), float(row[2])) for row in rows] == want
+        for row, (d, t, r) in zip(rows, want):
+            if command == "kernel":
+                q = heat_kernel(d, EvaluationPoint(t, r))
+                assert row[3:] == [repr(q.value), repr(q.log)]
+            else:
+                assert row[3:] == [repr(radial_density(d, EvaluationPoint(t, r)))]
+
+    def test_invalid_radius_in_a_list_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "kernel", "--d", "4", "--t", "1", "--r", "0.5,-1")
+        assert code == 2 and out == ""
+        assert "r must be finite and nonnegative, got -1.0" in err
+
+    def test_kernel_beyond_the_double_range_exits_1(self, capsys):
+        # log q is finite, q itself overflows: no inf is printed
+        code, out, err = run_cli(capsys, "kernel", "--d", "10", "--t", "1e-100", "--r", "0")
+        assert code == 1 and out == ""
+        assert "math range error" in err
 
 
 class TestTailCommand:
@@ -169,6 +195,14 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "identities")
         assert code == 0
         assert all(line.startswith("PASS") for line in out.strip().splitlines())
+
+    def test_millson_suite_covers_even_d(self, capsys):
+        # q_d from q_{d-2} by one numerical recursion step: an oracle for the
+        # descent quadrature that shares none of its range rule
+        code, out, _ = run_cli(capsys, "verify", "millson")
+        assert code == 0
+        names = [line.split(":")[0] for line in out.strip().splitlines()]
+        assert names == [f"PASS recursion consistency d={d}" for d in (5, 7, 4, 6, 8)]
 
     def test_unknown_suite_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,10 +1,12 @@
 import math
+import re
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from hypbm.calculus import log_surface_area
+from hypbm import kernels
 from hypbm.kernels import (
     Dimension,
     EvaluationPoint,
@@ -20,11 +22,13 @@ from hypbm.kernels import (
     q_odd,
     _SERIES_SWITCH,
     _SERIES_SWITCH_ABOVE_13,
+    _log_kernel,
     _log_odd_bracket,
     descent_gap,
 )
-from hypbm.logspace import LogValue, logsinh
+from hypbm.logspace import LogValue
 from hypbm.quadrature import DEFAULT_SPEC, integrate_adaptive
+from hypbm.tails import _radial_density, _radial_mass, radial_density
 
 
 def eval_odd_bracket_mp(d: int, t: float, r: float, digits: float) -> LogValue:
@@ -52,23 +56,7 @@ def log_q_odd_mp(d: int, t: float, r: float) -> float:
 
 
 def total_mass(d: int, t: float) -> float:
-    om = log_surface_area(d)
-
-    def f(rs):
-        out = np.empty(len(rs))
-        for j, r in enumerate(np.asarray(rs, dtype=float)):
-            if r <= 0.0:
-                out[j] = 0.0
-                continue
-            q = heat_kernel(d, EvaluationPoint(t, float(r)))
-            out[j] = math.exp(om + q.log + (d - 1) * logsinh(float(r)))
-        return out
-
-    center = 0.5 * (d - 1) * t
-    sqrt_t = math.sqrt(t)
-    upper = max(0.0, center) + 12.0 * sqrt_t
-    seeds = [p for p in (center - 12 * sqrt_t, center - sqrt_t, center, center + sqrt_t) if 0 < p < upper]
-    return integrate_adaptive(f, 0.0, upper, DEFAULT_SPEC, seed_points=seeds).value
+    return _radial_mass(d, t, 0.0, DEFAULT_SPEC).value
 
 
 class TestDimensionTypes:
@@ -311,6 +299,48 @@ class TestEvenKernels:
         got = q_even(d, EvaluationPoint(t, r)).log
         # the O(t) prefactor terms are good to a few ulps of log q
         assert abs(got - want) <= 1e-8 + 4.0 * np.finfo(float).eps * abs(want)
+
+
+class TestArrayR:
+    # the origin, a small radius, each odd switch radius, and radii where the
+    # fold's polynomial growth, the peak's sqrt(t/r) width and r^2/(2t)
+    # overflowing each need their own care
+    RS = np.r_[0.0, 1e-3, sorted({r for r, _ in _SERIES_SWITCH.values()}), _SERIES_SWITCH_ABOVE_13[0], 10.0, 1e8, 1e17, 1.7e308]
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    @pytest.mark.parametrize("t", [1e-3, 1.0, 50.0, 1e300])
+    def test_each_point_bitwise_as_alone(self, d, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log_q = _log_kernel(d, t, self.RS)
+            assert log_q.tolist() == [heat_kernel(d, EvaluationPoint(t, float(r))).log for r in self.RS]
+            rho = _radial_density(d, t, self.RS)
+            assert rho.tolist() == [radial_density(d, EvaluationPoint(t, float(r))) for r in self.RS]
+        # r^2/(2t) overflows at the largest radius for every t here, where
+        # sinh^{d-1} r overflows too: the density is 0 there, not NaN
+        assert log_q[-1] == -math.inf and rho[-1] == 0.0 and rho[0] == 0.0
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_empty_array_gives_empty_result(self, d):
+        assert _log_kernel(d, 1.0, np.array([])).shape == (0,)
+        assert _radial_density(d, 1.0, np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("d", range(2, 10))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_invalid_r_raises_before_any_work(self, d, bad, monkeypatch):
+        def never(*args):
+            raise AssertionError("a kernel ran on an invalid array")
+
+        monkeypatch.setattr(kernels, "_log_q_odd", never)
+        monkeypatch.setattr(kernels, "_log_q_even", never)
+        with pytest.raises(ValueError) as point:
+            EvaluationPoint(1.0, bad)
+        message = re.escape(str(point.value))
+        with pytest.raises(ValueError, match=message):
+            _log_kernel(d, 1.0, np.array([0.5, 0.0, bad, 2.0]))
+        # the density skips the kernel at r = 0, not the check
+        with pytest.raises(ValueError, match=message):
+            _radial_density(d, 1.0, np.array([0.0, bad]))
 
 
 class TestDescentGap:
