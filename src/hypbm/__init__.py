@@ -43,10 +43,6 @@ from .kernels import (
     heat_kernel,
     millson_step_numeric,
     millson_step_symbolic,
-    q2,
-    q3,
-    q_even,
-    q_odd,
 )
 from .logspace import LogValue
 from .quadrature import (
@@ -65,15 +61,11 @@ from .sim import (
     simulate_radial_pair,
 )
 from .tails import (
-    FluctuationPoint,
     TailEstimate,
     direct_kernel_quadrature,
     normal_tail,
     radial_density,
     tail,
-    tail_d3,
-    tail_even,
-    tail_odd,
 )
 
 __all__ = [
@@ -103,10 +95,6 @@ __all__ = [
     "heat_kernel",
     "millson_step_numeric",
     "millson_step_symbolic",
-    "q2",
-    "q3",
-    "q_even",
-    "q_odd",
     "LogValue",
     "QuadratureError",
     "QuadratureResult",
@@ -119,13 +107,9 @@ __all__ = [
     "ks_distance_to_normal",
     "simulate_radial",
     "simulate_radial_pair",
-    "FluctuationPoint",
     "TailEstimate",
     "direct_kernel_quadrature",
     "normal_tail",
     "radial_density",
     "tail",
-    "tail_d3",
-    "tail_even",
-    "tail_odd",
 ]

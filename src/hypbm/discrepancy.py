@@ -275,9 +275,9 @@ def sharpness_d2_integral(t: float, spec: QuadratureSpec = DEFAULT_SPEC) -> floa
       F_t(u) = (1 - cosh(t/2)/cosh(u sqrt t + t/2))^{-1/2}
                (1 - e^{-2(u sqrt t + t/2)}) (1 + e^{-2(u sqrt t + t/2)})^{-1/2} - 1,
 
-    an integration-by-parts form that shares no code with tail_even (the
-    swapped-order descent integral over q_3), so the two serve as independent
-    cross-checks. F_t has an integrable u^{-1/2}
+    an integration-by-parts form that shares no code with tail(2, ...) (the
+    swapped-order descent integral over q_3 in _tail_even), so the two serve
+    as independent cross-checks. F_t has an integrable u^{-1/2}
     endpoint singularity, removed by u = w^2. Valid for all t > 0; the
     integrand is provably positive for t >= log 6.
     """

@@ -21,16 +21,17 @@ Even dimensions descend from the odd dimension above them,
 one singularity-regularized quadrature over the exact symbolic q_{d+1}. At
 d = 2 the folded factor q_3 sinh s is e^{-t/2} (2 pi t)^{-3/2} s e^{-s^2/(2t)},
 which is the classical q_2 integral. log_descent_fold evaluates that folded
-factor for every even d, for q_even here and for the even tails in tails.py.
+factor for every even d, for _log_q_even here and for the even tails in
+tails.py.
 
 The kernel layer works on a 1-d array of r: _log_kernel(d, t, rs) returns
 log q at every r, each bitwise the value a one-point array gives. Odd d
-evaluates the closed form over the array; even d integrates every r as one
-interval of one stacked quadrature, as the even tails integrate every x.
-heat_kernel, q3, q_odd and q_even take one EvaluationPoint and are the
-one-point case of the same path. They return LogValue: prefactors like
-e^{-m^2 t/2} underflow doubles by hundreds of orders across the supported
-(t, r) ranges.
+evaluates the closed form over the array (_log_q_odd); even d integrates
+every r as one interval of one stacked quadrature (_log_q_even), as the even
+tails integrate every x. heat_kernel, the one public kernel, takes one
+EvaluationPoint and is the one-point case of the same path. It returns a
+LogValue: prefactors like e^{-m^2 t/2} underflow doubles by hundreds of
+orders across the supported (t, r) ranges.
 """
 
 from __future__ import annotations
@@ -168,11 +169,6 @@ _log_sinhc = np.frompyfunc(log_sinhc, 1, 1)
 _hypot = np.frompyfunc(math.hypot, 2, 1)
 
 
-def q3(p: EvaluationPoint) -> LogValue:
-    """Closed-form d=3 kernel; r/sinh r extended continuously to 1 at r=0."""
-    return _at(_log_q_odd(3, p.t, np.array([p.r], dtype=float)))
-
-
 # switch radius and series terms per odd d, measured against a 40-digit reference
 # for t = 1e-3..1e5: from the radius up the term table is within 2e-12 + eps |log q|,
 # and below it more terms no longer move a double
@@ -196,7 +192,7 @@ def _bracket_table(d: int, terms: int) -> tuple[np.ndarray, ...]:
 
 def _log_odd_bracket(d: int, t: float, r: np.ndarray) -> np.ndarray:
     """log of q_d's bracket sum times e^{m r} (odd d = 2m+1 >= 3) at every r >= 0
-    of an array, for q_odd, the odd tails' boundary terms and the descent nodes.
+    of an array, for _log_q_odd, the odd tails' boundary terms and the descent nodes.
 
     From d's switch radius up, a log-sum over the term table, where each term's
     cosh^a sinh^{-b} e^{m r} stays bounded. Below it, where those terms cancel,
@@ -234,12 +230,10 @@ def _log_odd_bracket(d: int, t: float, r: np.ndarray) -> np.ndarray:
     return np.where(near, series, table)
 
 
-def q_odd(d: int, p: EvaluationPoint) -> LogValue:
-    """Kernel for odd d >= 3: q3 in closed form, else the bracket of _log_odd_bracket."""
-    return _at(_log_q_odd(d, p.t, np.array([p.r], dtype=float)))
-
-
 def _log_q_odd(d: int, t: float, rs: np.ndarray) -> np.ndarray:
+    """log q_d at every r of a 1-d array, for odd d >= 3: q_3 in closed form,
+    with r / sinh r extended continuously to 1 at r = 0, else the bracket of
+    _log_odd_bracket."""
     # r^2 overflows to inf harmlessly near the double maximum: log q is -inf there
     with np.errstate(over="ignore"):
         if d == 3:
@@ -275,8 +269,9 @@ def descent_gap(r: float, ww: np.ndarray) -> np.ndarray:
     return 0.5 * np.expm1(-(2.0 * r + ww)) * np.expm1(-ww)
 
 
-def q_even(d: int, p: EvaluationPoint, spec: QuadratureSpec = DEFAULT_SPEC) -> LogValue:
-    """Kernel for even d >= 2 by the descent identity over the exact odd kernel,
+def _log_q_even(d: int, t: float, rs: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
+    """log q_d at every r of a 1-d array, for even d >= 2, by the descent
+    identity over the exact odd kernel,
 
       q_d(t,r) = 2^{1/2} e^{(2d-1)t/8} int_r^inf q_{d+1}(t,s) sinh s
                  (cosh s - cosh r)^{-1/2} ds.
@@ -287,18 +282,13 @@ def q_even(d: int, p: EvaluationPoint, spec: QuadratureSpec = DEFAULT_SPEC) -> L
     2w e^{fold(s) - (2 r w^2 + w^4)/(2t) - (d-1) w^2/2} descent_gap^{-1/2}:
     no term grows with r or t, and the result is assembled in log space.
 
-    This is the one-point case of the array path: _log_kernel takes a 1-d
-    array of r, and every r is one interval of one stacked integrate_adaptive
+    Every r of the array is one interval of one stacked integrate_adaptive
     call. Each interval keeps this kernel's own range rule in w, not the
-    window tail_even places in Gaussian units about the bulk: this integrand
+    window _tail_even places in Gaussian units about the bulk: this integrand
     peaks at w = 0 with a width of sqrt(t/r) (at r = 1e17 a range of sqrt(t)
     in w put that peak below every node), so a shared rule would have to
     branch on its caller.
     """
-    return _at(_log_q_even(d, p.t, np.array([p.r], dtype=float), spec))
-
-
-def _log_q_even(d: int, t: float, rs: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
     if d < 2 or d % 2 == 1:
         raise ValueError(f"even dimension >= 2 required, got {d}")
     sqrt_t = math.sqrt(t)
@@ -309,7 +299,7 @@ def _log_q_even(d: int, t: float, rs: np.ndarray, spec: QuadratureSpec) -> np.nd
     # formed as width^2 / (hypot + r), which does not cancel to 0. w^2 also
     # stops where the larger rate of e^{-(d-1) w^2/2 - r w^2/t} alone reaches
     # (mult+1)^2, so that the integrand has decayed there by at least
-    # e^{-(mult+1)^2}: twice tail_even's Gaussian margin, the other half for
+    # e^{-(mult+1)^2}: twice _tail_even's Gaussian margin, the other half for
     # the fold's polynomial growth; at large t, or at r far past sqrt(t), the
     # Gaussian bound in s lies far past this. That growth is factored out at
     # s = max(r, 1) like the decay, so that the integrand stays finite at huge
@@ -348,11 +338,6 @@ def _log_q_even(d: int, t: float, rs: np.ndarray, spec: QuadratureSpec) -> np.nd
             raise KernelError(f"q{d} integral not positive at t={t}, r={r_j}")
         out[j] = lg - r_j * (r_j / (2.0 * t)) - 0.5 * (d - 1) * r_j + fold_j + math.log(res.value)
     return out
-
-
-def q2(p: EvaluationPoint, spec: QuadratureSpec = DEFAULT_SPEC) -> LogValue:
-    """d=2 kernel: the descent integral over q_3."""
-    return q_even(2, p, spec)
 
 
 def millson_step_numeric(

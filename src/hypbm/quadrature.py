@@ -155,8 +155,9 @@ def integrate_adaptive(
     # a panel between every two distinct cuts of a row, once points outside
     # [a, b] are clipped onto its ends (all of them onto b where b <= a) and
     # NaN is sorted last
-    cuts = np.column_stack([a, np.asarray(seed_points, dtype=float).reshape(len(a), -1), b])
-    np.clip(cuts, a[:, None], b[:, None], out=cuts)
+    lo, hi = a[:, None], b[:, None]
+    cuts = np.concatenate((lo, np.asarray(seed_points, dtype=float).reshape(len(a), -1), hi), axis=1)
+    cuts = np.minimum(np.maximum(cuts, lo), hi)
     cuts.sort(axis=1)
     valid = cuts[:, 1:] > cuts[:, :-1]
     return QuadratureStack(_integrate(f, cuts[:, :-1][valid], cuts[:, 1:][valid], valid.nonzero()[0], len(a), spec))

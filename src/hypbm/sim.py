@@ -52,6 +52,7 @@ threads.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -75,6 +76,10 @@ class SimulationConfig:
     r0: float = 1e-3
 
     def __post_init__(self) -> None:
+        for name in ("d", "paths", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.d < 2:
             raise ValueError(f"dimension must be >= 2, got {self.d}")
         if not (self.t > 0.0 and math.isfinite(self.t)):
@@ -274,10 +279,13 @@ class EmpiricalTail:
 
 
 def empirical_tail(samples: np.ndarray, d: int, t: float, x: float) -> EmpiricalTail:
-    """Fraction of normalized samples >= x, with binomial standard error."""
+    """Fraction of normalized samples >= x (x = +-inf included, NaN rejected),
+    with binomial standard error."""
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("empirical_tail requires at least one sample")
+    if math.isnan(x):
+        raise ValueError(f"x must not be NaN, got {x}")
     z = (samples - 0.5 * (d - 1) * t) / math.sqrt(t)
     p = float(np.mean(z >= x))
     se = math.sqrt(p * (1.0 - p) / samples.size)

@@ -7,12 +7,12 @@ The quantity of interest is
 
 compared against the Gaussian upper tail Phi(x). Direct integration of the
 density (direct_kernel_quadrature) is exact but only overflow-safe for
-t <= 50; the production paths are exact for every t, one formula per parity:
+t <= 50; tail is exact for every t, one formula per parity:
 
-  d = 3     closed form, l = x v -sqrt t:
+  odd d     the d=3 tail at time n^2 t (d = 2n+1) plus a boundary sum of
+            kernel * operator-expansion values at T: no quadrature at all.
+            d = 3 is the n = 1 case, with an empty sum; with l = x v -sqrt t,
             tail = Phi(l) + Phi(l + 2 sqrt t) + phi(l) (1 - e^{-2 sqrt t (l + sqrt t)}) / sqrt t
-  odd d     boundary sum of kernel * operator-expansion values at T, plus the
-            d=3 tail at time n^2 t (d = 2n+1): no quadrature at all
   even d    the descent identity q_d = sqrt 2 e^{(2d-1)t/8} int_r^inf q_{d+1}
             sinh s (cosh s - cosh r)^{-1/2} ds with the order of integration
             swapped (d = 2k+2):
@@ -32,13 +32,14 @@ stay O(1) for every t, so no shift, probe grid or log-space sum is needed.
 
 tail(d, t, x) also takes a 1-d array x and returns one TailEstimate per x,
 in order, each bitwise the scalar call's; a scalar x is the one-point case
-of the same path. Every parity takes its thresholds from one array rule
-(_thresholds). For even d the points are the intervals of one stacked
-quadrature (integrate_adaptive), so a grid of x costs a handful of integrand
-calls instead of one quadrature per point; for d = 3 and odd d every piece
-of the closed form is an array over x, so a 401-point grid costs about as
-much as a few scalar calls. _tail_arrays returns the same numbers as arrays
-(values, errors, method), for callers that need no object per point.
+of the same path. _tail_arrays dispatches on parity to the private array
+paths _tail_odd and _tail_even, which take their thresholds from one rule
+(_thresholds), and returns the same numbers as arrays (values, errors,
+method), for callers that need no object per point. For even d the points
+are the intervals of one stacked quadrature (integrate_adaptive), so a grid
+of x costs a handful of integrand calls instead of one quadrature per point;
+for odd d every piece of the closed form is an array over x, so a 401-point
+grid costs about as much as a few scalar calls.
 
 The density likewise takes an array of r (_radial_density), from one kernel
 call over the whole array, so the brute-force mass integral (_radial_mass)
@@ -81,47 +82,18 @@ TailMethod = Literal[
 T_MIN = 1e-3
 
 
-def _boundary_x(d: Dimension, t: float) -> float:
-    """x below which the threshold pins at zero: -(d-1) sqrt(t) / 2."""
-    return -0.5 * (d.d - 1) * math.sqrt(t)
-
-
-def _check(t: float, xs: np.ndarray) -> None:
-    """ValueError for a t or an x of a 1-d array that no tail accepts."""
+def _thresholds(d: Dimension, t: float, xs: np.ndarray) -> np.ndarray:
+    """The radius threshold T = sqrt(t) (x - boundary_x) v 0 at every x of a
+    1-d array, with boundary_x = -(d-1) sqrt(t) / 2: the one threshold rule of
+    every tail. ValueError for a t or an x that no tail accepts."""
     if not (math.isfinite(t) and t >= T_MIN):
         raise ValueError(f"t must be finite and >= {T_MIN}, got {t}")
     if not np.isfinite(xs).all():
         raise ValueError(f"x must be finite, got {xs[~np.isfinite(xs)][0]}")
-
-
-def _thresholds(d: Dimension, t: float, xs: np.ndarray) -> np.ndarray:
-    """The radius threshold T = sqrt(t) (x - boundary_x) v 0 at every x of a
-    1-d array, after _check: the one threshold rule of every tail."""
-    _check(t, xs)
-    boundary = _boundary_x(d, t)
+    boundary = -0.5 * (d.d - 1) * math.sqrt(t)
     # T overflows to inf only for x near the double maximum
     with np.errstate(over="ignore"):
         return np.where(xs <= boundary, 0.0, math.sqrt(t) * (xs - boundary))
-
-
-@dataclass(frozen=True)
-class FluctuationPoint:
-    """Normalized deviation x at time t with its radius threshold T."""
-
-    d: Dimension
-    t: float
-    x: float
-
-    def __post_init__(self) -> None:
-        _check(self.t, np.array([self.x], dtype=float))
-
-    @property
-    def boundary_x(self) -> float:
-        return _boundary_x(self.d, self.t)
-
-    @property
-    def threshold(self) -> float:
-        return float(_thresholds(self.d, self.t, np.array([self.x], dtype=float))[0])
 
 
 @dataclass(frozen=True)
@@ -179,7 +151,9 @@ def _radial_density(d: int, t: float, rs: np.ndarray, spec: QuadratureSpec = DEF
 def _radial_mass(d: int, t: float, T: float, spec: QuadratureSpec) -> QuadratureResult:
     """omega_d int_T^upper q_d sinh^{d-1}: the radial mass above T by brute-force
     integration of _radial_density, unclamped, with upper mult sqrt(t) past the
-    larger of T and the bulk's center (d-1)t/2."""
+    larger of T and the bulk's center (d-1)t/2. t is checked as EvaluationPoint
+    checks it before anything is integrated."""
+    EvaluationPoint(t, 0.0)
     sqrt_t = math.sqrt(t)
     center = 0.5 * (d - 1) * t
     mult = spec.tail_sigma_multiplier
@@ -210,37 +184,16 @@ def _estimates(value: np.ndarray, err: np.ndarray, method: TailMethod) -> list[T
     return [TailEstimate(v, e, method) for v, e in zip(value.tolist(), err.tolist())]
 
 
-def _per_x(x, tails):
-    """The TailEstimates of tails(xs) at a 1-d array x, or the one at a scalar x."""
-    if np.ndim(x) == 0:
-        return _estimates(*tails(np.array([x], dtype=float)))[0]
-    xs = np.asarray(x, dtype=float)
-    if xs.ndim != 1:
-        raise ValueError(f"x must be a number or a 1-d array, got shape {xs.shape}")
-    return _estimates(*tails(xs))
-
-
-def tail_d3(t: float, x, spec: QuadratureSpec = DEFAULT_SPEC):
-    """d=3 tail probability in closed form for every t >= T_MIN.
+def _d3_parts(t: float, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The d=3 tail's value and error at every x, before the clamp: a closed
+    form for every t >= T_MIN.
 
     With l = max(x, -sqrt t), integrating (1 + v/sqrt t) e^{-v^2/2}
     (1 - e^{-2(t + v sqrt t)}) / sqrt(2 pi) over v >= l gives
     Phi(l) + phi(l)/sqrt t + Phi(l + 2 sqrt t) - phi(l + 2 sqrt t)/sqrt t; the two
     phi terms are combined through expm1, so all three terms are nonnegative
-    and nothing cancels. spec is unused (the signature matches the other tails).
-
-    x may be a 1-d array, as for tail.
+    and nothing cancels.
     """
-    return _per_x(x, lambda xs: _tail_d3(t, xs))
-
-
-def _tail_d3(t: float, xs: np.ndarray) -> TailArrays:
-    _check(t, xs)
-    return _finalize(*_d3_parts(t, xs), "closed_form_d3")
-
-
-def _d3_parts(t: float, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The d=3 tail's value and error at every x, before the clamp."""
     sqrt_t = math.sqrt(t)
     lo = np.maximum(xs, -sqrt_t)
     hi = lo + 2.0 * sqrt_t
@@ -258,12 +211,13 @@ def _d3_parts(t: float, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return value, err
 
 
-def tail_odd(d: Dimension | int, t: float, x, spec: QuadratureSpec = DEFAULT_SPEC):
-    """Odd-dimension tail (d = 2n+1): the d=3 tail at time n^2 t plus a
-    boundary sum at T over m < n of
+def _tail_odd(dd: Dimension, t: float, xs: np.ndarray) -> TailArrays:
+    """Odd-dimension tail (d = 2n+1) at every x of a 1-d array: the d=3 tail
+    at time n^2 t plus a boundary sum at T over m < n of
 
       omega_d (2 pi)^{-m} e^{-(2n-m)mt/2} q_{2m'+1}(t,T) D^{m-1} sinh^{2n-1} T,   m' = n - m.
 
+    At n = 1 the sum is empty and the d=3 closed form is the whole tail.
     q_{2m'+1}'s bracket is e^{-m'T} times _log_odd_bracket's, and the
     expansion, of total degree 2n - m, is e^{(2n-m)T} times its shifted log.
     With the kernel's prefactor e^{-m'^2 t/2 - T^2/(2t)}, every O(t) exponent
@@ -271,31 +225,25 @@ def tail_odd(d: Dimension | int, t: float, x, spec: QuadratureSpec = DEFAULT_SPE
     Each term's log is -x^2/2 plus pieces that stay bounded for every t, so
     the tail holds to t = 1e300, and the error estimate adds a few eps per
     term to the d=3 tail's. KernelError is raised only where n^2 t overflows.
-
-    x may be a 1-d array, as for tail: every piece is an array over x.
+    Every piece is an array over x.
     """
-    dd = d if isinstance(d, Dimension) else Dimension(int(d))
-    if not dd.is_odd:
-        raise ValueError(f"odd dimension required, got {dd.d}")
-    return _per_x(x, lambda xs: _tail_odd(dd, t, xs))
-
-
-def _tail_odd(dd: Dimension, t: float, xs: np.ndarray) -> TailArrays:
     T = _thresholds(dd, t, xs)
     n = dd.n
     if not math.isfinite(n * n * t):
         raise KernelError(f"base time n^2 t overflows at d={dd.d}, t={t}")
     value, err = _clamp(*_d3_parts(n * n * t, xs))
+    if n == 1:
+        return _finalize(value, err, "closed_form_d3")
     # past x*x = inf every term's factor e^{-x^2/2} is 0 (and T may be inf)
     with np.errstate(over="ignore"):
         live = ((T > 0.0) & (xs * xs < math.inf)).nonzero()[0]
-    if n >= 2 and live.size:
+    if live.size:
         x, T = xs[live], T[live]
         log_c = log_surface_area(dd.d) - 0.5 * x * x - 1.5 * math.log(2.0 * math.pi * t) - (n - 1) * LN2PI
         parts = []
         for m in range(1, n):
             sign, expansion = evaluate_expansion_log_shifted(sinh_power_derivative(2 * n - 1, m - 1), T)
-            if m == n - 1:  # q_3's bracket T / sinh T, in closed form as in q_odd
+            if m == n - 1:  # q_3's bracket T / sinh T, in closed form as in _log_q_odd
                 bracket = np.log(T) - vlogsinh_minus_x(T)
             else:
                 bracket = _log_odd_bracket(2 * (n - m) + 1, t, T)
@@ -311,8 +259,9 @@ def _tail_odd(dd: Dimension, t: float, xs: np.ndarray) -> TailArrays:
     return _finalize(value, err, "odd_reduction")
 
 
-def tail_even(d: Dimension | int, t: float, x, spec: QuadratureSpec = DEFAULT_SPEC):
-    """Even-dimension tail (d = 2k+2) by the swapped descent integral.
+def _tail_even(dd: Dimension, t: float, xs: np.ndarray, spec: QuadratureSpec) -> TailArrays:
+    """Even-dimension tail (d = 2k+2) at every x of a 1-d array by the swapped
+    descent integral, each point its own interval of one stacked quadrature.
 
     With s = T + w^2, u = (s - (d-1)t/2)/sqrt t = x + w^2/sqrt t and
     nu = descent_gap(T, w^2) = (cosh s - cosh T) e^{-s}, the
@@ -328,19 +277,8 @@ def tail_even(d: Dimension | int, t: float, x, spec: QuadratureSpec = DEFAULT_SP
     Every factor is computed in doubles without cancellation for every t, the
     fold's bracket included, so the quadrature's estimate is the whole error.
     At T = 0 the tail is exactly P(R_t >= 0) = 1, and where T overflows to inf
-    exactly 0.
-
-    x may be a 1-d array: the result is then a list with one TailEstimate
-    per x, in order, from one stacked quadrature over the points with T > 0.
+    exactly 0; only the points with 0 < T < inf are integrated.
     """
-    dd = d if isinstance(d, Dimension) else Dimension(int(d))
-    if dd.is_odd:
-        raise ValueError(f"even dimension required, got {dd.d}")
-    return _per_x(x, lambda xs: _tail_even(dd, t, xs, spec))
-
-
-def _tail_even(dd: Dimension, t: float, xs: np.ndarray, spec: QuadratureSpec) -> TailArrays:
-    """tail_even at every x of a 1-d array, each point its own interval of one stack."""
     Ts = _thresholds(dd, t, xs)
     # T overflows to inf only for x near the double maximum, where the tail is
     # exactly 0; inside the integrand it would meet inf - inf
@@ -399,31 +337,25 @@ def _tail_even(dd: Dimension, t: float, xs: np.ndarray, spec: QuadratureSpec) ->
 
 
 def tail(d: Dimension | int, t: float, x, spec: QuadratureSpec = DEFAULT_SPEC):
-    """Tail probability for any d >= 2, dispatching to the right reduction.
+    """Tail probability for any d >= 2: the odd reduction for odd d (its n = 1
+    case is the d=3 closed form), the descent integral for even d.
 
     x may be a 1-d array: the result is then a list with one TailEstimate
     per x, in order, each bitwise the one a call with that x alone returns;
-    a scalar x is the one-point case of the same array path. Even d
-    integrates the whole array as one stack of intervals; d = 3 and odd d
-    evaluate every piece of their closed forms as arrays over x.
+    a scalar x is the one-point case of the same array path.
     """
     dd = d if isinstance(d, Dimension) else Dimension(int(d))
-    if dd.d == 3:
-        return tail_d3(t, x, spec)
-    if dd.is_odd:
-        return tail_odd(dd, t, x, spec)
-    if np.ndim(x) == 0:
-        return tail_even(dd, t, x, spec)
-    # the stack itself, not tail_even: perfbench's trace note for tail_even reads x as a scalar
-    return _per_x(x, lambda xs: _tail_even(dd, t, xs, spec))
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim > 1:
+        raise ValueError(f"x must be a number or a 1-d array, got shape {xs.shape}")
+    ests = _estimates(*_tail_arrays(dd, t, np.atleast_1d(xs), spec))
+    return ests if xs.ndim else ests[0]
 
 
 def _tail_arrays(dd: Dimension, t: float, xs: np.ndarray, spec: QuadratureSpec = DEFAULT_SPEC) -> TailArrays:
     """tail at every x of a 1-d array as (values, errors, method), each entry
     bitwise the TailEstimate tail returns: the path for callers that read
     arrays and need no object per point."""
-    if dd.d == 3:
-        return _tail_d3(t, xs)
     if dd.is_odd:
         return _tail_odd(dd, t, xs)
     return _tail_even(dd, t, xs, spec)
@@ -446,7 +378,7 @@ def direct_kernel_quadrature(
         raise ValueError(f"direct quadrature supports d in [2, 7], got {dd.d}")
     if t > 50.0:
         raise ValueError(f"direct quadrature supports t <= 50, got t={t}")
-    res = _radial_mass(dd.d, t, FluctuationPoint(dd, t, x).threshold, spec)
+    res = _radial_mass(dd.d, t, float(_thresholds(dd, t, np.array([x], dtype=float))[0]), spec)
     # relative error of each density value: the even kernel's own quadrature
     # tolerance, or the odd kernel's from its z = cosh r series and term table
     kernel_rel_err = spec.rel_tol if dd.d % 2 == 0 else 1e-11

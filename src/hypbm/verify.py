@@ -20,6 +20,7 @@ from .calculus import (
     sinh_power_derivative,
 )
 from .kernels import (
+    Dimension,
     EvaluationPoint,
     _log_envelope,
     _log_kernel,
@@ -84,7 +85,7 @@ def normalization_suite(
     """Total radial mass omega_d int q_d sinh^{d-1} = 1 for each (d, t): the
     brute-force tail oracle's mass integral from T = 0, unclamped."""
     out = []
-    for d in ds:
+    for d in [Dimension(d).d for d in ds]:
         tol = 1e-5 if (d % 2 == 0 and d >= 4) else 1e-6
         for t in ts:
             defect = abs(_radial_mass(d, float(t), 0.0, spec).value - 1.0)
@@ -117,7 +118,7 @@ def davies_suite(
 ) -> list[CheckResult]:
     """Kernel/envelope log-ratio bounded and stable under grid refinement."""
     out = []
-    for d in ds:
+    for d in [Dimension(d).d for d in ds]:
         widths = []
         for nt, nr in ((8, 9), (15, 17)):
             lo, hi = math.inf, -math.inf

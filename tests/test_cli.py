@@ -182,6 +182,11 @@ class TestSimulateCommand:
         assert outs[0] == outs[1]
         assert outs[0][0].encode() == outs[0][1]
 
+    def test_nan_x_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--d", "3", "--t", "1", "--x", "nan", "--paths", "10")
+        assert code == 2 and out == ""
+        assert err == "hypbm: invalid argument: x must not be NaN, got nan\n"
+
     @pytest.mark.parametrize("flag", ["--abs-tol", "--rel-tol"])
     def test_rejects_quadrature_tolerances(self, flag):
         # the simulator runs no quadrature: the flag would do nothing
@@ -208,6 +213,25 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "nonsense"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ("normalization --d 2 --t 0", "t must be finite and positive, got 0.0"),
+            ("normalization --d 2 --t nan", "t must be finite and positive, got nan"),
+            ("normalization --d 2 --t -1", "t must be finite and positive, got -1.0"),
+            ("normalization --d 2 --t inf", "t must be finite and positive, got inf"),
+            ("normalization --d 1", "dimension must be an integer >= 2, got 1"),
+            ("davies --d 1", "dimension must be an integer >= 2, got 1"),
+        ],
+    )
+    def test_invalid_suite_arguments_exit_2(self, capsys, argv, message):
+        # rejected before any integral runs: no made-up FAIL row, no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "verify", *argv.split())
+        assert code == 2 and out == ""
+        assert err == f"hypbm: invalid argument: {message}\n"
 
 
 class TestErrorPaths:

@@ -16,7 +16,7 @@ from hypbm.discrepancy import (
     sup_discrepancy,
 )
 from hypbm import tails as tails_module
-from hypbm.tails import normal_tail, tail, tail_even
+from hypbm.tails import normal_tail, tail
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -317,7 +317,7 @@ class TestSharpness:
     def test_d2_integral_matches_even_path(self):
         for t in (1.0, 10.0, 100.0):
             a = sharpness_d2_integral(t)
-            b = tail_even(2, t, 0.0).value - 0.5
+            b = tail(2, t, 0.0).value - 0.5
             assert a == pytest.approx(b, abs=1e-8), t
 
     def test_d2_positive_past_threshold(self):

@@ -16,10 +16,6 @@ from hypbm.kernels import (
     heat_kernel,
     millson_step_numeric,
     millson_step_symbolic,
-    q2,
-    q3,
-    q_even,
-    q_odd,
     _SERIES_SWITCH,
     _SERIES_SWITCH_ABOVE_13,
     _log_kernel,
@@ -77,16 +73,16 @@ class TestDimensionTypes:
 
 class TestClosedFormD3:
     def test_center_value(self):
-        assert q3(EvaluationPoint(1.0, 0.0)).value == pytest.approx(0.038510836890748943, rel=1e-13)
+        assert heat_kernel(3, EvaluationPoint(1.0, 0.0)).value == pytest.approx(0.038510836890748943, rel=1e-13)
 
     def test_interior_value(self):
-        assert q3(EvaluationPoint(1.0, 1.0)).value == pytest.approx(0.019875748452065723, rel=1e-13)
+        assert heat_kernel(3, EvaluationPoint(1.0, 1.0)).value == pytest.approx(0.019875748452065723, rel=1e-13)
 
     def test_far_value(self):
-        assert q3(EvaluationPoint(2.0, 5.0)).value == pytest.approx(1.0742305968480592e-06, rel=1e-13)
+        assert heat_kernel(3, EvaluationPoint(2.0, 5.0)).value == pytest.approx(1.0742305968480592e-06, rel=1e-13)
 
     def test_no_underflow_in_log_form(self):
-        lv = q3(EvaluationPoint(1000.0, 3000.0))
+        lv = heat_kernel(3, EvaluationPoint(1000.0, 3000.0))
         assert lv.sign == 1 and math.isfinite(lv.log) and lv.log < -5000
 
     @pytest.mark.parametrize("d", [3, 5])
@@ -117,30 +113,26 @@ class TestOddKernels:
         # building d=7 directly equals stepping the d=5 expression once
         assert build_odd_kernel(7) == millson_step_symbolic(build_odd_kernel(5))
 
-    def test_base_case_is_q3_bitwise(self):
-        p = EvaluationPoint(1.3, 0.7)
-        assert q_odd(3, p) == q3(p)
-
     @pytest.mark.parametrize("d", [5, 7])
     @pytest.mark.parametrize("t,r", [(1.0, 1.0), (1.0, 2.0), (5.0, 4.0), (0.5, 0.25)])
     def test_matches_numeric_recursion(self, d, t, r):
-        got = q_odd(d, EvaluationPoint(t, r))
-        want = millson_step_numeric(lambda rr: q_odd(d - 2, EvaluationPoint(t, rr)), d, EvaluationPoint(t, r))
+        got = heat_kernel(d, EvaluationPoint(t, r))
+        want = millson_step_numeric(lambda rr: heat_kernel(d - 2, EvaluationPoint(t, rr)), d, EvaluationPoint(t, r))
         assert got.value == pytest.approx(want.value, rel=1e-8)
 
     def test_small_radius_high_precision_path(self):
         # near the origin the term table cancels and the z = cosh r series
         # takes over: exact at r = 0, continuous down to it, for every d
         for d in (5, 7, 9, 11, 13):
-            vals = [q_odd(d, EvaluationPoint(1.0, r)).value for r in (0.0, 1e-6, 1e-4, 1e-2, 0.05)]
+            vals = [heat_kernel(d, EvaluationPoint(1.0, r)).value for r in (0.0, 1e-6, 1e-4, 1e-2, 0.05)]
             assert all(v > 0 and math.isfinite(v) for v in vals)
             assert vals[0] == pytest.approx(vals[1], rel=1e-11)
             assert vals[0] == pytest.approx(vals[3], rel=1e-3)
-            assert q_odd(d, EvaluationPoint(1.0, 0.0)).log == pytest.approx(log_q_odd_mp(d, 1.0, 0.0), abs=1e-13)
+            assert heat_kernel(d, EvaluationPoint(1.0, 0.0)).log == pytest.approx(log_q_odd_mp(d, 1.0, 0.0), abs=1e-13)
 
     @pytest.mark.parametrize("d", [5, 7, 9, 11, 13])
     def test_vectorized_bracket_matches_scalar_path(self, d):
-        # log q_odd, one point at a time and as one array of r, against the
+        # log q_d, one point at a time and as one array of r, against the
         # scalar mpmath reference on both sides of every switch radius; the
         # grid holds (7, 50, 0.06), (9, 2, 0.16), (11, 2, 0.24) and
         # (13, 50, 0.32), where a term-table sum with an mpmath switch by
@@ -153,15 +145,15 @@ class TestOddKernels:
             for r, v in zip(rs, vector):
                 want = log_q_odd_mp(d, t, float(r))
                 tol = 1e-11 + 4.0 * np.finfo(float).eps * abs(want)
-                assert abs(q_odd(d, EvaluationPoint(t, float(r))).log - want) <= tol, (t, r)
+                assert abs(heat_kernel(d, EvaluationPoint(t, float(r))).log - want) <= tol, (t, r)
                 assert abs(v - want) <= tol, (t, r)
 
     @pytest.mark.parametrize("d", [5, 9, 13, 17])
     def test_bracket_values_independent_of_the_array(self, d):
         # series and table nodes mixed in one array, as a descent quadrature
         # evaluates them: each value is bitwise what it is among other nodes
-        # and alone, which stacked quadratures, the array tails and q_odd's
-        # one-node call all rely on
+        # and alone, which stacked quadratures, the array tails and
+        # one-point kernels all rely on
         rs = np.array([0.0, 1e-7, 0.01, 0.049, 0.051, 0.3, 0.6, 0.7, 1.2, 1.3, 1.5, 3.0, 40.0])
         for t in (1e-3, 0.7, 30.0):
             whole = _log_odd_bracket(d, t, rs)
@@ -186,7 +178,7 @@ class TestOddKernels:
         # the odd kernel's own error; (7, 50, 0.06) was off by 1.3e-9
         for t in (1e-3, 0.1, 1.0, 10.0, 50.0):
             for r in (0.0, 1e-3, 0.03, 0.06, 0.2, 0.5, 1.0, 3.0, 20.0):
-                got = q_odd(d, EvaluationPoint(t, r)).log
+                got = heat_kernel(d, EvaluationPoint(t, r)).log
                 assert abs(got - log_q_odd_mp(d, t, r)) <= 1e-11, (t, r)
 
     @pytest.mark.parametrize("d,t", [(5, 1.0), (7, 5.0)])
@@ -200,7 +192,7 @@ class TestEvenKernels:
             assert total_mass(2, t) == pytest.approx(1.0, abs=1e-6)
 
     def test_q2_finite_at_origin(self):
-        v = q2(EvaluationPoint(1.0, 0.0)).value
+        v = heat_kernel(2, EvaluationPoint(1.0, 0.0)).value
         assert 0.0 < v < 1.0
 
     def test_q2_brute_force_oracle(self):
@@ -219,27 +211,29 @@ class TestEvenKernels:
         raw, err = si.quad(smooth_factor, r, 40.0, weight="alg", wvar=(-0.5, 0), limit=400)
         want = math.sqrt(2.0) * math.exp(-t / 8.0) / (2.0 * math.pi * t) ** 1.5 * raw
         assert err < 1e-7 * raw
-        assert q2(EvaluationPoint(t, r)).value == pytest.approx(want, rel=1e-6)
+        assert heat_kernel(2, EvaluationPoint(t, r)).value == pytest.approx(want, rel=1e-6)
 
     def test_q4_dispatches_and_normalizes(self):
-        assert q_even(2, EvaluationPoint(1.0, 1.0)) == q2(EvaluationPoint(1.0, 1.0))
+        # an even d reaches the descent quadrature
+        want = kernels._log_q_even(4, 1.0, np.array([1.0]), DEFAULT_SPEC)[0]
+        assert heat_kernel(4, EvaluationPoint(1.0, 1.0)).log == want
         assert total_mass(4, 1.0) == pytest.approx(1.0, abs=1e-5)
 
     def test_q4_against_direct_recursion_from_q2(self):
         p = EvaluationPoint(1.0, 1.0)
-        got = q_even(4, p)
-        want = millson_step_numeric(lambda rr: q2(EvaluationPoint(1.0, rr)), 4, p)
+        got = heat_kernel(4, p)
+        want = millson_step_numeric(lambda rr: heat_kernel(2, EvaluationPoint(1.0, rr)), 4, p)
         assert got.value == pytest.approx(want.value, rel=1e-6)
 
     def test_small_radius_extrapolation_continuous(self):
-        lo = q_even(4, EvaluationPoint(1.0, 9.999e-4)).value
-        hi = q_even(4, EvaluationPoint(1.0, 1.001e-3)).value
+        lo = heat_kernel(4, EvaluationPoint(1.0, 9.999e-4)).value
+        hi = heat_kernel(4, EvaluationPoint(1.0, 1.001e-3)).value
         assert lo == pytest.approx(hi, rel=1e-5)
-        assert q_even(4, EvaluationPoint(1.0, 0.0)).value > 0.0
+        assert heat_kernel(4, EvaluationPoint(1.0, 0.0)).value > 0.0
 
     def test_envelope_ratio_bounded(self):
         p = EvaluationPoint(1.0, 2.0)
-        ratio = q_even(4, p).value / davies_envelope(4, p).value
+        ratio = heat_kernel(4, p).value / davies_envelope(4, p).value
         assert 1e-2 <= ratio <= 1e2
 
     @pytest.mark.parametrize("d", [8, 10, 12])
@@ -266,7 +260,7 @@ class TestEvenKernels:
         # the range hypot(r, 12 sqrt t) + sqrt t - r cancelled to 0 at r ~ 1e16 sqrt t,
         # a range of sqrt t left the peak, of width sqrt(t/r) in w, below every
         # node, and r^2 overflowed: each raised "integral not positive"
-        lv = q_even(d, EvaluationPoint(t, r))
+        lv = heat_kernel(d, EvaluationPoint(t, r))
         lead = -r * (r / (2.0 * t)) - 0.5 * (d - 1) * r - (d - 1) ** 2 * t / 8.0
         assert math.isfinite(lv.log) and lv.log == pytest.approx(lead, rel=1e-14)
 
@@ -296,7 +290,7 @@ class TestEvenKernels:
 
             nodes = [0, 0.25, 0.5, 0.75, 1, 1.5, 2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 24]
             want = float(mp.log(2) / 2 + (2 * d - 1) * tt / 8 + mp.log(mp.quad(f, nodes)))
-        got = q_even(d, EvaluationPoint(t, r)).log
+        got = heat_kernel(d, EvaluationPoint(t, r)).log
         # the O(t) prefactor terms are good to a few ulps of log q
         assert abs(got - want) <= 1e-8 + 4.0 * np.finfo(float).eps * abs(want)
 
@@ -345,8 +339,8 @@ class TestArrayR:
 
 class TestDescentGap:
     # int_r^u sinh s (cosh s - cosh r)^{-1/2} ds = 2 sqrt(cosh u - cosh r), with
-    # s = r + w^2 and cosh s - cosh r = e^s descent_gap(r, w^2), as q_even and
-    # tail_even substitute
+    # s = r + w^2 and cosh s - cosh r = e^s descent_gap(r, w^2), as the even
+    # kernels and tails substitute
     @staticmethod
     def integral(r, upper):
         def f(w):
@@ -366,11 +360,11 @@ class TestDescentGap:
 class TestMillsonStepNumeric:
     def test_small_radius_guard(self):
         with pytest.raises(KernelError):
-            millson_step_numeric(lambda rr: q3(EvaluationPoint(1.0, rr)), 5, EvaluationPoint(1.0, 1e-13))
+            millson_step_numeric(lambda rr: heat_kernel(3, EvaluationPoint(1.0, rr)), 5, EvaluationPoint(1.0, 1e-13))
 
     def test_rejects_origin(self):
         with pytest.raises(KernelError):
-            millson_step_numeric(lambda rr: q3(EvaluationPoint(1.0, rr)), 5, EvaluationPoint(1.0, 0.0))
+            millson_step_numeric(lambda rr: heat_kernel(3, EvaluationPoint(1.0, rr)), 5, EvaluationPoint(1.0, 0.0))
 
 
 class TestDaviesEnvelope:

@@ -34,6 +34,10 @@ class TestConfigValidation:
             {"seed": -1},
             {"r0": 0.0},
             {"r0": 2.0},
+            {"d": 2.5},
+            {"d": 3.0},
+            {"paths": 10.5},
+            {"seed": 1.5},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -41,6 +45,10 @@ class TestConfigValidation:
         base.update(kwargs)
         with pytest.raises(ValueError):
             SimulationConfig(**base)
+
+    def test_accepts_numpy_integers(self):
+        cfg = SimulationConfig(d=np.int64(3), t=2.0, step=1e-2, paths=np.int32(10), seed=np.uint64(1))
+        assert (cfg.d, cfg.paths, cfg.seed) == (3, 10, 1)
 
 
 class TestDeterminism:
@@ -272,6 +280,10 @@ class TestEmpiricalTail:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             empirical_tail(np.array([]), 3, 1.0, 0.0)
+
+    def test_rejects_nan_x(self):
+        with pytest.raises(ValueError, match="x must not be NaN"):
+            empirical_tail(np.ones(4), 3, 1.0, math.nan)
 
     @given(st.integers(min_value=1, max_value=2**31), st.floats(min_value=-2, max_value=2))
     @settings(max_examples=25, deadline=None)

@@ -11,16 +11,7 @@ from hypbm.calculus import sinh_power_derivative
 from hypbm.kernels import Dimension, EvaluationPoint, build_odd_kernel
 from hypbm import tails as tails_module
 from hypbm.quadrature import QuadratureResult, QuadratureSpec, QuadratureStack, integrate_adaptive
-from hypbm.tails import (
-    FluctuationPoint,
-    direct_kernel_quadrature,
-    normal_tail,
-    radial_density,
-    tail,
-    tail_d3,
-    tail_even,
-    tail_odd,
-)
+from hypbm.tails import direct_kernel_quadrature, normal_tail, radial_density, tail
 
 
 class TestNormalTail:
@@ -44,23 +35,30 @@ class TestNormalTail:
         assert normal_tail(x) + normal_tail(-x) == pytest.approx(1.0, abs=1e-14)
 
 
+def threshold(d: int, t: float, x: float) -> float:
+    return float(tails_module._thresholds(Dimension(d), t, np.array([x]))[0])
+
+
+def boundary_x(d: int, t: float) -> float:
+    """x below which the threshold pins at zero."""
+    return -0.5 * (d - 1) * math.sqrt(t)
+
+
 class TestFluctuationPoint:
+    # the threshold rule of a normalized deviation x at time t
     def test_threshold_pins_at_zero(self):
-        fp = FluctuationPoint(Dimension(4), 4.0, -4.0)
-        assert fp.boundary_x == -3.0
-        assert fp.threshold == 0.0
+        assert threshold(4, 4.0, -4.0) == 0.0
+        assert threshold(4, 4.0, -3.0) == 0.0 < threshold(4, 4.0, np.nextafter(-3.0, 0.0))
 
     def test_threshold_formula(self):
-        fp = FluctuationPoint(Dimension(3), 4.0, 0.5)
-        assert fp.threshold == pytest.approx(0.5 * 2.0 + 4.0, rel=1e-15)
+        assert threshold(3, 4.0, 0.5) == pytest.approx(0.5 * 2.0 + 4.0, rel=1e-15)
 
     def test_zero_exactly_at_boundary(self):
-        fp = FluctuationPoint(Dimension(2), 9.0, -1.5)
-        assert fp.threshold == 0.0
+        assert threshold(2, 9.0, -1.5) == 0.0
 
     def test_rejects_tiny_t(self):
         with pytest.raises(ValueError):
-            FluctuationPoint(Dimension(3), 1e-5, 0.0)
+            threshold(3, 1e-5, 0.0)
 
 
 class TestRadialDensity:
@@ -80,25 +78,25 @@ class TestRadialDensity:
 
 class TestTailD3:
     def test_limits(self):
-        assert tail_d3(1.0, 40.0).value == pytest.approx(0.0, abs=1e-12)
-        assert tail_d3(1.0, -40.0).value == pytest.approx(1.0, abs=1e-12)
+        assert tail(3, 1.0, 40.0).value == pytest.approx(0.0, abs=1e-12)
+        assert tail(3, 1.0, -40.0).value == pytest.approx(1.0, abs=1e-12)
 
     def test_large_time_center(self):
-        assert tail_d3(100.0, 0.0).value == pytest.approx(0.5398942280401433, abs=1e-10)
+        assert tail(3, 100.0, 0.0).value == pytest.approx(0.5398942280401433, abs=1e-10)
 
     def test_unit_time_center(self):
-        assert tail_d3(1.0, 0.0).value == pytest.approx(0.8677014458364238, abs=1e-10)
+        assert tail(3, 1.0, 0.0).value == pytest.approx(0.8677014458364238, abs=1e-10)
 
     @pytest.mark.parametrize("x", [-2.0, -0.5, 0.0, 0.7, 2.5])
     def test_matches_direct_quadrature(self, x):
-        a = tail_d3(1.0, x)
+        a = tail(3, 1.0, x)
         b = direct_kernel_quadrature(3, 1.0, x)
         assert a.value == pytest.approx(b.value, abs=1e-8)
 
     @pytest.mark.parametrize("t,x", [(1.0, math.nan), (1.0, math.inf), (0.0, 0.0), (-4.0, 0.0), (1e-4, 0.0)])
     def test_rejects_invalid_point(self, t, x):
         with pytest.raises(ValueError):
-            tail_d3(t, x)
+            tail(3, t, x)
 
     @pytest.mark.parametrize("t", [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3, 1e4, 1e5])
     def test_closed_form_matches_gaussian_weighted_integral(self, t):
@@ -113,7 +111,7 @@ class TestTailD3:
         for x in np.linspace(-12.0, 12.0, 49):
             lower = max(float(x), -sqrt_t)
             want = integrate_adaptive(f, max(lower, -12.0), max(lower, 0.0) + 12.0, spec).value / math.sqrt(2.0 * math.pi)
-            got = tail_d3(t, float(x))
+            got = tail(3, t, float(x))
             assert got.value == pytest.approx(want, abs=1e-12), (t, x)
             assert got.error_estimate < 1e-14
 
@@ -153,22 +151,17 @@ class TestTailOdd:
         # so the estimate stays a few eps per term up to t = 1e300
         for k in [*range(2, 21), *range(30, 301, 30)]:
             for x in (-1.0, 0.0, 1.0):
-                est = tail_odd(d, 10.0**k, x)
+                est = tail(d, 10.0**k, x)
                 assert abs(est.value - float(_odd_tail_mp(d, 10.0**k, x))) <= est.error_estimate < 1e-13, (k, x)
 
     @pytest.mark.parametrize("d", [5, 7, 9])
     def test_huge_time_is_gaussian(self, d):
         # the deviation from Phi is O(t^{-1/2}) = 1e-150
         for x in (-3.0, 0.0, 1.0, 5.0):
-            assert tail_odd(d, 1e300, x).value == pytest.approx(normal_tail(x), rel=1e-8, abs=1e-12), x
-
-    def test_d3_reduces_exactly(self):
-        a = tail_odd(3, 2.0, 0.3)
-        b = tail_d3(2.0, 0.3)
-        assert a.value == b.value
+            assert tail(d, 1e300, x).value == pytest.approx(normal_tail(x), rel=1e-8, abs=1e-12), x
 
     def test_d5_vs_direct(self):
-        a = tail_odd(5, 2.0, 0.5)
+        a = tail(5, 2.0, 0.5)
         b = direct_kernel_quadrature(5, 2.0, 0.5)
         assert a.value == pytest.approx(b.value, abs=1e-7)
 
@@ -176,53 +169,45 @@ class TestTailOdd:
         # T = 0 here, so the value is the reduced d=3 tail alone (= 1)
         t = 2.0
         x = -2.0 * math.sqrt(t) - 1.0
-        est = tail_odd(5, t, x)
+        est = tail(5, t, x)
         assert est.value == pytest.approx(1.0, abs=1e-10)
-
-    def test_rejects_even_dimension(self):
-        with pytest.raises(ValueError):
-            tail_odd(4, 1.0, 0.0)
 
 
 class TestTailEven:
     def test_d2_vs_direct(self):
         for t, x in [(5.0, 0.3), (1.0, -1.0), (20.0, 1.5)]:
-            a = tail_even(2, t, x)
+            a = tail(2, t, x)
             b = direct_kernel_quadrature(2, t, x)
             assert a.value == pytest.approx(b.value, abs=1e-6), (t, x)
 
     def test_d4_vs_direct(self):
-        a = tail_even(4, 2.0, 1.0)
+        a = tail(4, 2.0, 1.0)
         b = direct_kernel_quadrature(4, 2.0, 1.0)
         assert a.value == pytest.approx(b.value, abs=1e-5)
 
     def test_pinned_threshold_gives_full_mass(self):
         for d, t in [(2, 1.0), (4, 5.0), (6, 100.0), (4, 1000.0)]:
-            xb = FluctuationPoint(Dimension(d), t, 0.0).boundary_x
-            assert tail_even(d, t, xb - 2.5).value == pytest.approx(1.0, abs=1e-9), (d, t)
+            xb = boundary_x(d, t)
+            assert tail(d, t, xb - 2.5).value == pytest.approx(1.0, abs=1e-9), (d, t)
 
     def test_branch_continuity(self):
         eps = 1e-6
         for d, t in [(2, 3.0), (4, 7.0), (6, 30.0)]:
-            xb = FluctuationPoint(Dimension(d), t, 0.0).boundary_x
-            lo = tail_even(d, t, xb - eps).value
-            hi = tail_even(d, t, xb + eps).value
+            xb = boundary_x(d, t)
+            lo = tail(d, t, xb - eps).value
+            hi = tail(d, t, xb + eps).value
             assert abs(hi - lo) <= 1e-6 + 2.0 * eps, (d, t)
 
     def test_large_time_center_excess_constant(self):
         # sqrt(t) * (tail - 1/2) approaches 2 ln 2 / sqrt(2 pi) for d = 2
-        got = math.sqrt(1e4) * (tail_even(2, 1e4, 0.0).value - 0.5)
+        got = math.sqrt(1e4) * (tail(2, 1e4, 0.0).value - 0.5)
         assert got == pytest.approx(2.0 * math.log(2.0) / math.sqrt(2.0 * math.pi), rel=1e-3)
-
-    def test_rejects_odd_dimension(self):
-        with pytest.raises(ValueError):
-            tail_even(5, 1.0, 0.0)
 
     def test_pinned_threshold_is_exactly_one(self):
         for d, t in [(2, 1e-3), (4, 1.0), (8, 100.0), (10, 1e6)]:
-            xb = FluctuationPoint(Dimension(d), t, 0.0).boundary_x
+            xb = boundary_x(d, t)
             for x in (xb, xb - 1.0, -1e9):
-                est = tail_even(d, t, x)
+                est = tail(d, t, x)
                 assert est.value == 1.0 and est.error_estimate == 0.0, (d, t, x)
 
     @pytest.mark.parametrize(
@@ -251,14 +236,14 @@ class TestTailEven:
         ],
     )
     def test_high_dimension_against_mpmath(self, d, t, x, want):
-        assert tail_even(d, t, x).value == pytest.approx(want, abs=1e-9)
+        assert tail(d, t, x).value == pytest.approx(want, abs=1e-9)
 
     @pytest.mark.parametrize("d", [2, 4, 6, 8])
     def test_huge_time_is_gaussian(self, d):
         # the deviation from Phi is O(t^{-1/2}) = 1e-150: every factor of the
         # integrand must stay exact at t = 1e300, not overflow to 0 or inf
         for x in (-3.0, 0.0, 1.0, 5.0):
-            assert tail_even(d, 1e300, x).value == pytest.approx(normal_tail(x), rel=1e-8, abs=1e-12), x
+            assert tail(d, 1e300, x).value == pytest.approx(normal_tail(x), rel=1e-8, abs=1e-12), x
 
 
 class TestDispatchAndBounds:
@@ -313,7 +298,7 @@ class TestDispatchAndBounds:
         d, t, x = 4, 3.0, -0.7
         n = 2
         sqrt_t = math.sqrt(t)
-        T = FluctuationPoint(Dimension(d), t, x).threshold
+        T = threshold(d, t, x)
         w = np.linspace(1e-6, 3.0, 200)
         u = x + w * w
         y = u * sqrt_t + (n - 0.5) * t
@@ -328,7 +313,7 @@ class TestArrayX:
     @staticmethod
     def grid(d: int, t: float) -> np.ndarray:
         """x from below the pinned threshold's boundary to past the bulk, the boundary itself included."""
-        xb = FluctuationPoint(Dimension(d), t, 0.0).boundary_x
+        xb = boundary_x(d, t)
         return np.r_[xb - 1.0, xb, np.nextafter(xb, 0.0), np.linspace(xb + 1e-3, 4.0, 9), -0.0, 0.0, 1e-300]
 
     @pytest.mark.parametrize("d", range(2, 14))
@@ -365,8 +350,8 @@ class TestArrayX:
     def test_pinned_points_are_exactly_one(self, d):
         t = 10.0
         xs = self.grid(d, t)
-        xb = FluctuationPoint(Dimension(d), t, 0.0).boundary_x
-        for x, est in zip(xs, tail_even(d, t, xs)):
+        xb = boundary_x(d, t)
+        for x, est in zip(xs, tail(d, t, xs)):
             if x <= xb:
                 assert est == tails_module.TailEstimate(1.0, 0.0, "even_decomposition"), x
             else:  # integrated, even where the value clamps to 1
@@ -378,7 +363,7 @@ class TestArrayX:
         t = 3.0
         ests = tail(d, t, np.array([0.5, 1.7e308]))
         assert ests[1] == tails_module.TailEstimate(0.0, 0.0, "even_decomposition")
-        assert tail_even(d, t, 1.7e308) == ests[1]
+        assert tail(d, t, 1.7e308) == ests[1]
         assert ests[0] == tail(d, t, 0.5)
 
     def test_clamp_widens_the_error_per_point(self, monkeypatch):
