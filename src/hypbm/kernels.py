@@ -37,7 +37,7 @@ orders across the supported (t, r) ranges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
 
@@ -163,10 +163,11 @@ def _at(log_q: np.ndarray) -> LogValue:
     return LogValue(1, log_q[0].item())
 
 
-# math's log_sinhc and hypot elementwise: numpy's own log, sinh and hypot
+# math's log_sinhc, hypot and log elementwise: numpy's own log, sinh and hypot
 # round differently in the last place on some inputs
 _log_sinhc = np.frompyfunc(log_sinhc, 1, 1)
 _hypot = np.frompyfunc(math.hypot, 2, 1)
+_log = np.frompyfunc(math.log, 1, 1)
 
 
 # switch radius and series terms per odd d, measured against a 40-digit reference
@@ -281,6 +282,13 @@ def _log_q_even(d: int, t: float, rs: np.ndarray, spec: QuadratureSpec) -> np.nd
     gap's e^{s/2} cancelled exactly, the working integrand
     2w e^{fold(s) - (2 r w^2 + w^4)/(2t) - (d-1) w^2/2} descent_gap^{-1/2}:
     no term grows with r or t, and the result is assembled in log space.
+    The gap's log is the sum of its factors' logs, which stays finite where
+    their product underflows, at a subnormal t.
+
+    log q needs the integral to a relative accuracy, but at small t and
+    r < 1 the integral is only about sqrt(t): tested against spec.abs_tol,
+    its first panels passed unrefined from t ~ 1e-12 down, and log q was off
+    by up to 3e-6. So the integral is tested by spec.rel_tol alone.
 
     Every r of the array is one interval of one stacked integrate_adaptive
     call. Each interval keeps this kernel's own range rule in w, not the
@@ -325,18 +333,19 @@ def _log_q_even(d: int, t: float, rs: np.ndarray, spec: QuadratureSpec) -> np.nd
                 + (log_descent_fold(d, t, s) - fold_r[owner])
                 - (2.0 * r_w * ww + ww * ww) / (2.0 * t)
                 - 0.5 * (d - 1) * ww
-                - 0.5 * np.log(descent_gap(r_w, ww))
+                # log descent_gap as the sum of its factors' logs
+                - 0.5 * (np.log(-np.expm1(-(2.0 * r_w + ww))) + np.log(-np.expm1(-ww)) - LN2)
             )
         return np.exp(log_j)
 
     out = np.full(len(rs), -math.inf)
     lg = 0.5 * LN2 - (d - 1) ** 2 * t / 8.0 - 1.5 * math.log(2.0 * math.pi * t) - (d // 2 - 1) * LN2PI
-    stack = integrate_adaptive(f, np.zeros(len(r)), w_hi, spec)
-    # each r's log q in doubles, with math's log, which np.log does not round alike
-    for j, r_j, fold_j, res in zip(live.tolist(), r.tolist(), fold_r.tolist(), stack):
-        if res.value <= 0.0:
-            raise KernelError(f"q{d} integral not positive at t={t}, r={r_j}")
-        out[j] = lg - r_j * (r_j / (2.0 * t)) - 0.5 * (d - 1) * r_j + fold_j + math.log(res.value)
+    integral = integrate_adaptive(f, np.zeros(len(r)), w_hi, replace(spec, abs_tol=math.ulp(0.0))).values
+    flat = ~(integral > 0.0)
+    if flat.any():
+        raise KernelError(f"q{d} integral not positive at t={t}, r={r[flat][0].item()}")
+    # each r's log q with math's log, which np.log does not round alike
+    out[live] = lg - r * (r / (2.0 * t)) - 0.5 * (d - 1) * r + fold_r + _log(integral).astype(float)
     return out
 
 

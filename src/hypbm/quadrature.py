@@ -1,6 +1,6 @@
 """Adaptive one-dimensional Gauss-Kronrod quadrature over a stack of intervals.
 
-A nested 7/15 Gauss-Kronrod rule with batched bisection drives everything.
+A nested 10/21 Gauss-Kronrod rule with batched bisection drives everything.
 integrate_adaptive takes one interval [a, b] and a vectorized integrand
 f(nodes) -> values, or a stack of intervals [a_i, b_i] and an integrand
 f(nodes, owner) -> values, where owner[n] is the index of the interval that
@@ -14,45 +14,53 @@ interval's result is bitwise the one it gets when integrated alone.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-# 15-point Kronrod extension of 7-point Gauss (QUADPACK dqk15 constants).
+# 21-point Kronrod extension of 10-point Gauss (QUADPACK dqk21 constants).
 _XGK = np.array([
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144838258730,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
     0.0,
 ])
 _WGK = np.array([
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077208643474115,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
 ])
 _WG = np.array([
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
 ])
 
 # symmetric node/weight tables over [-1, 1]
-_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])          # ascending, 15 nodes
+_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])          # ascending, 21 nodes
 _WK = np.concatenate([_WGK[:-1], _WGK[::-1]])
-_wg_full = np.zeros(15)
-_wg_full[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])   # Gauss nodes sit at odd slots
-_KG = np.stack([_WK, _wg_full])                             # K15 and G7 weights as rows
+_wg_full = np.zeros(21)
+_wg_full[1::2] = np.concatenate([_WG, _WG[::-1]])          # Gauss nodes sit at odd slots; none at the centre
+_KG = np.stack([_WK, _wg_full])                             # K21 and G10 weights as rows
 
 
 @dataclass(frozen=True)
@@ -93,20 +101,40 @@ class QuadratureError(RuntimeError):
         self.best = best
 
 
-class QuadratureStack(tuple):
+class QuadratureStack(Sequence):
     """One QuadratureResult per interval of a stack, in order.
 
-    evaluations is the whole call's count, as a single interval's result
-    reports it.
+    The results are held as arrays, values, errors and counts (each
+    interval's evaluations), which callers that need no object per interval
+    read directly; indexing builds the QuadratureResult. evaluations is the
+    whole call's count, as a single interval's result reports it.
     """
+
+    def __init__(self, results: Iterable[QuadratureResult] = ()):
+        results = list(results)
+        self.values = np.array([res.value for res in results], dtype=float)
+        self.errors = np.array([res.error_estimate for res in results], dtype=float)
+        self.counts = np.array([res.evaluations for res in results], dtype=np.int64)
+
+    @classmethod
+    def _of(cls, values: np.ndarray, errors: np.ndarray, counts: np.ndarray) -> QuadratureStack:
+        stack = cls.__new__(cls)
+        stack.values, stack.errors, stack.counts = values, errors, counts
+        return stack
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, i: int) -> QuadratureResult:
+        return QuadratureResult(self.values[i].item(), self.errors[i].item(), int(self.counts[i]))
 
     @property
     def evaluations(self) -> int:
-        return sum(res.evaluations for res in self)
+        return int(self.counts.sum())
 
 
 def _panel_rule(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lows: np.ndarray, highs: np.ndarray, owner: np.ndarray):
-    """Apply G7/K15 to a batch of panels, each owned by an interval; returns (K15, err)."""
+    """Apply G10/K21 to a batch of panels, each owned by an interval; returns (K21, err)."""
     half = 0.5 * (highs - lows)
     xs = (0.5 * (highs + lows))[:, None] + half[:, None] * _NODES
     fx = np.asarray(f(xs.ravel(), owner.repeat(_NODES.size)), dtype=float).reshape(xs.shape)
@@ -116,14 +144,14 @@ def _panel_rule(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lows: np.ndar
     # one dot product per panel: a BLAS matrix product's sums depend on the
     # panel's place in the batch
     kg = np.vecdot(fx[:, None, :], _KG)
-    k15 = half * kg[:, 0]
-    diff = np.abs(k15 - half * kg[:, 1])
+    k21 = half * kg[:, 0]
+    diff = np.abs(k21 - half * kg[:, 1])
     resabs = half * np.vecdot(np.abs(fx), _WK)
     # QUADPACK-style sharpened estimate, scale-invariant via resabs (where
     # resabs is 0, so is diff)
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = np.minimum(diff, (200.0 * diff / np.maximum(resabs, 1e-300)) ** 1.5 * resabs)
-    return k15, scaled
+    return k21, scaled
 
 
 def integrate_adaptive(
@@ -160,10 +188,10 @@ def integrate_adaptive(
     cuts = np.minimum(np.maximum(cuts, lo), hi)
     cuts.sort(axis=1)
     valid = cuts[:, 1:] > cuts[:, :-1]
-    return QuadratureStack(_integrate(f, cuts[:, :-1][valid], cuts[:, 1:][valid], valid.nonzero()[0], len(a), spec))
+    return _integrate(f, cuts[:, :-1][valid], cuts[:, 1:][valid], valid.nonzero()[0], len(a), spec)
 
 
-def _integrate(f, lows: np.ndarray, highs: np.ndarray, owner: np.ndarray, m: int, spec: QuadratureSpec) -> list[QuadratureResult]:
+def _integrate(f, lows: np.ndarray, highs: np.ndarray, owner: np.ndarray, m: int, spec: QuadratureSpec) -> QuadratureStack:
     """The panel loop behind integrate_adaptive, over m intervals at once.
 
     lows, highs and owner give the starting panels in ascending order per
@@ -171,16 +199,17 @@ def _integrate(f, lows: np.ndarray, highs: np.ndarray, owner: np.ndarray, m: int
     one flat array in the order [kept, left halves, right halves] of the
     last split, so each interval's own panels keep the order they have when
     it is integrated alone, and np.bincount sums them in that order. A
-    converged interval's panels leave the arrays. QuadratureError carries
-    the best estimate of the first interval that reaches
-    spec.max_subdivisions panels unconverged.
+    converged interval's panels leave the arrays, and its sums fill its slot
+    of the result's arrays. QuadratureError carries the best estimate of the
+    first interval that reaches spec.max_subdivisions panels unconverged.
     """
     # each split adds one panel and evaluates two: 2 * panels - first panels evaluated
     first = np.bincount(owner, minlength=m)
-    results = [QuadratureResult(0.0, 0.0, 0)] * m
+    values, errors, counts = np.zeros(m), np.zeros(m), np.zeros(m, dtype=np.int64)
+    result = QuadratureStack._of(values, errors, counts)
     active = first > 0
     if not active.any():
-        return results
+        return result
     vals, errs = _panel_rule(f, lows, highs, owner)
 
     while True:
@@ -190,11 +219,11 @@ def _integrate(f, lows: np.ndarray, highs: np.ndarray, owner: np.ndarray, m: int
         tol = np.maximum(spec.rel_tol * np.abs(total), spec.abs_tol)
         done = active & (err_total <= tol)
         if done.any():
-            for i in done.nonzero()[0]:
-                results[i] = QuadratureResult(float(total[i]), float(err_total[i]), _NODES.size * int(2 * count[i] - first[i]))
+            values[done], errors[done] = total[done], err_total[done]
+            counts[done] = _NODES.size * (2 * count[done] - first[done])
             active ^= done
             if not active.any():
-                return results
+                return result
             live = active[owner]
             lows, highs, vals, errs, owner = lows[live], highs[live], vals[live], errs[live], owner[live]
             count[done] = 0

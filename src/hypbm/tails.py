@@ -164,8 +164,10 @@ def _radial_mass(d: int, t: float, T: float, spec: QuadratureSpec) -> Quadrature
 
 def _clamp(value: np.ndarray, err: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Clamp every value to [0,1]; a clamp beyond the quoted error widens the error instead."""
-    # max(-value, value - 1) is the clamp's size where it acts, else at most 0 <= err
-    return np.minimum(np.maximum(value, 0.0), 1.0), np.maximum(err, np.maximum(-value, value - 1.0))
+    # max(0 - value, value - 1) is the clamp's size where it acts, else at most
+    # 0 <= err; 0 - value is +0.0 at a value of 0, where -value is -0.0 and
+    # np.maximum, given equal operands, returns the second
+    return np.minimum(np.maximum(value, 0.0), 1.0), np.maximum(err, np.maximum(0.0 - value, value - 1.0))
 
 
 # a tail over an array of x before any TailEstimate is built: clamped values,
@@ -274,8 +276,12 @@ def _tail_even(dd: Dimension, t: float, xs: np.ndarray, spec: QuadratureSpec) ->
     and the V^{j+1/2} growth cancel exactly into e^{-u^2/2}, and the rescaled
     coefficients b_j e^{-(2k-j)T} are those of
     (v^2 + (1 + e^{-2T}) v + expm1(-2T)^2/4)^k, all nonnegative and O(1).
-    Every factor is computed in doubles without cancellation for every t, the
-    fold's bracket included, so the quadrature's estimate is the whole error.
+    With c_j the coefficient of the sum's j-th term, the sum is homogeneous
+    of degree 2k in (nu, e^{-w^2}), so it runs as Horner's scheme, P = c_0,
+    then P = P e^{-w^2} + c_j nu^j, with no array power; at d = 2 (k = 0) it
+    is c_0 alone. Every factor is computed in doubles without cancellation
+    for every t, the fold's bracket included, so the quadrature's estimate is
+    the whole error.
     At T = 0 the tail is exactly P(R_t >= 0) = 1, and where T overflows to inf
     exactly 0; only the points with 0 < T < inf are integrated.
     """
@@ -308,11 +314,10 @@ def _tail_even(dd: Dimension, t: float, xs: np.ndarray, spec: QuadratureSpec) ->
     table = np.empty((2 * k + 3, len(T)))
     table[0], table[1] = T, x
     np.multiply(coef, np.array(beta)[:, None], out=table[2:])
-    j = np.arange(2 * k + 1)[:, None]
     log_c = log_surface_area(dd.d) + 0.5 * LN2 - 1.5 * math.log(2.0 * math.pi * t) - k * LN2PI
 
     def f(w: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        rows = table[:, owner]
+        rows = np.take(table, owner, axis=1)
         T_w, x_w = rows[0], rows[1]
         ww = w * w
         s = T_w + ww
@@ -320,8 +325,11 @@ def _tail_even(dd: Dimension, t: float, xs: np.ndarray, spec: QuadratureSpec) ->
         # a non-finite value fails the quadrature; 2T overflows harmlessly past 9e307
         with np.errstate(divide="ignore", over="ignore"):
             nu = descent_gap(T_w, ww)
-            inner = np.sqrt(nu) * np.sum(rows[2:] * nu**j * np.exp(-ww) ** (2 * k - j), axis=0)
-            return 2.0 * w * inner * np.exp(log_c - 0.5 * u * u + log_descent_fold(dd.d, t, s))
+            decay, nu_j, poly = np.exp(-ww), 1.0, rows[2]
+            for c_j in rows[3:]:
+                nu_j = nu_j * nu
+                poly = poly * decay + c_j * nu_j
+            return 2.0 * w * (np.sqrt(nu) * poly) * np.exp(log_c - 0.5 * u * u + log_descent_fold(dd.d, t, s))
 
     # w = sqrt(sqrt(t) (u - x)) at the seed points u = -1, 0, 1 (the Gaussian
     # bulk) and u = x + 1, each where it lies above x, and at the top, where
@@ -331,8 +339,7 @@ def _tail_even(dd: Dimension, t: float, xs: np.ndarray, spec: QuadratureSpec) ->
     gaps[:, 4] = np.maximum(-x, 0.0) + spec.tail_sigma_multiplier + 1.0
     ws = np.sqrt(sqrt_t * np.where(gaps > 0.0, gaps, np.nan))
     stack = integrate_adaptive(f, np.zeros(len(x)), ws[:, 4], spec, seed_points=ws[:, :4])
-    value[above] = [res.value for res in stack]
-    err[above] = [res.error_estimate for res in stack]
+    value[above], err[above] = stack.values, stack.errors
     return _finalize(value, err, "even_decomposition")
 
 

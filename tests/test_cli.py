@@ -209,6 +209,11 @@ class TestVerifyCommand:
         names = [line.split(":")[0] for line in out.strip().splitlines()]
         assert names == [f"PASS recursion consistency d={d}" for d in (5, 7, 4, 6, 8)]
 
+    @pytest.mark.parametrize("t", ["1e-18", "1e-310"])
+    def test_normalization_at_tiny_time(self, capsys, t):
+        code, out, _ = run_cli(capsys, "verify", "normalization", "--d", "2", "--t", t)
+        assert code == 0 and out.startswith(f"PASS normalization d=2 t={float(t)}")
+
     def test_unknown_suite_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "nonsense"])

@@ -15,6 +15,7 @@ from hypbm.discrepancy import (
     sharpness_d2_integral,
     sup_discrepancy,
 )
+from hypbm import quadrature as quadrature_module
 from hypbm import tails as tails_module
 from hypbm.tails import normal_tail, tail
 
@@ -263,6 +264,27 @@ class TestCoarseGridBatch:
         batches = {2: [14, 13, 13, 14], 3: [16, 15, 15, 15], 4: [16, 15, 13, 7], 5: [16, 13, 13, 13]}
         assert sizes == [160, *batches[d], 2]
         assert res.evaluations == 160 + 2 + 15 + 2
+
+    # one panel-rule call per quadrature round, for each even C7 search in
+    # order of t
+    @pytest.mark.parametrize("d,rounds", [(2, [12, 12, 12, 13, 18]), (4, [12, 13, 18, 14, 19])])
+    def test_even_search_rounds(self, monkeypatch, d, rounds):
+        # each round is one sequential integrand call over every point still
+        # unconverged, so the count, not the number of nodes, sets a search's cost
+        calls = []
+        rule = quadrature_module._panel_rule
+
+        def counting(*args):
+            calls.append(None)
+            return rule(*args)
+
+        monkeypatch.setattr(quadrature_module, "_panel_rule", counting)
+        counts = []
+        for t in [row[1] for row in C7_ROWS if row[0] == d]:
+            calls.clear()
+            sup_discrepancy(d, t)
+            counts.append(len(calls))
+        assert counts == rounds
 
     @pytest.mark.parametrize("d,t,delta,argmax_x,evaluations", C7_ROWS)
     def test_c7_rows_unchanged(self, d, t, delta, argmax_x, evaluations):

@@ -236,6 +236,21 @@ class TestEvenKernels:
         ratio = heat_kernel(4, p).value / davies_envelope(4, p).value
         assert 1e-2 <= ratio <= 1e2
 
+    @pytest.mark.parametrize("d", [2, 4, 6, 8])
+    @pytest.mark.parametrize("t", [1e-20, 1e-100, 1e-300])
+    def test_small_time_is_euclidean(self, d, t):
+        # at r ~ sqrt(t) the descent integral is about sqrt(t): tested against
+        # spec.abs_tol, it lost digits (3e-6 in log q at t <= 1e-16), while
+        # the Euclidean kernel is exact here to O(t + r^2)
+        rs = np.array([0.0, 0.1, 1.0, 3.0, 10.0]) * math.sqrt(t)
+        want = -0.5 * d * math.log(2.0 * math.pi * t) - rs * rs / (2.0 * t)
+        np.testing.assert_allclose(kernels._log_kernel(d, t, rs), want, rtol=0.0, atol=DEFAULT_SPEC.rel_tol)
+
+    @pytest.mark.parametrize("d", [2, 4, 6])
+    @pytest.mark.parametrize("t", [1e-18, 1e-30, 1e-300, 1e-310])
+    def test_small_time_normalization(self, d, t):
+        assert total_mass(d, t) == pytest.approx(1.0, abs=DEFAULT_SPEC.rel_tol)
+
     @pytest.mark.parametrize("d", [8, 10, 12])
     @pytest.mark.parametrize("t", [0.5, 1.0, 5.0])
     def test_high_dimension_normalization(self, d, t):

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypbm import quadrature
 from hypbm.quadrature import (
     QuadratureError,
     QuadratureResult,
     QuadratureSpec,
+    QuadratureStack,
     integrate_adaptive,
 )
 
@@ -33,6 +35,30 @@ class TestSpecValidation:
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
             QuadratureSpec(**kwargs)
+
+
+class TestRule:
+    @staticmethod
+    def _moment_errors(n):
+        """|K21 - exact| and |G10 - exact| for the monomial x^n on [-1, 1]."""
+        exact = 0.0 if n % 2 else 2.0 / (n + 1)
+        kronrod, gauss = quadrature._KG @ quadrature._NODES**n
+        return abs(kronrod - exact), abs(gauss - exact)
+
+    def test_nodes_ascending_and_symmetric(self):
+        nodes = quadrature._NODES
+        assert nodes.size == 21 and (np.diff(nodes) > 0).all()
+        np.testing.assert_array_equal(nodes, -nodes[::-1])
+        # the 10-point Gauss rule has no centre node
+        assert quadrature._KG[1, 10] == 0.0 and (quadrature._KG[1, 1::2] > 0).all()
+
+    def test_kronrod_exact_through_degree_31(self):
+        assert all(self._moment_errors(n)[0] <= 1e-14 for n in range(32))
+        assert self._moment_errors(32)[0] > 1e-13
+
+    def test_gauss_exact_through_degree_19(self):
+        assert all(self._moment_errors(n)[1] <= 1e-14 for n in range(20))
+        assert self._moment_errors(20)[1] > 1e-7
 
 
 class TestAdaptive:
@@ -113,6 +139,14 @@ class TestStack:
             alone = integrate_adaptive(_bump(cs[i], ws[i]), a[i], b[i], SPEC, seed_points=list(seeds[i]))
             assert res == alone, i
         assert stack.evaluations == sum(res.evaluations for res in stack)
+
+    def test_arrays_are_the_results(self):
+        stack = integrate_adaptive(lambda x, owner: np.exp(-(owner + 1.0) * x * x), [0.0, 0.0, 1.0], [3.0, 1.0, 1.0])
+        assert list(stack) == [QuadratureResult(v, e, n) for v, e, n in zip(stack.values, stack.errors, stack.counts)]
+        assert stack[2] == QuadratureResult(0.0, 0.0, 0) and stack[-1] == stack[2]
+        rebuilt = QuadratureStack(stack)
+        assert list(rebuilt) == list(stack) and rebuilt.evaluations == stack.evaluations
+        assert len(QuadratureStack()) == 0 and QuadratureStack().evaluations == 0
 
     def test_empty_interval_is_zero(self):
         stack = integrate_adaptive(lambda x, owner: np.ones_like(x), [0.0, 1.0, 2.0], [1.0, 1.0, 1.0])

@@ -381,6 +381,15 @@ class TestArrayX:
         assert (ests[1].value, ests[1].error_estimate) == (0.0, 2e-7)
         assert ests[2] == plain[2]
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_no_negative_zero_error(self, d):
+        # a tail that is exactly 0 or 1 quotes an error of +0.0, never -0.0
+        xs = np.array([-1e308, -40.0, 40.0, 1e308])
+        for est in tail(d, 3.0, xs):
+            assert not np.signbit(est.error_estimate), est
+        _, errs, _ = tails_module._tail_arrays(Dimension(d), 3.0, xs)
+        assert not np.signbit(errs).any()
+
     def test_empty_and_invalid_arrays(self):
         assert tail(4, 1.0, np.array([])) == [] and tail(5, 1.0, []) == []
         with pytest.raises(ValueError):
@@ -397,6 +406,16 @@ class TestDirectOracleGuards:
     def test_rejects_unsupported_dimension(self):
         with pytest.raises(ValueError):
             direct_kernel_quadrature(8, 1.0, 0.0)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("t", [1e-3, 0.1, 1.0, 10.0, 50.0])
+    def test_tail_within_both_error_estimates(self, d, t):
+        # the two routes share no quadrature, so their difference is covered
+        # by the sum of the errors they quote wherever both are honest
+        xs = np.linspace(-5.0, 5.0, 21)
+        for x, est in zip(xs.tolist(), tail(d, t, xs)):
+            ref = direct_kernel_quadrature(d, t, x)
+            assert abs(est.value - ref.value) <= est.error_estimate + ref.error_estimate, x
 
     def test_error_estimate_within_spec(self):
         spec = QuadratureSpec()
