@@ -162,7 +162,7 @@ def sup_discrepancy(
     against the grid; delta and argmax_x are bitwise those of a search that
     evaluates the whole grid.
     """
-    dd = d if isinstance(d, Dimension) else Dimension(int(d))
+    dd = Dimension.of(d)
     resolution = search.x_resolution
     xs = np.arange(search.x_lo, search.x_hi + 0.5 * search.coarse_step, search.coarse_step)
 
@@ -240,7 +240,7 @@ def discrepancy_curve(
     spec: QuadratureSpec = DEFAULT_SPEC,
     search: SearchSpec = SearchSpec(),
 ) -> DiscrepancyCurve:
-    dd = d if isinstance(d, Dimension) else Dimension(int(d))
+    dd = Dimension.of(d)
     records = []
     for t in sorted(float(t) for t in ts):
         res = sup_discrepancy(dd, t, spec, search)

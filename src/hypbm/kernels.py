@@ -1,24 +1,25 @@
 """Radial heat kernels q_d(t, r) on d-dimensional hyperbolic space.
 
-Odd dimensions start from the closed form
+Odd dimensions d = 2m+1 start from the closed form
 
   q_3(t,r) = e^{-t/2} (2 pi t)^{-3/2} (r / sinh r) e^{-r^2/(2t)}
 
 and iterate the Millson recursion
 
-  q_d(t,r) = - e^{-(d-2)t/2} / (2 pi sinh r) * d q_{d-2}/dr (t,r)
+  q_d(t,r) = - e^{-(d-2)t/2} / (2 pi sinh r) * d q_{d-2}/dr (t,r).
 
-symbolically: the term family c * t^{-i} r^p cosh^a(r) sinh^{-b}(r) e^{-r^2/(2t)}
-is closed under it with exact integer coefficients. Near the origin, where those
-terms cancel, the recursion is read in z = cosh r as (-d/dz)^m: a Bell polynomial
-in positive terms from a Taylor series in z - 1, exact at r = 0.
+In z = cosh r it is (-d/dz)^m applied to r / sinh r = I_1(z), with
+I_j(z) = int_0^inf (z + cosh x)^{-j} dx, so the bracket of q_d is a complete
+Bell polynomial in positive terms at every r (_log_odd_bracket).
+build_odd_kernel iterates the recursion symbolically, with exact integer
+coefficients; no runtime path calls it, so it is an independent oracle.
 
 Even dimensions descend from the odd dimension above them,
 
   q_d(t,r) = 2^{1/2} e^{(2d-1)t/8} int_r^inf q_{d+1}(t,s) sinh s
              (cosh s - cosh r)^{-1/2} ds,
 
-one singularity-regularized quadrature over the exact symbolic q_{d+1}. At
+one singularity-regularized quadrature over the exact q_{d+1}. At
 d = 2 the folded factor q_3 sinh s is e^{-t/2} (2 pi t)^{-3/2} s e^{-s^2/(2t)},
 which is the classical q_2 integral. log_descent_fold evaluates that folded
 factor for every even d, for _log_q_even here and for the even tails in
@@ -26,7 +27,7 @@ tails.py.
 
 The kernel layer works on a 1-d array of r: _log_kernel(d, t, rs) returns
 log q at every r, each bitwise the value a one-point array gives. Odd d
-evaluates the closed form over the array (_log_q_odd); even d integrates
+evaluates its Bell sum over the array (_log_q_odd); even d integrates
 every r as one interval of one stacked quadrature (_log_q_even), as the even
 tails integrate every x. heat_kernel, the one public kernel, takes one
 EvaluationPoint and is the one-point case of the same path. It returns a
@@ -37,14 +38,15 @@ orders across the supported (t, r) ranges.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .calculus import vlogcosh_minus_x, vlogsinh_minus_x
-from .logspace import LN2, LN2PI, LogValue, log_sinhc, logsinh
+from .calculus import vlogsinh_minus_x
+from .logspace import LN2, LN2PI, LogValue, logsinh
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_adaptive
 
 _EPS = float(np.finfo(float).eps)
@@ -61,8 +63,14 @@ class Dimension:
     d: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.d, int) or self.d < 2:
+        if not isinstance(self.d, numbers.Integral) or self.d < 2:
             raise ValueError(f"dimension must be an integer >= 2, got {self.d!r}")
+        object.__setattr__(self, "d", int(self.d))
+
+    @classmethod
+    def of(cls, d: Dimension | int) -> Dimension:
+        """d as a Dimension: the one check every public entry point runs on d."""
+        return d if isinstance(d, Dimension) else cls(d)
 
     @property
     def n(self) -> int:
@@ -116,8 +124,7 @@ class OddKernelExpression:
         return (self.d - 1) // 2
 
     def log_prefactor(self, t: float) -> float:
-        m = self.m
-        return -0.5 * m * m * t - 1.5 * math.log(2.0 * math.pi * t) - (m - 1) * LN2PI
+        return _log_odd_prefactor(self.m, t)
 
 
 def millson_step_symbolic(expr: OddKernelExpression) -> OddKernelExpression:
@@ -163,84 +170,100 @@ def _at(log_q: np.ndarray) -> LogValue:
     return LogValue(1, log_q[0].item())
 
 
-# math's log_sinhc, hypot and log elementwise: numpy's own log, sinh and hypot
-# round differently in the last place on some inputs
-_log_sinhc = np.frompyfunc(log_sinhc, 1, 1)
+# math's hypot and log elementwise: numpy's own hypot and log round
+# differently in the last place on some inputs
 _hypot = np.frompyfunc(math.hypot, 2, 1)
 _log = np.frompyfunc(math.log, 1, 1)
 
 
-# switch radius and series terms per odd d, measured against a 40-digit reference
-# for t = 1e-3..1e5: from the radius up the term table is within 2e-12 + eps |log q|,
-# and below it more terms no longer move a double
-_SERIES_SWITCH = {5: (0.05, 6), 7: (0.35, 12), 9: (0.65, 21), 11: (0.95, 34), 13: (1.25, 64)}
+# switch radius and series terms per odd d: below the radius the z-series
+# serves, where the recurrence's division by s^2 cancels, and more terms no
+# longer move a double
+_SERIES_SWITCH = {3: (0.05, 6), 5: (0.05, 6), 7: (0.35, 12), 9: (0.65, 21), 11: (0.95, 34), 13: (1.25, 64)}
 _SERIES_SWITCH_ABOVE_13 = (1.4, 160)
 
 
 @lru_cache(maxsize=None)
-def _bracket_table(d: int, terms: int) -> tuple[np.ndarray, ...]:
-    """build_odd_kernel(d) terms as (K, 1) columns: sign, log|c|, i, p, a, b; then the
-    (m, terms, 1) coefficients of u^k in (-1)^{j+1} G^(j)(1+u) / 2, j = 1..m, each one
-    int ratio rounded once, from G = acosh(1+u)^2 = 2 sum (-1)^{n+1} (2u)^n / (n^2 C(2n, n))."""
-    c, i, p, a, b = (np.array(col, dtype=float)[:, None] for col in zip(*build_odd_kernel(d).terms))
+def _bracket_table(d: int, terms: int) -> np.ndarray:
+    """The (m, terms, 1) coefficients of u^k in I_j(1+u) = (-1)^{j+1} G^(j)(1+u)
+    / (2 (j-1)!), j = 1..m, each one int ratio rounded once, from
+    G = acosh(1+u)^2 = 2 sum (-1)^{n+1} (2u)^n / (n^2 C(2n, n))."""
     m = (d - 1) // 2
     series = [
-        [(-1) ** k * 2 ** (k + j) * math.perm(k + j, j) / ((k + j) ** 2 * math.comb(2 * (k + j), k + j)) for k in range(terms)]
+        [(-1) ** k * 2 ** (k + j) * math.comb(k + j - 1, k) / ((k + j) * math.comb(2 * (k + j), k + j)) for k in range(terms)]
         for j in range(1, m + 1)
     ]
-    return np.sign(c), np.log(np.abs(c)), i, p, a, b, np.array(series)[:, :, None]
+    return np.array(series)[:, :, None]
 
 
 def _log_odd_bracket(d: int, t: float, r: np.ndarray) -> np.ndarray:
-    """log of q_d's bracket sum times e^{m r} (odd d = 2m+1 >= 3) at every r >= 0
-    of an array, for _log_q_odd, the odd tails' boundary terms and the descent nodes.
+    """log of q_d's bracket times e^{m r} (odd d = 2m+1 >= 3) at every r >= 0 of
+    an array, for _log_q_odd, the odd tails' boundary terms and the descent nodes.
 
-    From d's switch radius up, a log-sum over the term table, where each term's
-    cosh^a sinh^{-b} e^{m r} stays bounded. Below it, where those terms cancel,
-    z = cosh r turns Millson's (1/sinh r) d/dr into d/dz, and Faa di Bruno makes
-    the bracket t B_m(a_1, ..., a_m), B_m the complete Bell polynomial and
-    a_j = (-1)^{j+1} G^(j)(z) / (2t) > 0: positive terms, exact at r = 0. The Bell
-    recurrence runs on a_j lam^j, lam = min(t, 1), so nothing overflows for any t.
+    By Faa di Bruno the bracket is t B_m(a_1, ..., a_m), B_m the complete Bell
+    polynomial and a_j = (j-1)! I_j(cosh r) / t > 0. B_m is homogeneous, so
+    with nu = 1 / max(t, 1+r) and mu = t nu <= 1 its recurrence runs on
+    a_j (e^r mu)^j = (j-1)! L_j, L_j = e^{jr} I_j mu^{j-1} nu, as
+    b_k = B_k / k!, (k+1) b_{k+1} = sum_{j<=k} L_{j+1} b_{k-j}: no term
+    overflows for any t or r. Below d's switch radius L_j comes from the
+    Taylor series of I_j in u = cosh r - 1, exact at r = 0. From it up it
+    comes from j (z^2-1) I_{j+1} = (2j-1) z I_j - (j-1) I_{j-1}, whose j = 1
+    case is (z^2-1) I_2 = z I_1 - 1, scaled with s = sinh(r) e^{-r} and
+    c = cosh(r) e^{-r}; it divides by s^2, so it cancels as r -> 0.
     Each value depends on its own r alone, bitwise, in an array of any length.
     """
     if len(r) == 1:  # numpy sums a lone column pairwise, two or more in order
         return _log_odd_bracket(d, t, np.repeat(r, 2))[:1]
     r_switch, terms = _SERIES_SWITCH.get(d, _SERIES_SWITCH_ABOVE_13)
-    sign, log_c, i, p, a, b, coef = _bracket_table(d, terms)
     m = (d - 1) // 2
+    top = np.maximum(t, 1.0 + r)
+    nu = 1.0 / top
+    mu = t * nu
     near = r < r_switch
-    series = table = 0.0
-    if near.any():
+    n_near = np.count_nonzero(near)
+    L = np.empty((m, len(r)))
+    if n_near:
         rs = np.minimum(r, r_switch)
         powers = np.empty((terms, len(r)))
         powers[0], powers[1:] = 1.0, 2.0 * np.sinh(0.5 * rs) ** 2  # u = cosh r - 1
         np.cumprod(powers, axis=0, out=powers)
-        lam = min(t, 1.0)
-        g = (coef * powers).sum(axis=1) * (lam ** np.arange(m) * (lam / t))[:, None]
-        bell = [1.0]
-        for k in range(m):
-            bell.append(sum(math.comb(k, j) * bell[k - j] * g[j] for j in range(k + 1)))
-        series = math.log(t) - m * math.log(lam) + np.log(bell[m]) + m * rs
-    if not near.all():
-        rt = np.maximum(r, r_switch)
-        # the shifted hyperbolic logs overflow harmlessly past r = 9e307
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            logs = log_c - i * math.log(t) + p * np.log(rt) + a * vlogcosh_minus_x(rt) - b * vlogsinh_minus_x(rt)
-            top = logs.max(axis=0)
-            table = top + np.log((sign * np.exp(logs - top)).sum(axis=0))
-    return np.where(near, series, table)
+        e_r = np.exp(rs)
+        L[0], L[1:] = e_r * nu, e_r * mu
+        np.cumprod(L, axis=0, out=L)
+        L *= (_bracket_table(d, terms) * powers).sum(axis=1)
+    if n_near < len(r):
+        rec = np.empty((m, len(r))) if n_near else L
+        rt = np.maximum(r, r_switch) if n_near else r
+        s = -0.5 * np.expm1(-2.0 * np.minimum(rt, 400.0))  # e^{-2r} is 0 past r = 373
+        c = 1.0 - s
+        np.divide(rt * nu, s, out=rec[0])
+        if m > 1:
+            w = mu / (s * s)
+            np.multiply(w, c * rec[0] - nu, out=rec[1])
+            cm, mm = c * w, mu * w
+            for j in range(2, m):
+                np.subtract((2 * j - 1) / j * cm * rec[j - 1], (j - 1) / j * mm * rec[j - 2], out=rec[j])
+        if n_near:
+            L = np.where(near, L, rec)
+    b = np.empty((m + 1, len(r)))
+    b[0], b[1] = 1.0, L[0]
+    for k in range(1, m):
+        np.divide((L[: k + 1] * b[k::-1]).sum(axis=0), k + 1, out=b[k + 1])
+    return (1 - m) * math.log(t) + math.lgamma(m + 1) + m * np.log(top) + np.log(b[m])
+
+
+def _log_odd_prefactor(m: int, t: float) -> float:
+    """log of q_{2m+1}'s prefactor: -m^2 t/2 - (3/2) log(2 pi t) - (m-1) log(2 pi)."""
+    return -0.5 * m * m * t - 1.5 * math.log(2.0 * math.pi * t) - (m - 1) * LN2PI
 
 
 def _log_q_odd(d: int, t: float, rs: np.ndarray) -> np.ndarray:
-    """log q_d at every r of a 1-d array, for odd d >= 3: q_3 in closed form,
-    with r / sinh r extended continuously to 1 at r = 0, else the bracket of
-    _log_odd_bracket."""
+    """log q_d at every r of a 1-d array, for odd d >= 3: the prefactor, the
+    Gaussian and _log_odd_bracket's bracket."""
+    m = (d - 1) // 2
     # r^2 overflows to inf harmlessly near the double maximum: log q is -inf there
     with np.errstate(over="ignore"):
-        if d == 3:
-            return -0.5 * t - 1.5 * math.log(2.0 * math.pi * t) - _log_sinhc(rs).astype(float) - rs * (rs / (2.0 * t))
-        expr = build_odd_kernel(d)
-        return expr.log_prefactor(t) - rs * (rs / (2.0 * t)) + (_log_odd_bracket(d, t, rs) - expr.m * rs)
+        return _log_odd_prefactor(m, t) - rs * (rs / (2.0 * t)) + (_log_odd_bracket(d, t, rs) - m * rs)
 
 
 # --------------------------------------------------------------------------
@@ -380,8 +403,7 @@ def millson_step_numeric(
 
 def heat_kernel(d: Dimension | int, p: EvaluationPoint, spec: QuadratureSpec = DEFAULT_SPEC) -> LogValue:
     """q_d(t, r) for any d >= 2, dispatching on parity: the one-point case of _log_kernel."""
-    dd = d.d if isinstance(d, Dimension) else int(d)
-    return _at(_log_kernel(dd, p.t, np.array([p.r], dtype=float), spec))
+    return _at(_log_kernel(Dimension.of(d).d, p.t, np.array([p.r], dtype=float), spec))
 
 
 def _log_kernel(d: int, t: float, rs: np.ndarray, spec: QuadratureSpec = DEFAULT_SPEC) -> np.ndarray:
@@ -399,10 +421,7 @@ def davies_envelope(d: Dimension | int, p: EvaluationPoint) -> LogValue:
 
     t^{-d/2} exp(-(d-1)^2 t/8 - (d-1) r/2 - r^2/(2t)) (1+r+t)^{(d-3)/2} (1+r)
     """
-    dd = d.d if isinstance(d, Dimension) else int(d)
-    if dd < 2:
-        raise ValueError(f"dimension must be >= 2, got {dd}")
-    return _at(_log_envelope(dd, p.t, np.array([p.r], dtype=float)))
+    return _at(_log_envelope(Dimension.of(d).d, p.t, np.array([p.r], dtype=float)))
 
 
 def _log_envelope(d: int, t: float, rs: np.ndarray) -> np.ndarray:

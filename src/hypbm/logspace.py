@@ -95,19 +95,6 @@ def logcosh(x: float) -> float:
     return x - LN2 + math.log1p(math.exp(-2.0 * x))
 
 
-def log_sinhc(x: float) -> float:
-    """log(sinh x / x), continuously extended to 0 at x = 0."""
-    if x < 0.0:
-        raise ValueError(f"log_sinhc requires x >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x < 1e-4:
-        return math.log1p(x * x / 6.0)
-    if x < _ASYMPTOTIC:
-        return math.log(math.sinh(x) / x)
-    return x - LN2 - math.log(x) + math.log1p(-math.exp(-2.0 * x))
-
-
 def vlogsinh(x: np.ndarray) -> np.ndarray:
     """Vectorized logsinh for nonnegative arrays."""
     x = np.asarray(x, dtype=float)

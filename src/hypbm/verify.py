@@ -83,10 +83,10 @@ def normalization_suite(
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> list[CheckResult]:
     """Total radial mass omega_d int q_d sinh^{d-1} = 1 for each (d, t): the
-    brute-force tail oracle's mass integral from T = 0, unclamped."""
-    out = []
+    brute-force tail oracle's mass integral from T = 0, unclamped, within
+    spec.rel_tol."""
+    out, tol = [], spec.rel_tol
     for d in [Dimension(d).d for d in ds]:
-        tol = 1e-5 if (d % 2 == 0 and d >= 4) else 1e-6
         for t in ts:
             defect = abs(_radial_mass(d, float(t), 0.0, spec).value - 1.0)
             out.append(
@@ -96,7 +96,7 @@ def normalization_suite(
 
 
 def millson_suite(spec: QuadratureSpec = DEFAULT_SPEC) -> list[CheckResult]:
-    """Symbolic odd kernels and descent even kernels against one numerical
+    """Bell-sum odd kernels and descent even kernels against one numerical
     recursion step from the kernel two dimensions down."""
     out = []
     ts = (0.5, 1.0, 2.0, 5.0, 20.0)
@@ -145,10 +145,9 @@ def cross_oracle_suite(
     xs: Sequence[float] = (-3.0, -1.0, 0.0, 1.0, 3.0),
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> list[CheckResult]:
-    """Reduction tails against brute-force density integration."""
-    out = []
+    """Reduction tails against brute-force density integration, within spec.rel_tol."""
+    out, tol = [], spec.rel_tol
     for d in ds:
-        tol = 1e-4 if (d % 2 == 0 and d >= 4) else 1e-5
         worst = 0.0
         for t in ts:
             for x, est in zip(xs, tail(d, float(t), xs, spec)):

@@ -35,7 +35,7 @@ def test_c01_operator_identity_suite():
 
 
 def test_c02_normalization():
-    report_suite("C2", lambda: normalization_suite(ds=(2, 3, 4, 5, 6, 7), ts=(0.5, 1.0, 5.0, 20.0)))
+    report_suite("C2", lambda: normalization_suite(ds=range(2, 13), ts=(0.5, 1.0, 5.0, 20.0, 100.0, 1000.0)))
 
 
 def test_c03_millson_consistency():
@@ -43,7 +43,7 @@ def test_c03_millson_consistency():
 
 
 def test_c04_reduction_vs_oracle():
-    report_suite("C4", lambda: cross_oracle_suite(ds=(2, 3, 4, 5, 6)))
+    report_suite("C4", lambda: cross_oracle_suite(ds=range(2, 9), ts=(1.0, 5.0, 20.0, 100.0, 1000.0)))
 
 
 def test_c05_d3_sharpness_constant():

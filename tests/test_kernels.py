@@ -121,7 +121,7 @@ class TestOddKernels:
         assert got.value == pytest.approx(want.value, rel=1e-8)
 
     def test_small_radius_high_precision_path(self):
-        # near the origin the term table cancels and the z = cosh r series
+        # near the origin the recurrence cancels and the z = cosh r series
         # takes over: exact at r = 0, continuous down to it, for every d
         for d in (5, 7, 9, 11, 13):
             vals = [heat_kernel(d, EvaluationPoint(1.0, r)).value for r in (0.0, 1e-6, 1e-4, 1e-2, 0.05)]
@@ -130,13 +130,14 @@ class TestOddKernels:
             assert vals[0] == pytest.approx(vals[3], rel=1e-3)
             assert heat_kernel(d, EvaluationPoint(1.0, 0.0)).log == pytest.approx(log_q_odd_mp(d, 1.0, 0.0), abs=1e-13)
 
-    @pytest.mark.parametrize("d", [5, 7, 9, 11, 13])
+    @pytest.mark.parametrize("d", range(5, 22, 2))
     def test_vectorized_bracket_matches_scalar_path(self, d):
         # log q_d, one point at a time and as one array of r, against the
         # scalar mpmath reference on both sides of every switch radius; the
         # grid holds (7, 50, 0.06), (9, 2, 0.16), (11, 2, 0.24) and
         # (13, 50, 0.32), where a term-table sum with an mpmath switch by
-        # lost digits was off by 1e-9 to 1e-7
+        # lost digits was off by 1e-9 to 1e-7, and r = 1.5, where a signed
+        # term-table sum was off by 5x (d = 19) and 13x (d = 21) the bound
         rs = np.array([0.0, 1e-6, 1e-4, 1e-3, 0.01, 0.04, 0.06, 0.16, 0.24, 0.32, 0.5, 0.64, 0.66,
                        0.8, 0.94, 0.96, 1.0, 1.24, 1.26, 1.5, 2.0])
         expr = build_odd_kernel(d)
@@ -148,9 +149,9 @@ class TestOddKernels:
                 assert abs(heat_kernel(d, EvaluationPoint(t, float(r))).log - want) <= tol, (t, r)
                 assert abs(v - want) <= tol, (t, r)
 
-    @pytest.mark.parametrize("d", [5, 9, 13, 17])
+    @pytest.mark.parametrize("d", [3, 5, 9, 13, 17])
     def test_bracket_values_independent_of_the_array(self, d):
-        # series and table nodes mixed in one array, as a descent quadrature
+        # series and recurrence nodes mixed in one array, as a descent quadrature
         # evaluates them: each value is bitwise what it is among other nodes
         # and alone, which stacked quadratures, the array tails and
         # one-point kernels all rely on
@@ -162,11 +163,11 @@ class TestOddKernels:
                 assert (whole[j : j + 2] == _log_odd_bracket(d, t, rs[j : j + 2])).all(), (t, rs[j])
             assert (whole[1::4] == _log_odd_bracket(d, t, rs[1::4])).all(), t
 
-    @pytest.mark.parametrize("d", [5, 7, 9, 11, 13, 15, 17, 19, 21])
+    @pytest.mark.parametrize("d", [3, 5, 7, 9, 11, 13, 15, 17, 19, 21])
     def test_term_table_positive_above_the_switch(self, d):
-        # the term table serves every r from d's switch radius up: its float
-        # sum stays positive and finite there for every t, so no fallback or
-        # error path is needed
+        # the recurrence serves every r from d's switch radius up: its Bell
+        # sum stays positive and finite there for every t, out to the double
+        # maximum, so no fallback or error path is needed
         r_switch = _SERIES_SWITCH.get(d, _SERIES_SWITCH_ABOVE_13)[0]
         rs = np.concatenate([np.linspace(r_switch, 3.0, 200), np.geomspace(3.0, 1.7e308, 400)])
         for t in np.geomspace(1e-3, 1e300, 40):
@@ -174,8 +175,8 @@ class TestOddKernels:
 
     @pytest.mark.parametrize("d", [5, 7])
     def test_within_the_direct_oracles_quoted_error(self, d):
-        # direct_kernel_quadrature (d <= 7, t <= 50) adds a relative 1e-11 for
-        # the odd kernel's own error; (7, 50, 0.06) was off by 1.3e-9
+        # direct_kernel_quadrature adds a relative 1e-11 for the odd kernel's
+        # own error, and a few eps of log q; (7, 50, 0.06) was off by 1.3e-9
         for t in (1e-3, 0.1, 1.0, 10.0, 50.0):
             for r in (0.0, 1e-3, 0.03, 0.06, 0.2, 0.5, 1.0, 3.0, 20.0):
                 got = heat_kernel(d, EvaluationPoint(t, r)).log
