@@ -19,11 +19,12 @@ Even dimensions descend from the odd dimension above them,
   q_d(t,r) = 2^{1/2} e^{(2d-1)t/8} int_r^inf q_{d+1}(t,s) sinh s
              (cosh s - cosh r)^{-1/2} ds,
 
-one singularity-regularized quadrature over the exact q_{d+1}. At
-d = 2 the folded factor q_3 sinh s is e^{-t/2} (2 pi t)^{-3/2} s e^{-s^2/(2t)},
-which is the classical q_2 integral. log_descent_fold evaluates that folded
-factor for every even d, for _log_q_even here and for the even tails in
-tails.py.
+one singularity-regularized quadrature over the exact q_{d+1}, seeded at
+its integrand's own widths in w = sqrt(s - r): the bend at sqrt(2r) and the
+peak's decay width. At d = 2 the folded factor q_3 sinh s is
+e^{-t/2} (2 pi t)^{-3/2} s e^{-s^2/(2t)}, the classical q_2 integral.
+log_descent_fold evaluates that folded factor for every even d, for
+_log_q_even here and for the even tails in tails.py.
 
 The kernel layer works on a 1-d array of r: _log_kernel(d, t, rs) returns
 log q at every r, each bitwise the value a one-point array gives. Odd d
@@ -314,11 +315,24 @@ def _log_q_even(d: int, t: float, rs: np.ndarray, spec: QuadratureSpec) -> np.nd
     by up to 3e-6. So the integral is tested by spec.rel_tol alone.
 
     Every r of the array is one interval of one stacked integrate_adaptive
-    call. Each interval keeps this kernel's own range rule in w, not the
-    window _tail_even places in Gaussian units about the bulk: this integrand
-    peaks at w = 0 with a width of sqrt(t/r) (at r = 1e17 a range of sqrt(t)
-    in w put that peak below every node), so a shared rule would have to
-    branch on its caller.
+    call, seeded at its integrand's own widths in w so that most r converge
+    in the first round: each round is one integrand call over every r still
+    open, and its fixed cost outweighs more panels in the first. The seeds
+    are the bend at w = sqrt(2r), where the gap w^2 (2r + w^2)/2 changes
+    order, at 1, 8 and 64 times it, and the peak width
+    min(sqrt(t/r), (2t)^{1/4}, sqrt(2/(d-1))) of the decay
+    e^{-r w^2/t - w^4/(2t) - (d-1) w^2/2}, at 0.5, 1, 2 and 4 times it.
+    Unseeded, the bend lay below every node of the first panel where sqrt(2r)
+    is small against the peak, and log q missed its O(r) area by up to 2.5e-8
+    (t = 1e-3, r = 1e-9). Below r = eps peak^2 that area is under a double of
+    the integral, and the bend is not seeded, so that no node lies where w^2
+    underflows.
+
+    Range and seeds are this kernel's own rule, not the window _tail_even
+    places in Gaussian units about the bulk: this integrand peaks at w = 0
+    with a width of sqrt(t/r) (at r = 1e17 a range of sqrt(t) in w put that
+    peak below every node), so a shared rule would have to branch on its
+    caller.
     """
     if d < 2 or d % 2 == 1:
         raise ValueError(f"even dimension >= 2 required, got {d}")
@@ -343,8 +357,14 @@ def _log_q_even(d: int, t: float, rs: np.ndarray, spec: QuadratureSpec) -> np.nd
         live = (decay < math.inf).nonzero()[0]
         r = rs[live]
         s_span = width * width / (_hypot(r, width).astype(float) + r) + sqrt_t
-        w_hi = np.sqrt(np.minimum(s_span, (mult + 1.0) ** 2 / np.maximum(0.5 * (d - 1), r / t)))
+        rate = np.maximum(0.5 * (d - 1), r / t)
+        w_hi = np.sqrt(np.minimum(s_span, (mult + 1.0) ** 2 / rate))
         fold_r = log_descent_fold(d, t, np.maximum(r, 1.0))
+        # peak^2 = min(t/r, sqrt(2t), 2/(d-1)) over a denominator of at least
+        # 1/2, which neither overflows nor divides by 0
+        peak2 = 1.0 / np.maximum(rate, 1.0 / math.sqrt(2.0 * t))
+        bend = np.sqrt(2.0 * np.where(r > _EPS * peak2, r, math.nan))
+        seeds = np.concatenate((bend[:, None] * [1.0, 8.0, 64.0], np.sqrt(peak2)[:, None] * [0.5, 1.0, 2.0, 4.0]), axis=1)
 
     def f(w: np.ndarray, owner: np.ndarray) -> np.ndarray:
         r_w = r[owner]
@@ -363,7 +383,7 @@ def _log_q_even(d: int, t: float, rs: np.ndarray, spec: QuadratureSpec) -> np.nd
 
     out = np.full(len(rs), -math.inf)
     lg = 0.5 * LN2 - (d - 1) ** 2 * t / 8.0 - 1.5 * math.log(2.0 * math.pi * t) - (d // 2 - 1) * LN2PI
-    integral = integrate_adaptive(f, np.zeros(len(r)), w_hi, replace(spec, abs_tol=math.ulp(0.0))).values
+    integral = integrate_adaptive(f, np.zeros(len(r)), w_hi, replace(spec, abs_tol=math.ulp(0.0)), seed_points=seeds).values
     flat = ~(integral > 0.0)
     if flat.any():
         raise KernelError(f"q{d} integral not positive at t={t}, r={r[flat][0].item()}")

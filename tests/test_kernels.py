@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hypbm import kernels
+from hypbm import quadrature as quadrature_module
 from hypbm.kernels import (
     Dimension,
     EvaluationPoint,
@@ -49,6 +50,29 @@ def log_q_odd_mp(d: int, t: float, r: float) -> float:
     lost = (d - 3) * max(0.0, -math.log10(r_mp))
     expr = build_odd_kernel(d)
     return expr.log_prefactor(t) - r * (r / (2.0 * t)) + eval_odd_bracket_mp(d, t, r_mp, 15.0 + lost).log
+
+
+def log_q_even_mp(d: int, t: float, r: float, nodes) -> float:
+    """log q_d for d = 2 or 4 from the descent integral in w (s = r + w^2) over
+    q_3 or q_5 in mpmath at 50 digits, with mp.quad broken at the nodes."""
+    with mp.workdps(50):
+        tt, rr = mp.mpf(t), mp.mpf(r)
+
+        def q_upper(s):  # q_3, or q_5 = -e^{-3t/2} / (2 pi sinh s) d/ds q_3
+            q3s = mp.exp(-tt / 2 - s * s / (2 * tt)) / (2 * mp.pi * tt) ** 1.5
+            if d == 2:
+                return q3s * s / mp.sinh(s)
+            sh = mp.sinh(s)
+            minus_dq3 = q3s * (s * s / (tt * sh) - 1 / sh + s * mp.cosh(s) / sh**2)
+            return mp.exp(-3 * tt / 2) * minus_dq3 / (2 * mp.pi * sh)
+
+        def f(w):
+            if w < mp.mpf("1e-20"):
+                return mp.mpf(0)  # bounded integrand: this piece is far below the tests' bounds
+            s = rr + w * w
+            return 2 * w * q_upper(s) * mp.sinh(s) / mp.sqrt(2 * mp.sinh((s + rr) / 2) * mp.sinh(w * w / 2))
+
+        return float(mp.log(2) / 2 + (2 * d - 1) * tt / 8 + mp.log(mp.quad(f, nodes)))
 
 
 def total_mass(d: int, t: float) -> float:
@@ -130,16 +154,19 @@ class TestOddKernels:
             assert vals[0] == pytest.approx(vals[3], rel=1e-3)
             assert heat_kernel(d, EvaluationPoint(1.0, 0.0)).log == pytest.approx(log_q_odd_mp(d, 1.0, 0.0), abs=1e-13)
 
-    @pytest.mark.parametrize("d", range(5, 22, 2))
+    @pytest.mark.parametrize("d", range(5, 24, 2))
     def test_vectorized_bracket_matches_scalar_path(self, d):
         # log q_d, one point at a time and as one array of r, against the
         # scalar mpmath reference on both sides of every switch radius; the
         # grid holds (7, 50, 0.06), (9, 2, 0.16), (11, 2, 0.24) and
         # (13, 50, 0.32), where a term-table sum with an mpmath switch by
-        # lost digits was off by 1e-9 to 1e-7, and r = 1.5, where a signed
-        # term-table sum was off by 5x (d = 19) and 13x (d = 21) the bound
+        # lost digits was off by 1e-9 to 1e-7, r = 1.5, where a signed
+        # term-table sum was off by 5x (d = 19) and 13x (d = 21) the bound,
+        # and r = 1.4, the first recurrence radius past d = 13, where the
+        # bound holds up to d = 23 (0.64 of it at t = 50) and is missed by
+        # 1.7x at d = 25
         rs = np.array([0.0, 1e-6, 1e-4, 1e-3, 0.01, 0.04, 0.06, 0.16, 0.24, 0.32, 0.5, 0.64, 0.66,
-                       0.8, 0.94, 0.96, 1.0, 1.24, 1.26, 1.5, 2.0])
+                       0.8, 0.94, 0.96, 1.0, 1.24, 1.26, 1.4, 1.5, 2.0])
         expr = build_odd_kernel(d)
         for t in (1e-3, 0.01, 0.1, 2.0, 10.0, 50.0, 1e3, 1e5):
             vector = expr.log_prefactor(t) - rs * (rs / (2.0 * t)) + _log_odd_bracket(d, t, rs) - expr.m * rs
@@ -287,28 +314,70 @@ class TestEvenKernels:
         # the integrand decays like e^{-(d-1) w^2/2} whatever t is; a range set
         # by the Gaussian in s alone left every node of the first panel past
         # that decay for t ~ 1e16, and the integral at 0
-        with mp.workdps(50):
-            tt, rr = mp.mpf(t), mp.mpf(r)
-
-            def q_upper(s):  # q_3, or q_5 = -e^{-3t/2} / (2 pi sinh s) d/ds q_3
-                q3s = mp.exp(-tt / 2 - s * s / (2 * tt)) / (2 * mp.pi * tt) ** 1.5
-                if d == 2:
-                    return q3s * s / mp.sinh(s)
-                sh = mp.sinh(s)
-                minus_dq3 = q3s * (s * s / (tt * sh) - 1 / sh + s * mp.cosh(s) / sh**2)
-                return mp.exp(-3 * tt / 2) * minus_dq3 / (2 * mp.pi * sh)
-
-            def f(w):
-                if w < mp.mpf("1e-20"):
-                    return mp.mpf(0)  # bounded integrand: this piece is below 1e-40 of the total
-                s = rr + w * w
-                return 2 * w * q_upper(s) * mp.sinh(s) / mp.sqrt(2 * mp.sinh((s + rr) / 2) * mp.sinh(w * w / 2))
-
-            nodes = [0, 0.25, 0.5, 0.75, 1, 1.5, 2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 24]
-            want = float(mp.log(2) / 2 + (2 * d - 1) * tt / 8 + mp.log(mp.quad(f, nodes)))
+        want = log_q_even_mp(d, t, r, [0, 0.25, 0.5, 0.75, 1, 1.5, 2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 24])
         got = heat_kernel(d, EvaluationPoint(t, r)).log
         # the O(t) prefactor terms are good to a few ulps of log q
         assert abs(got - want) <= 1e-8 + 4.0 * np.finfo(float).eps * abs(want)
+
+    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("t,r", [(1e-3, 1e-9), (0.01, 1e-9), (1.0, 1e-8), (1.0, 1e-6)])
+    def test_small_radius_against_mpmath_descent(self, d, t, r):
+        # the integrand bends at w = sqrt(2r), where the gap w^2 (2r + w^2)/2
+        # changes order; a first panel over the whole range put that bend, and
+        # its O(r) area, below every node: log q was off by up to 2.5e-8
+        bend, peak = math.sqrt(2.0 * r), t**0.25
+        nodes = sorted({0.0, *(k * bend for k in (0.25, 1, 4, 16, 64, 256)), *(k * peak for k in (0.25, 0.5, 1, 2, 4, 8))})
+        want = log_q_even_mp(d, t, r, nodes)
+        got = heat_kernel(d, EvaluationPoint(t, r)).log
+        assert abs(got - want) <= DEFAULT_SPEC.rel_tol + 4.0 * np.finfo(float).eps * abs(want)
+
+    def test_descent_rounds(self, monkeypatch):
+        # each round is one sequential integrand call, so the count, not the
+        # number of nodes, sets a one-point kernel's cost; seeded at the
+        # integrand's own widths, no point of this grid needs more than two
+        # (a first panel over the whole range needed up to 7)
+        calls = []
+        rule = quadrature_module._panel_rule
+
+        def counting(*args):
+            calls.append(None)
+            return rule(*args)
+
+        monkeypatch.setattr(quadrature_module, "_panel_rule", counting)
+        grid = [(d, t, r) for d in (2, 4, 6, 8) for t in (0.1, 1.0, 10.0) for r in (0.001, 0.01, 0.05, 0.5, 2.0, 10.0)]
+        grid += [(10, 1.0, r) for r in (0.01, 0.05, 0.5, 2.0)]
+        rounds = {}
+        for d, t, r in grid:
+            calls.clear()
+            heat_kernel(d, EvaluationPoint(t, r))
+            rounds[d, t, r] = len(calls)
+        assert max(rounds.values()) <= 2, {p: n for p, n in rounds.items() if n > 2}
+
+    # outcome per r in EDGE_RS at each t, the same for every even d: a finite
+    # log q, log q = -inf (r^2/(2t) or the e^{-(d-1)^2 t/8} prefactor
+    # overflows) or an integral that is not positive (a NaN range)
+    EDGE_RS = (0.0, 5e-324, 1e-300, 1e-9, 1e17, 1.7e308)
+    EDGE_OUTCOMES = {
+        5e-324: ("finite",) * 3 + ("-inf",) * 3,
+        1e-3: ("finite",) * 5 + ("-inf",),
+        1e300: ("finite",) * 5 + ("-inf",),
+        1.7e308: ("-inf",) * 5 + (KernelError,),
+    }
+
+    @pytest.mark.parametrize("d", [2, 4, 8, 12])
+    @pytest.mark.parametrize("t", list(EDGE_OUTCOMES))
+    def test_edge_inputs_keep_their_outcome(self, d, t):
+        # the range, the seeds and the integrand divide by r and t and take
+        # their roots: no warning at any of them, and each outcome as pinned
+        for r, outcome in zip(self.EDGE_RS, self.EDGE_OUTCOMES[t]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if outcome is KernelError:
+                    with pytest.raises(KernelError):
+                        heat_kernel(d, EvaluationPoint(t, r))
+                    continue
+                log_q = heat_kernel(d, EvaluationPoint(t, r)).log
+            assert ("finite" if math.isfinite(log_q) else repr(log_q)) == outcome, r
 
 
 class TestArrayR:
