@@ -14,7 +14,8 @@ closed form (2l+1)!!/(l+1) * sinh((l+1) r), which is what drives the
 odd-dimension kernel reductions elsewhere in this package.
 
 Coefficients are kept as exact Python ints (factorials up to 128! appear);
-conversion to floating point happens only at evaluation, in log space.
+conversion to floating point happens only at evaluation, in log space, with
+logspace.py's hyperbolic logs.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .logspace import LN2, LogValue, logsinh, vlog_sum
+from .logspace import LN2, LogValue, logsinh, vlog_sum, vlogcosh_minus_x, vlogsinh_minus_x
 
 
 def double_factorial(m: int) -> int:
@@ -113,19 +114,6 @@ def sinh_power_derivative(n: int, k: int) -> SinhPowerExpansion:
             if c:
                 terms.append((c, 2 * l - 1, n - 2 * kk - 2 * l))
     return SinhPowerExpansion(n, k, tuple(terms))
-
-
-def vlogcosh_minus_x(x: np.ndarray) -> np.ndarray:
-    """log(cosh x) - x = log((1 + e^{-2x}) / 2), bounded for all x >= 0. Past
-    x = 9e307, -2x overflows to -inf and numpy warns, though the value is
-    right; callers there silence the warning."""
-    return np.log1p(np.exp(-2.0 * x)) - LN2
-
-
-def vlogsinh_minus_x(x: np.ndarray) -> np.ndarray:
-    """log(sinh x) - x = log((1 - e^{-2x}) / 2) for x > 0, with no cancellation,
-    and with vlogcosh_minus_x's overflow past 9e307."""
-    return np.log(-np.expm1(-2.0 * x)) - LN2
 
 
 def evaluate_expansion_log_shifted(e: SinhPowerExpansion, r):

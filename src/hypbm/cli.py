@@ -9,6 +9,7 @@ files. Exit codes: 0 success, 1 numerical failure, 2 invalid arguments.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import re
@@ -193,13 +194,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_verify(args) -> int:
     suite = SUITES[args.suite]
-    kwargs = {}
-    if args.d is not None and args.suite in ("normalization", "davies", "cross-oracle"):
-        kwargs["ds"] = args.d
-    if args.t is not None and args.suite in ("normalization", "cross-oracle"):
-        kwargs["ts"] = args.t
-    if args.x is not None and args.suite == "cross-oracle":
-        kwargs["xs"] = args.x
+    # --d, --t and --x set the suite's ds, ts and xs, where its signature has them
+    kwargs = {f"{o}s": getattr(args, o) for o in "dtx" if getattr(args, o) is not None}
+    for name in kwargs:
+        if name not in inspect.signature(suite).parameters:
+            raise ValueError(f"verify {args.suite} takes no --{name[:-1]}")
     results = suite(**kwargs)
     all_ok = True
     for res in results:

@@ -27,11 +27,10 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import Dimension
-from .logspace import vlogcosh, vlogsinh
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_adaptive
-from .tails import _tail_arrays, normal_tail, tail
+from .logspace import LN2, vlogcosh_minus_x, vlogsinh_minus_x
+from .quadrature import DEFAULT_SPEC, TAIL_SIGMA_MULTIPLIER, QuadratureSpec, integrate_adaptive
+from .tails import _SQRT_2PI, _tail_arrays, normal_tail, tail
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # golden steps planned per array tail call of a refinement, for up to
 # 2^_LOOKAHEAD - 1 points a call: an array call's cost is mostly its fixed
@@ -284,7 +283,7 @@ def sharpness_d2_integral(t: float, spec: QuadratureSpec = DEFAULT_SPEC) -> floa
     if not (t > 0.0):
         raise ValueError(f"t must be positive, got {t}")
     sqrt_t = math.sqrt(t)
-    mult = spec.tail_sigma_multiplier
+    mult = TAIL_SIGMA_MULTIPLIER
     # F_t dies off like e^{-u sqrt t}; keep both that scale and the Gaussian one
     u_hi = min(mult, max(2.0, mult * 4.0 / sqrt_t))
     w_hi = math.sqrt(u_hi)
@@ -293,13 +292,9 @@ def sharpness_d2_integral(t: float, spec: QuadratureSpec = DEFAULT_SPEC) -> floa
         w = np.asarray(w, dtype=float)
         u = w * w
         y = u * sqrt_t + 0.5 * t
-        # 1 - cosh(t/2)/cosh(y) = 2 sinh(u sqrt t / 2 + t/2) sinh(u sqrt t / 2) / cosh y
-        log_gap = (
-            math.log(2.0)
-            + vlogsinh(0.5 * u * sqrt_t + 0.5 * t)
-            + vlogsinh(0.5 * u * sqrt_t)
-            - vlogcosh(y)
-        )
+        # 1 - cosh(t/2)/cosh(y) = 2 sinh(half + t/2) sinh(half) / cosh y, whose x terms cancel
+        half = 0.5 * u * sqrt_t
+        log_gap = LN2 + vlogsinh_minus_x(half + 0.5 * t) + vlogsinh_minus_x(half) - vlogcosh_minus_x(y)
         e2y = np.exp(-2.0 * y)
         log_g = np.log1p(-e2y) - 0.5 * np.log1p(e2y)
         ft = np.expm1(log_g - 0.5 * log_gap)

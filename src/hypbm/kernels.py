@@ -33,7 +33,9 @@ every r as one interval of one stacked quadrature (_log_q_even), as the even
 tails integrate every x. heat_kernel, the one public kernel, takes one
 EvaluationPoint and is the one-point case of the same path. It returns a
 LogValue: prefactors like e^{-m^2 t/2} underflow doubles by hundreds of
-orders across the supported (t, r) ranges.
+orders across the supported (t, r) ranges. Every kernel and tail takes q_3's
+Gaussian normalisation, with one 1/(2 pi) per Millson step, from _log_gauss,
+and its hyperbolic logs from logspace.py.
 """
 
 from __future__ import annotations
@@ -46,9 +48,8 @@ from typing import Callable
 
 import numpy as np
 
-from .calculus import vlogsinh_minus_x
-from .logspace import LN2, LN2PI, LogValue, logsinh
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_adaptive
+from .logspace import LN2, LN2PI, LogValue, logsinh, vlogsinh_minus_x
+from .quadrature import DEFAULT_SPEC, TAIL_SIGMA_MULTIPLIER, QuadratureSpec, integrate_adaptive
 
 _EPS = float(np.finfo(float).eps)
 
@@ -171,12 +172,6 @@ def _at(log_q: np.ndarray) -> LogValue:
     return LogValue(1, log_q[0].item())
 
 
-# math's hypot and log elementwise: numpy's own hypot and log round
-# differently in the last place on some inputs
-_hypot = np.frompyfunc(math.hypot, 2, 1)
-_log = np.frompyfunc(math.log, 1, 1)
-
-
 # switch radius and series terms per odd d: below the radius the z-series
 # serves, where the recurrence's division by s^2 cancels, and more terms no
 # longer move a double
@@ -253,9 +248,15 @@ def _log_odd_bracket(d: int, t: float, r: np.ndarray) -> np.ndarray:
     return (1 - m) * math.log(t) + math.lgamma(m + 1) + m * np.log(top) + np.log(b[m])
 
 
+def _log_gauss(m: int, t: float) -> float:
+    """log of q_{2m+1}'s Gaussian normalisation (2 pi t)^{-3/2} (2 pi)^{1-m}, with log t
+    and log 2 pi apart: 2 pi t rounds at a subnormal t and overflows at the largest t."""
+    return -1.5 * math.log(t) - (m + 0.5) * LN2PI
+
+
 def _log_odd_prefactor(m: int, t: float) -> float:
-    """log of q_{2m+1}'s prefactor: -m^2 t/2 - (3/2) log(2 pi t) - (m-1) log(2 pi)."""
-    return -0.5 * m * m * t - 1.5 * math.log(2.0 * math.pi * t) - (m - 1) * LN2PI
+    """log of q_{2m+1}'s prefactor: -m^2 t/2 plus its Gaussian normalisation."""
+    return -0.5 * m * m * t + _log_gauss(m, t)
 
 
 def _log_q_odd(d: int, t: float, rs: np.ndarray) -> np.ndarray:
@@ -304,10 +305,11 @@ def _log_q_even(d: int, t: float, rs: np.ndarray, spec: QuadratureSpec) -> np.nd
     With s = r + w^2 the integrand becomes smooth. Factoring out its decay
     e^{-r^2/(2t) - (d-1) r/2} leaves, with the fold's e^{-(d-2)s/2} and the
     gap's e^{s/2} cancelled exactly, the working integrand
-    2w e^{fold(s) - (2 r w^2 + w^4)/(2t) - (d-1) w^2/2} descent_gap^{-1/2}:
+    2w e^{fold(s) - w^2 (2r + w^2)/(2t) - (d-1) w^2/2} descent_gap^{-1/2}:
     no term grows with r or t, and the result is assembled in log space.
-    The gap's log is the sum of its factors' logs, which stays finite where
-    their product underflows, at a subnormal t.
+    At a subnormal t no factor is formed as a subnormal, which keeps a few
+    bits: the Gaussian term is w^2 ((2r + w^2)/(2t)), never w^4 ~ t over 2t,
+    and the gap's log is the sum of its factors' logs.
 
     log q needs the integral to a relative accuracy, but at small t and
     r < 1 the integral is only about sqrt(t): tested against spec.abs_tol,
@@ -337,7 +339,7 @@ def _log_q_even(d: int, t: float, rs: np.ndarray, spec: QuadratureSpec) -> np.nd
     if d < 2 or d % 2 == 1:
         raise ValueError(f"even dimension >= 2 required, got {d}")
     sqrt_t = math.sqrt(t)
-    mult = spec.tail_sigma_multiplier
+    mult = TAIL_SIGMA_MULTIPLIER
     width = mult * sqrt_t
     # Where r^2/(2t) overflows, log q is -inf, as for odd d. Elsewhere s stops
     # at the Gaussian bound hypot(r, mult sqrt_t) + sqrt_t, with hypot - r
@@ -356,7 +358,7 @@ def _log_q_even(d: int, t: float, rs: np.ndarray, spec: QuadratureSpec) -> np.nd
         decay = rs * (rs / (2.0 * t))
         live = (decay < math.inf).nonzero()[0]
         r = rs[live]
-        s_span = width * width / (_hypot(r, width).astype(float) + r) + sqrt_t
+        s_span = width * width / (np.hypot(r, width) + r) + sqrt_t
         rate = np.maximum(0.5 * (d - 1), r / t)
         w_hi = np.sqrt(np.minimum(s_span, (mult + 1.0) ** 2 / rate))
         fold_r = log_descent_fold(d, t, np.maximum(r, 1.0))
@@ -374,7 +376,7 @@ def _log_q_even(d: int, t: float, rs: np.ndarray, spec: QuadratureSpec) -> np.nd
             log_j = (
                 np.log(2.0 * w)
                 + (log_descent_fold(d, t, s) - fold_r[owner])
-                - (2.0 * r_w * ww + ww * ww) / (2.0 * t)
+                - ww * ((2.0 * r_w + ww) / (2.0 * t))
                 - 0.5 * (d - 1) * ww
                 # log descent_gap as the sum of its factors' logs
                 - 0.5 * (np.log(-np.expm1(-(2.0 * r_w + ww))) + np.log(-np.expm1(-ww)) - LN2)
@@ -382,13 +384,12 @@ def _log_q_even(d: int, t: float, rs: np.ndarray, spec: QuadratureSpec) -> np.nd
         return np.exp(log_j)
 
     out = np.full(len(rs), -math.inf)
-    lg = 0.5 * LN2 - (d - 1) ** 2 * t / 8.0 - 1.5 * math.log(2.0 * math.pi * t) - (d // 2 - 1) * LN2PI
+    lg = 0.5 * LN2 - (d - 1) ** 2 * t / 8.0 + _log_gauss(d // 2, t)
     integral = integrate_adaptive(f, np.zeros(len(r)), w_hi, replace(spec, abs_tol=math.ulp(0.0)), seed_points=seeds).values
     flat = ~(integral > 0.0)
     if flat.any():
         raise KernelError(f"q{d} integral not positive at t={t}, r={r[flat][0].item()}")
-    # each r's log q with math's log, which np.log does not round alike
-    out[live] = lg - r * (r / (2.0 * t)) - 0.5 * (d - 1) * r + fold_r + _log(integral).astype(float)
+    out[live] = lg - r * (r / (2.0 * t)) - 0.5 * (d - 1) * r + fold_r + np.log(integral)
     return out
 
 

@@ -65,12 +65,11 @@ _KG = np.stack([_WK, _wg_full])                             # K21 and G10 weight
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and truncation policy for adaptive integration."""
+    """Tolerances and the subdivision limit for adaptive integration."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
     max_subdivisions: int = 2048
-    tail_sigma_multiplier: float = 12.0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.abs_tol <= 1e-2):
@@ -79,11 +78,12 @@ class QuadratureSpec:
             raise ValueError(f"rel_tol must lie in (0, 1e-2], got {self.rel_tol}")
         if self.max_subdivisions < 16:
             raise ValueError(f"max_subdivisions must be >= 16, got {self.max_subdivisions}")
-        if self.tail_sigma_multiplier < 8.0:
-            raise ValueError(f"tail_sigma_multiplier must be >= 8, got {self.tail_sigma_multiplier}")
 
 
 DEFAULT_SPEC = QuadratureSpec()
+
+# integration ranges end this many standard deviations past the bulk
+TAIL_SIGMA_MULTIPLIER = 12.0
 
 
 @dataclass(frozen=True)

@@ -61,13 +61,14 @@ from .kernels import (
     EvaluationPoint,
     KernelError,
     _check_r,
+    _log_gauss,
     _log_kernel,
     _log_odd_bracket,
     descent_gap,
     log_descent_fold,
 )
-from .logspace import LN2, LN2PI, logsinh, vlog_sum
-from .quadrature import DEFAULT_SPEC, QuadratureResult, QuadratureSpec, integrate_adaptive
+from .logspace import LN2, vlog_sum, vlogsinh_minus_x
+from .quadrature import DEFAULT_SPEC, TAIL_SIGMA_MULTIPLIER, QuadratureResult, QuadratureSpec, integrate_adaptive
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _EPS = float(np.finfo(float).eps)
@@ -123,10 +124,9 @@ def radial_density(d: Dimension | int, p: EvaluationPoint, spec: QuadratureSpec 
     return _radial_density(Dimension.of(d).d, p.t, np.array([p.r], dtype=float), spec)[0].item()
 
 
-# math's exp and logsinh elementwise: numpy's round differently in the last
-# place on some inputs, and math.exp raises OverflowError where numpy gives inf
+# math's exp elementwise: it raises OverflowError where numpy's gives inf,
+# and the CLI turns that into exit code 1, never a printed inf
 _exp = np.frompyfunc(math.exp, 1, 1)
-_logsinh = np.frompyfunc(logsinh, 1, 1)
 
 
 def _radial_density(d: int, t: float, rs: np.ndarray, spec: QuadratureSpec = DEFAULT_SPEC) -> np.ndarray:
@@ -140,9 +140,9 @@ def _radial_density(d: int, t: float, rs: np.ndarray, spec: QuadratureSpec = DEF
     # where q is 0, so is the density, though sinh^{d-1} r may overflow
     keep = log_q > -math.inf
     pos, log_q = pos[keep], log_q[keep]
-    # logsinh's e^{-2r} meets -2r = -inf harmlessly past r = 9e307
+    # e^{-2r} meets -2r = -inf harmlessly past r = 9e307
     with np.errstate(over="ignore"):
-        log_sinh = _logsinh(rs[pos]).astype(float)
+        log_sinh = rs[pos] + vlogsinh_minus_x(rs[pos])
     out[pos] = _exp(log_surface_area(d) + log_q + (d - 1) * log_sinh).astype(float)
     return out
 
@@ -155,7 +155,7 @@ def _radial_mass(d: int, t: float, T: float, spec: QuadratureSpec) -> Quadrature
     EvaluationPoint(t, 0.0)
     sqrt_t = math.sqrt(t)
     center = 0.5 * (d - 1) * t
-    mult = spec.tail_sigma_multiplier
+    mult = TAIL_SIGMA_MULTIPLIER
     upper = max(T, center) + mult * sqrt_t
     seeds = [p for p in (center - mult * sqrt_t, center - sqrt_t, center, center + sqrt_t) if T < p < upper]
     return integrate_adaptive(lambda rs: _radial_density(d, t, rs, spec), T, upper, spec, seed_points=seeds)
@@ -240,7 +240,7 @@ def _tail_odd(dd: Dimension, t: float, xs: np.ndarray) -> TailArrays:
         live = ((T > 0.0) & (xs * xs < math.inf)).nonzero()[0]
     if live.size:
         x, T = xs[live], T[live]
-        log_c = log_surface_area(dd.d) - 0.5 * x * x - 1.5 * math.log(2.0 * math.pi * t) - (n - 1) * LN2PI
+        log_c = log_surface_area(dd.d) - 0.5 * x * x + _log_gauss(n, t)
         parts = []
         for m in range(1, n):
             sign, expansion = evaluate_expansion_log_shifted(sinh_power_derivative(2 * n - 1, m - 1), T)
@@ -309,7 +309,7 @@ def _tail_even(dd: Dimension, t: float, xs: np.ndarray, spec: QuadratureSpec) ->
     table = np.empty((2 * k + 3, len(T)))
     table[0], table[1] = T, x
     np.multiply(coef, np.array(beta)[:, None], out=table[2:])
-    log_c = log_surface_area(dd.d) + 0.5 * LN2 - 1.5 * math.log(2.0 * math.pi * t) - k * LN2PI
+    log_c = log_surface_area(dd.d) + 0.5 * LN2 + _log_gauss(k + 1, t)
 
     def f(w: np.ndarray, owner: np.ndarray) -> np.ndarray:
         rows = np.take(table, owner, axis=1)
@@ -331,7 +331,7 @@ def _tail_even(dd: Dimension, t: float, xs: np.ndarray, spec: QuadratureSpec) ->
     # u = max(x, 0) + mult + 1 lies past the bulk
     gaps = np.array([-1.0, 0.0, 1.0, 0.0, 0.0]) - x[:, None]
     gaps[:, 3] = (x + 1.0) - x
-    gaps[:, 4] = np.maximum(-x, 0.0) + spec.tail_sigma_multiplier + 1.0
+    gaps[:, 4] = np.maximum(-x, 0.0) + TAIL_SIGMA_MULTIPLIER + 1.0
     ws = np.sqrt(sqrt_t * np.where(gaps > 0.0, gaps, np.nan))
     stack = integrate_adaptive(f, np.zeros(len(x)), ws[:, 4], spec, seed_points=ws[:, :4])
     value[above], err[above] = stack.values, stack.errors

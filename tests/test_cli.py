@@ -92,6 +92,19 @@ class TestKernelCommand:
         assert code == 2 and out == ""
         assert "r must be finite and nonnegative, got -1.0" in err
 
+    def test_even_kernel_at_subnormal_time(self, capsys):
+        # from t = 5e-323 to 1e-318 no even kernel converged: exit 1 with "no
+        # convergence"; at r = 0, q = 1/(2 pi t) = e^735 lies beyond the
+        # double range, an overflow that exits 1 as below
+        t, r = 1e-320, 4e-159
+        code, out, err = run_cli(capsys, "kernel", "--d", "2,4", "--t", repr(t), "--r", repr(r))
+        assert code == 0 and err == ""
+        for d, row in zip((2, 4), out.strip().splitlines()[1:]):
+            want = -0.5 * d * (math.log(2.0 * math.pi) + math.log(t)) - r * (r / (2.0 * t))
+            assert float(row.split(",")[4]) == pytest.approx(want, rel=1e-12)
+        code, out, err = run_cli(capsys, "kernel", "--d", "2", "--t", repr(t), "--r", "0")
+        assert code == 1 and err == "hypbm: numerical failure: math range error\n"
+
     def test_kernel_beyond_the_double_range_exits_1(self, capsys):
         # log q is finite, q itself overflows: no inf is printed
         code, out, err = run_cli(capsys, "kernel", "--d", "10", "--t", "1e-100", "--r", "0")
@@ -237,6 +250,17 @@ class TestVerifyCommand:
             code, out, err = run_cli(capsys, "verify", *argv.split())
         assert code == 2 and out == ""
         assert err == f"hypbm: invalid argument: {message}\n"
+
+
+    @pytest.mark.parametrize(
+        "argv", ["davies --t 1", "millson --d 3", "normalization --x 1", "identities --d 9"]
+    )
+    def test_option_the_suite_does_not_take_exits_2(self, capsys, argv):
+        # each of these ran the suite's defaults and exited 0, the option unread
+        suite, option = argv.split()[:2]
+        code, out, err = run_cli(capsys, "verify", *argv.split())
+        assert code == 2 and out == ""
+        assert err == f"hypbm: invalid argument: verify {suite} takes no {option}\n"
 
 
 class TestErrorPaths:

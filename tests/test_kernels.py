@@ -353,9 +353,10 @@ class TestEvenKernels:
             rounds[d, t, r] = len(calls)
         assert max(rounds.values()) <= 2, {p: n for p, n in rounds.items() if n > 2}
 
-    # outcome per r in EDGE_RS at each t, the same for every even d: a finite
-    # log q, log q = -inf (r^2/(2t) or the e^{-(d-1)^2 t/8} prefactor
-    # overflows) or an integral that is not positive (a NaN range)
+    # outcome per r in EDGE_RS at each t, the same for every even d but at
+    # d = 2 and the largest t: a finite log q, log q = -inf (r^2/(2t) or the
+    # e^{-(d-1)^2 t/8} prefactor overflows) or an integral that is not
+    # positive (a NaN range)
     EDGE_RS = (0.0, 5e-324, 1e-300, 1e-9, 1e17, 1.7e308)
     EDGE_OUTCOMES = {
         5e-324: ("finite",) * 3 + ("-inf",) * 3,
@@ -363,13 +364,17 @@ class TestEvenKernels:
         1e300: ("finite",) * 5 + ("-inf",),
         1.7e308: ("-inf",) * 5 + (KernelError,),
     }
+    # at d = 2 the prefactor's log -t/8 stays finite at t = 1.7e308, and so
+    # does log q, about -t/8 = -2.125e307 (it read -inf while 2 pi t overflowed)
+    EDGE_OUTCOMES_D2 = {**EDGE_OUTCOMES, 1.7e308: ("finite",) * 5 + (KernelError,)}
 
     @pytest.mark.parametrize("d", [2, 4, 8, 12])
     @pytest.mark.parametrize("t", list(EDGE_OUTCOMES))
     def test_edge_inputs_keep_their_outcome(self, d, t):
         # the range, the seeds and the integrand divide by r and t and take
         # their roots: no warning at any of them, and each outcome as pinned
-        for r, outcome in zip(self.EDGE_RS, self.EDGE_OUTCOMES[t]):
+        outcomes = (self.EDGE_OUTCOMES_D2 if d == 2 else self.EDGE_OUTCOMES)[t]
+        for r, outcome in zip(self.EDGE_RS, outcomes):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 if outcome is KernelError:
@@ -378,6 +383,25 @@ class TestEvenKernels:
                     continue
                 log_q = heat_kernel(d, EvaluationPoint(t, r)).log
             assert ("finite" if math.isfinite(log_q) else repr(log_q)) == outcome, r
+            if t == 1.7e308 and outcome == "finite":
+                assert log_q == pytest.approx(-t / 8.0, rel=1e-14)
+
+
+class TestSubnormalTime:
+    @pytest.mark.parametrize("d", range(2, 13))
+    @pytest.mark.parametrize("t", [5e-324, 5e-323, 1e-320, 1e-318, 1e-310, 1e-300])
+    def test_euclidean_limit(self, d, t):
+        # 2 pi t rounded in the subnormal range (log q off by up to 0.1), and
+        # w^4 ~ t in the descent integrand kept a few bits, so that no even
+        # kernel converged from t = 5e-323 to 1e-318. r r/(2t), not r^2/(2t):
+        # r^2 is subnormal here and rounds by up to 6e-5
+        for f in (0.0, 0.3, 1.0, 3.0):
+            r = f * math.sqrt(t)
+            want = -0.5 * d * (math.log(2.0 * math.pi) + math.log(t)) - r * (r / (2.0 * t))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = heat_kernel(d, EvaluationPoint(t, r)).log
+            assert got == pytest.approx(want, rel=1e-12), r
 
 
 class TestArrayR:

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from hypbm.logspace import (
     LogValue,
-    logcosh,
     logsinh,
-    vlogcosh,
     vlog_sum,
-    vlogsinh,
+    vlogcosh_minus_x,
+    vlogsinh_minus_x,
 )
 
 finite_nonzero = st.floats(min_value=1e-150, max_value=1e150).map(lambda v: v)
@@ -59,18 +58,25 @@ def test_log_sum_parts_underflowed_to_minus_infinity_are_zero():
 def test_hyperbolic_logs_match_mpmath(x):
     import mpmath as mp
 
-    assert logsinh(x) == pytest.approx(float(mp.log(mp.sinh(x))), rel=1e-13)
-    assert logcosh(x) == pytest.approx(float(mp.log(mp.cosh(x))), rel=1e-13)
+    assert x + vlogsinh_minus_x(x) == pytest.approx(float(mp.log(mp.sinh(x))), rel=1e-13)
+    assert x + vlogcosh_minus_x(x) == pytest.approx(float(mp.log(mp.cosh(x))), rel=1e-13)
 
 
 def test_edge_values():
+    with np.errstate(divide="ignore"):
+        assert vlogsinh_minus_x(0.0) == -math.inf
+    assert vlogcosh_minus_x(0.0) == 0.0
     assert logsinh(0.0) == -math.inf
-    assert logcosh(0.0) == 0.0
     with pytest.raises(ValueError):
         logsinh(-1.0)
 
 
 def test_vectorized_variants_match_scalars():
-    xs = np.array([1e-6, 0.1, 1.0, 19.0, 25.0, 400.0])
-    np.testing.assert_allclose(vlogsinh(xs), [logsinh(float(x)) for x in xs], rtol=1e-14)
-    np.testing.assert_allclose(vlogcosh(xs), [logcosh(float(x)) for x in xs], rtol=1e-14)
+    # elementwise: each entry of an array is bitwise the one-point value, and
+    # the scalar logsinh is the family with x added back
+    xs = np.array([1e-300, 1e-6, 0.1, 1.0, 19.0, 20.0, 25.0, 400.0, 1e300])
+    with np.errstate(over="ignore"):
+        for family in (vlogsinh_minus_x, vlogcosh_minus_x):
+            assert family(xs).tolist() == [family(np.array([x]))[0] for x in xs]
+            assert family(xs[1:]).tolist() == family(xs).tolist()[1:]
+        assert (xs + vlogsinh_minus_x(xs)).tolist() == [logsinh(x) for x in xs.tolist()]

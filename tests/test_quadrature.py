@@ -20,7 +20,7 @@ SPEC = QuadratureSpec()
 class TestSpecValidation:
     def test_defaults(self):
         assert SPEC.abs_tol == 1e-10 and SPEC.rel_tol == 1e-9
-        assert SPEC.max_subdivisions == 2048 and SPEC.tail_sigma_multiplier == 12.0
+        assert SPEC.max_subdivisions == 2048 and quadrature.TAIL_SIGMA_MULTIPLIER == 12.0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -29,7 +29,7 @@ class TestSpecValidation:
             {"abs_tol": 0.5},
             {"rel_tol": -1e-9},
             {"max_subdivisions": 8},
-            {"tail_sigma_multiplier": 4.0},
+            {"rel_tol": 0.5},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):

@@ -293,7 +293,13 @@ class TestDispatchAndBounds:
     def test_stabilized_integrand_pointwise_bound(self):
         # the dominant even-d integrand (per unit 2w jacobian) is sandwiched
         # between 0 and (1 + |u|) e^{-u^2/2} 2^{n - 1/2}
-        from hypbm.logspace import vlogcosh, vlogsinh
+        from hypbm.logspace import vlogcosh_minus_x, vlogsinh_minus_x
+
+        def vlogsinh(v):
+            return v + vlogsinh_minus_x(v)
+
+        def vlogcosh(v):
+            return v + vlogcosh_minus_x(v)
 
         d, t, x = 4, 3.0, -0.7
         n = 2
