@@ -34,7 +34,8 @@ from .tails import _SQRT_2PI, _tail_arrays, normal_tail, tail
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # golden steps planned per array tail call of a refinement, for up to
 # 2^_LOOKAHEAD - 1 points a call: an array call's cost is mostly its fixed
-# overhead (for even d a stacked quadrature's per-round cost), so 15 points
+# overhead (for even d the one or two rounds of a stacked quadrature, each
+# one integrand call over every point still open), so 15 points
 # cost little more than one. Against one point a call, depths 3, 4 and 5 cut
 # the C7 searches (t = 10 to 1000, five t per d) by 32%, 37% and 35% for
 # d = 2, 4 and by 36%, 44% and 38% for d = 3, 5 (medians of seven runs).

@@ -309,7 +309,9 @@ def _log_q_even(d: int, t: float, rs: np.ndarray, spec: QuadratureSpec) -> np.nd
     no term grows with r or t, and the result is assembled in log space.
     At a subnormal t no factor is formed as a subnormal, which keeps a few
     bits: the Gaussian term is w^2 ((2r + w^2)/(2t)), never w^4 ~ t over 2t,
-    and the gap's log is the sum of its factors' logs.
+    and the gap's log is the sum of its factors' logs. Where r/t overflows,
+    and (2r + w^2)/(2t) with it, the term is (w^2/(2t)) (2r + w^2), whose
+    first factor is O(1) over the range.
 
     log q needs the integral to a relative accuracy, but at small t and
     r < 1 the integral is only about sqrt(t): tested against spec.abs_tol,
@@ -351,20 +353,23 @@ def _log_q_even(d: int, t: float, rs: np.ndarray, spec: QuadratureSpec) -> np.nd
     # Gaussian bound in s lies far past this. That growth is factored out at
     # s = max(r, 1) like the decay, so that the integrand stays finite at huge
     # r. Near the double maximum hypot + r and the fold's 2s overflow
-    # harmlessly. At a subnormal t, r / t overflows and empties the range, and
-    # near the largest t, width^2 / (hypot + r) meets inf / inf: a NaN range,
-    # which integrates to 0 and fails below as "not positive"
+    # harmlessly. The rate is halved, (d-1)/4 v r/(2t), which is finite
+    # wherever r r/(2t) is, also at a subnormal t where r/t overflows; every
+    # quotient by it is the same double as by the whole rate. Near the
+    # largest t, width^2 / (hypot + r) meets inf / inf: a NaN range, which
+    # integrates to 0 and fails below as "not positive"
     with np.errstate(over="ignore", invalid="ignore"):
         decay = rs * (rs / (2.0 * t))
         live = (decay < math.inf).nonzero()[0]
         r = rs[live]
         s_span = width * width / (np.hypot(r, width) + r) + sqrt_t
-        rate = np.maximum(0.5 * (d - 1), r / t)
-        w_hi = np.sqrt(np.minimum(s_span, (mult + 1.0) ** 2 / rate))
+        half_rate = np.maximum(0.25 * (d - 1), r / (2.0 * t))
+        w_hi = np.sqrt(np.minimum(s_span, 0.5 * (mult + 1.0) ** 2 / half_rate))
         fold_r = log_descent_fold(d, t, np.maximum(r, 1.0))
         # peak^2 = min(t/r, sqrt(2t), 2/(d-1)) over a denominator of at least
-        # 1/2, which neither overflows nor divides by 0
-        peak2 = 1.0 / np.maximum(rate, 1.0 / math.sqrt(2.0 * t))
+        # 1/4, which neither overflows nor divides by 0
+        peak2 = 0.5 / np.maximum(half_rate, 0.5 / math.sqrt(2.0 * t))
+        wide = r / t == math.inf
         bend = np.sqrt(2.0 * np.where(r > _EPS * peak2, r, math.nan))
         seeds = np.concatenate((bend[:, None] * [1.0, 8.0, 64.0], np.sqrt(peak2)[:, None] * [0.5, 1.0, 2.0, 4.0]), axis=1)
 
@@ -373,10 +378,13 @@ def _log_q_even(d: int, t: float, rs: np.ndarray, spec: QuadratureSpec) -> np.nd
         ww = w * w
         s = r_w + ww
         with np.errstate(divide="ignore", over="ignore"):
+            gauss = ww * ((2.0 * r_w + ww) / (2.0 * t))
+            if wide.any():
+                gauss = np.where(wide[owner], ww / (2.0 * t) * (2.0 * r_w + ww), gauss)
             log_j = (
                 np.log(2.0 * w)
                 + (log_descent_fold(d, t, s) - fold_r[owner])
-                - ww * ((2.0 * r_w + ww) / (2.0 * t))
+                - gauss
                 - 0.5 * (d - 1) * ww
                 # log descent_gap as the sum of its factors' logs
                 - 0.5 * (np.log(-np.expm1(-(2.0 * r_w + ww))) + np.log(-np.expm1(-ww)) - LN2)

@@ -36,8 +36,9 @@ of the same path. _tail_arrays dispatches on parity to the private array
 paths _tail_odd and _tail_even, which take their thresholds from one rule
 (_thresholds), and returns the same numbers as arrays (values, errors,
 method), for callers that need no object per point. For even d the points
-are the intervals of one stacked quadrature (integrate_adaptive), so a grid
-of x costs a handful of integrand calls instead of one quadrature per point;
+are the intervals of one stacked quadrature (integrate_adaptive), each
+seeded at its integrand's own widths, so that a grid of x converges in one
+or two rounds, each one integrand call, instead of one quadrature per point;
 for odd d every piece of the closed form is an array over x, so a 401-point
 grid costs about as much as a few scalar calls.
 
@@ -277,6 +278,13 @@ def _tail_even(dd: Dimension, t: float, xs: np.ndarray, spec: QuadratureSpec) ->
     is c_0 alone. Every factor is computed in doubles without cancellation
     for every t, the fold's bracket included, so the quadrature's estimate is
     the whole error.
+    Each round of the stacked quadrature is one integrand call over every
+    point still open, so the rounds, not the nodes, set the cost, and every
+    interval starts from panels cut at its integrand's own widths: at w = 1,
+    where the gap's factor 1 - e^{-w^2} bends at every t, and at the
+    Gaussian units u = -1, 0, 1 (the bulk) and u = 2.5, 5, which split the
+    top panel. Most one-point tails converge in one or two rounds; seeded in
+    the bulk alone, they took two to five.
     At T = 0 the tail is exactly P(R_t >= 0) = 1, and where T overflows to inf
     exactly 0; only the points with 0 < T < inf are integrated.
     """
@@ -326,14 +334,14 @@ def _tail_even(dd: Dimension, t: float, xs: np.ndarray, spec: QuadratureSpec) ->
                 poly = poly * decay + c_j * nu_j
             return 2.0 * w * (np.sqrt(nu) * poly) * np.exp(log_c - 0.5 * u * u + log_descent_fold(dd.d, t, s))
 
-    # w = sqrt(sqrt(t) (u - x)) at the seed points u = -1, 0, 1 (the Gaussian
-    # bulk) and u = x + 1, each where it lies above x, and at the top, where
-    # u = max(x, 0) + mult + 1 lies past the bulk
-    gaps = np.array([-1.0, 0.0, 1.0, 0.0, 0.0]) - x[:, None]
-    gaps[:, 3] = (x + 1.0) - x
-    gaps[:, 4] = np.maximum(-x, 0.0) + TAIL_SIGMA_MULTIPLIER + 1.0
-    ws = np.sqrt(sqrt_t * np.where(gaps > 0.0, gaps, np.nan))
-    stack = integrate_adaptive(f, np.zeros(len(x)), ws[:, 4], spec, seed_points=ws[:, :4])
+    # the seeds: w = 1, and w = sqrt(sqrt(t) (u - x)) at u = -1, 0, 1, 2.5, 5,
+    # each where it lies above x; 2.5 and 5 split the top panel, over which
+    # e^{-u^2/2} falls from e^{-1/2} to e^{-84} before the top at
+    # u = max(x, 0) + mult + 1, past the bulk
+    gaps = np.array([-1.0, 0.0, 1.0, 2.5, 5.0]) - x[:, None]
+    top = np.sqrt(sqrt_t * (np.maximum(-x, 0.0) + TAIL_SIGMA_MULTIPLIER + 1.0))
+    seeds = np.concatenate((np.ones((len(x), 1)), np.sqrt(sqrt_t * np.where(gaps > 0.0, gaps, np.nan))), axis=1)
+    stack = integrate_adaptive(f, np.zeros(len(x)), top, spec, seed_points=seeds)
     value[above], err[above] = stack.values, stack.errors
     return _finalize(value, err, "even_decomposition")
 

@@ -38,7 +38,7 @@ class CheckResult:
     detail: str
 
 
-def identities_suite(spec: QuadratureSpec = DEFAULT_SPEC) -> list[CheckResult]:
+def identities_suite() -> list[CheckResult]:
     """Operator-calculus identity checks on an r-grid over [0, 10]."""
     out = []
     grid = np.linspace(0.0, 10.0, 41)

@@ -267,7 +267,7 @@ class TestCoarseGridBatch:
 
     # one panel-rule call per quadrature round, for each even C7 search in
     # order of t
-    @pytest.mark.parametrize("d,rounds", [(2, [12, 12, 12, 13, 18]), (4, [12, 13, 18, 14, 19])])
+    @pytest.mark.parametrize("d,rounds", [(2, [6, 6, 6, 7, 7]), (4, [6, 6, 7, 7, 12])])
     def test_even_search_rounds(self, monkeypatch, d, rounds):
         # each round is one sequential integrand call over every point still
         # unconverged, so the count, not the number of nodes, sets a search's cost

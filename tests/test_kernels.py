@@ -403,6 +403,18 @@ class TestSubnormalTime:
                 got = heat_kernel(d, EvaluationPoint(t, r)).log
             assert got == pytest.approx(want, rel=1e-12), r
 
+    @pytest.mark.parametrize("d", range(2, 13))
+    @pytest.mark.parametrize("t,r", [(1e-310, 0.025), (1e-320, 2.5e-12), (1e-320, 1.8e-12), (5e-324, 1e-15)])
+    def test_where_r_over_t_overflows(self, d, t, r):
+        # r/t overflows but r r/(2t) does not: the even kernels' range was
+        # empty there and raised KernelError, while the odd ones were finite
+        assert r / t == math.inf and math.isfinite(r * (r / (2.0 * t)))
+        want = -0.5 * d * (math.log(2.0 * math.pi) + math.log(t)) - r * (r / (2.0 * t))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = heat_kernel(d, EvaluationPoint(t, r)).log
+        assert got == pytest.approx(want, rel=1e-12)
+
 
 class TestArrayR:
     # the origin, a small radius, each odd switch radius, and radii where the

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hypbm.calculus import sinh_power_derivative
 from hypbm.kernels import Dimension, EvaluationPoint, build_odd_kernel
+from hypbm import quadrature as quadrature_module
 from hypbm import tails as tails_module
 from hypbm.quadrature import QuadratureResult, QuadratureSpec, QuadratureStack, integrate_adaptive
 from hypbm.tails import direct_kernel_quadrature, normal_tail, radial_density, tail
@@ -244,6 +245,40 @@ class TestTailEven:
         # integrand must stay exact at t = 1e300, not overflow to 0 or inf
         for x in (-3.0, 0.0, 1.0, 5.0):
             assert tail(d, 1e300, x).value == pytest.approx(normal_tail(x), rel=1e-8, abs=1e-12), x
+
+    def test_even_tail_rounds(self, monkeypatch):
+        # each round is one sequential integrand call, so the count, not the
+        # number of nodes, sets a one-point tail's cost; seeded at the
+        # integrand's own widths, no point of this grid needs more than two
+        # (seeded in the bulk alone, 69 of its points needed two and 28 three)
+        calls = []
+        rule = quadrature_module._panel_rule
+
+        def counting(*args):
+            calls.append(None)
+            return rule(*args)
+
+        monkeypatch.setattr(quadrature_module, "_panel_rule", counting)
+        rounds = {}
+        for d in (2, 4, 6, 8, 10):
+            for t in (1.0, 10.0, 100.0):
+                for x in range(-3, 4):
+                    calls.clear()
+                    tail(d, t, float(x))
+                    rounds[d, t, x] = len(calls)
+        assert max(rounds.values()) <= 2, {p: n for p, n in rounds.items() if n > 2}
+
+    @pytest.mark.parametrize("d", [2, 4, 6, 8, 10])
+    def test_error_estimate_covers_tight_reference(self, d):
+        # fewer rounds must not let an estimate fall below the true error: the
+        # same tail at a tolerance near eps is the reference; the worst use is
+        # 0.32 of the estimate (d = 10, t = 0.1, x = 0.75, an error of 4.4e-16),
+        # and the worst error 2.0e-12 (1.6e-11 seeded in the bulk alone)
+        tight = QuadratureSpec(abs_tol=1e-16, rel_tol=1e-15)
+        xs = np.linspace(-6.0, 10.0, 65)
+        for t in (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3, 1e4):
+            for x, est, ref in zip(xs.tolist(), tail(d, t, xs), tail(d, t, xs, tight)):
+                assert abs(est.value - ref.value) <= est.error_estimate, (t, x)
 
 
 class TestDispatchAndBounds:
