@@ -37,11 +37,16 @@ def _parse_dims(text: str) -> list[int]:
             out.extend(range(int(lo), int(hi) + 1))
         else:
             out.append(int(part))
+    if not out:
+        raise argparse.ArgumentTypeError(f"empty list: {text!r}")
     return out
 
 
 def _parse_floats(text: str) -> list[float]:
-    return [float(p) for p in text.split(",") if p.strip()]
+    out = [float(p) for p in text.split(",") if p.strip()]
+    if not out:
+        raise argparse.ArgumentTypeError(f"empty list: {text!r}")
+    return out
 
 
 def _parse_log_range(text: str) -> list[float]:

@@ -10,7 +10,11 @@ and iterate the Millson recursion
 
 In z = cosh r it is (-d/dz)^m applied to r / sinh r = I_1(z), with
 I_j(z) = int_0^inf (z + cosh x)^{-j} dx, so the bracket of q_d is a complete
-Bell polynomial in positive terms at every r (_log_odd_bracket).
+Bell polynomial in positive terms at every r (_log_odd_bracket). Below a
+switch radius it takes I_j(cosh r) = ((1-y)/2)^j sum_k C(j+k-1, k) B(k+1/2, j)
+y^k, y = tanh^2(r/2), a series in positive terms, and above it the exact
+recurrence in j; one rule sets the radius and the series length (_series),
+and every odd d <= 31 holds log q to 1e-11 + 4 eps |log q|.
 build_odd_kernel iterates the recursion symbolically, with exact integer
 coefficients; no runtime path calls it, so it is an independent oracle.
 
@@ -40,6 +44,7 @@ and its hyperbolic logs from logspace.py.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -172,24 +177,21 @@ def _at(log_q: np.ndarray) -> LogValue:
     return LogValue(1, log_q[0].item())
 
 
-# switch radius and series terms per odd d: below the radius the z-series
-# serves, where the recurrence's division by s^2 cancels, and more terms no
-# longer move a double
-_SERIES_SWITCH = {3: (0.05, 6), 5: (0.05, 6), 7: (0.35, 12), 9: (0.65, 21), 11: (0.95, 34), 13: (1.25, 64)}
-_SERIES_SWITCH_ABOVE_13 = (1.4, 160)
-
-
 @lru_cache(maxsize=None)
-def _bracket_table(d: int, terms: int) -> np.ndarray:
-    """The (m, terms, 1) coefficients of u^k in I_j(1+u) = (-1)^{j+1} G^(j)(1+u)
-    / (2 (j-1)!), j = 1..m, each one int ratio rounded once, from
-    G = acosh(1+u)^2 = 2 sum (-1)^{n+1} (2u)^n / (n^2 C(2n, n))."""
-    m = (d - 1) // 2
-    series = [
-        [(-1) ** k * 2 ** (k + j) * math.comb(k + j - 1, k) / ((k + j) * math.comb(2 * (k + j), k + j)) for k in range(terms)]
+def _series(m: int) -> tuple[float, np.ndarray]:
+    """The switch radius and the (m, terms, 1) coefficients of y^k in I_j's
+    series, j = 1..m, each the int ratio C(j+k-1, k) (j-1)! 2^j /
+    prod_{i<j} (2k+2i+1) = C(j+k-1, k) B(k+1/2, j) rounded once. The
+    recurrence multiplies its rounding by about 1/y per step, so it serves
+    where y >= y_s = 1e-3^{1/max(m-1, 1)}; below, the series stops at the
+    first K with C(m+K-1, K) y_s^K < 1e-18."""
+    y_s = 1e-3 ** (1.0 / max(m - 1, 1))
+    terms = next(K for K in itertools.count(1) if math.comb(m + K - 1, K) * y_s**K < 1e-18)
+    table = [
+        [math.comb(j + k - 1, k) * math.factorial(j - 1) * 2**j / math.prod(range(2 * k + 1, 2 * k + 2 * j, 2)) for k in range(terms)]
         for j in range(1, m + 1)
     ]
-    return np.array(series)[:, :, None]
+    return 2.0 * math.atanh(math.sqrt(y_s)), np.array(table)[:, :, None]
 
 
 def _log_odd_bracket(d: int, t: float, r: np.ndarray) -> np.ndarray:
@@ -201,17 +203,18 @@ def _log_odd_bracket(d: int, t: float, r: np.ndarray) -> np.ndarray:
     with nu = 1 / max(t, 1+r) and mu = t nu <= 1 its recurrence runs on
     a_j (e^r mu)^j = (j-1)! L_j, L_j = e^{jr} I_j mu^{j-1} nu, as
     b_k = B_k / k!, (k+1) b_{k+1} = sum_{j<=k} L_{j+1} b_{k-j}: no term
-    overflows for any t or r. Below d's switch radius L_j comes from the
-    Taylor series of I_j in u = cosh r - 1, exact at r = 0. From it up it
-    comes from j (z^2-1) I_{j+1} = (2j-1) z I_j - (j-1) I_{j-1}, whose j = 1
-    case is (z^2-1) I_2 = z I_1 - 1, scaled with s = sinh(r) e^{-r} and
-    c = cosh(r) e^{-r}; it divides by s^2, so it cancels as r -> 0.
+    overflows for any t or r. Below the switch radius of _series(m) L_j comes
+    from the series of I_j in y = tanh^2(r/2), all of whose terms are
+    positive, scaled by e^r (1-y)/2 = 2/(1+e^{-r})^2 in [1/2, 2]. From it up
+    it comes from j (z^2-1) I_{j+1} = (2j-1) z I_j - (j-1) I_{j-1}, whose
+    j = 1 case is (z^2-1) I_2 = z I_1 - 1, scaled with s = sinh(r) e^{-r}
+    and c = cosh(r) e^{-r}; it divides by s^2, so it cancels as r -> 0.
     Each value depends on its own r alone, bitwise, in an array of any length.
     """
     if len(r) == 1:  # numpy sums a lone column pairwise, two or more in order
         return _log_odd_bracket(d, t, np.repeat(r, 2))[:1]
-    r_switch, terms = _SERIES_SWITCH.get(d, _SERIES_SWITCH_ABOVE_13)
     m = (d - 1) // 2
+    r_switch, table = _series(m)
     top = np.maximum(t, 1.0 + r)
     nu = 1.0 / top
     mu = t * nu
@@ -220,13 +223,13 @@ def _log_odd_bracket(d: int, t: float, r: np.ndarray) -> np.ndarray:
     L = np.empty((m, len(r)))
     if n_near:
         rs = np.minimum(r, r_switch)
-        powers = np.empty((terms, len(r)))
-        powers[0], powers[1:] = 1.0, 2.0 * np.sinh(0.5 * rs) ** 2  # u = cosh r - 1
+        powers = np.empty((table.shape[1], len(r)))
+        powers[0], powers[1:] = 1.0, np.tanh(0.5 * rs) ** 2  # y
         np.cumprod(powers, axis=0, out=powers)
-        e_r = np.exp(rs)
-        L[0], L[1:] = e_r * nu, e_r * mu
+        g = 2.0 / (1.0 + np.exp(-rs)) ** 2
+        L[0], L[1:] = g * nu, g * mu
         np.cumprod(L, axis=0, out=L)
-        L *= (_bracket_table(d, terms) * powers).sum(axis=1)
+        L *= (table * powers).sum(axis=1)
     if n_near < len(r):
         rec = np.empty((m, len(r))) if n_near else L
         rt = np.maximum(r, r_switch) if n_near else r

@@ -30,26 +30,11 @@ class LogValue:
     sign: int
     log: float
 
-    @classmethod
-    def zero(cls) -> "LogValue":
-        return cls(0, -math.inf)
-
-    @classmethod
-    def from_value(cls, v: float) -> "LogValue":
-        if v == 0.0:
-            return cls.zero()
-        return cls(1 if v > 0 else -1, math.log(abs(v)))
-
     @property
     def value(self) -> float:
         if self.sign == 0:
             return 0.0
         return self.sign * math.exp(self.log)
-
-    def __mul__(self, other: "LogValue") -> "LogValue":
-        if self.sign == 0 or other.sign == 0:
-            return LogValue.zero()
-        return LogValue(self.sign * other.sign, self.log + other.log)
 
     def scaled(self, log_factor: float) -> "LogValue":
         """Multiply by exp(log_factor) without leaving log space."""

@@ -291,6 +291,22 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "invalid argument" in err and "numerical failure" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "verify normalization --d 5..3",
+            "verify cross-oracle --x ,",
+            "kernel --d 3 --t , --r 1",
+            "tail --d 3 --t , --x 0",
+            "sweep --d 3 --t ,",
+        ],
+    )
+    def test_empty_list_exits_2(self, capsys, argv):
+        # each of these printed nothing, a header or PASS rows over no point, and exited 0
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2 and capsys.readouterr().out == ""
+
     @pytest.mark.parametrize("argv", [["--t", "1e300", "--x", "1"], ["--t", "1e21", "--x", "-3"]])
     def test_odd_tail_at_huge_time_is_gaussian(self, capsys, argv):
         # every boundary term's O(t) exponents cancel exactly into e^{-x^2/2}:

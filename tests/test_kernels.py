@@ -17,10 +17,9 @@ from hypbm.kernels import (
     heat_kernel,
     millson_step_numeric,
     millson_step_symbolic,
-    _SERIES_SWITCH,
-    _SERIES_SWITCH_ABOVE_13,
     _log_kernel,
     _log_odd_bracket,
+    _series,
     descent_gap,
 )
 from hypbm.logspace import LogValue
@@ -38,7 +37,7 @@ def eval_odd_bracket_mp(d: int, t: float, r: float, digits: float) -> LogValue:
         for c, i, p, a, b in build_odd_kernel(d).terms:
             total += c * rt**p * ch**a / (tt**i * sh**b)
         if total == 0:
-            return LogValue.zero()
+            return LogValue(0, -math.inf)
         return LogValue(1 if total > 0 else -1, float(mp.log(abs(total))))
 
 
@@ -154,19 +153,21 @@ class TestOddKernels:
             assert vals[0] == pytest.approx(vals[3], rel=1e-3)
             assert heat_kernel(d, EvaluationPoint(1.0, 0.0)).log == pytest.approx(log_q_odd_mp(d, 1.0, 0.0), abs=1e-13)
 
-    @pytest.mark.parametrize("d", range(5, 24, 2))
+    @pytest.mark.parametrize("d", range(3, 32, 2))
     def test_vectorized_bracket_matches_scalar_path(self, d):
         # log q_d, one point at a time and as one array of r, against the
-        # scalar mpmath reference on both sides of every switch radius; the
-        # grid holds (7, 50, 0.06), (9, 2, 0.16), (11, 2, 0.24) and
-        # (13, 50, 0.32), where a term-table sum with an mpmath switch by
+        # scalar mpmath reference on both sides of d's switch radius and out
+        # to r = 3; the grid holds (7, 50, 0.06), (9, 2, 0.16), (11, 2, 0.24)
+        # and (13, 50, 0.32), where a term-table sum with an mpmath switch by
         # lost digits was off by 1e-9 to 1e-7, r = 1.5, where a signed
         # term-table sum was off by 5x (d = 19) and 13x (d = 21) the bound,
-        # and r = 1.4, the first recurrence radius past d = 13, where the
-        # bound holds up to d = 23 (0.64 of it at t = 50) and is missed by
-        # 1.7x at d = 25
-        rs = np.array([0.0, 1e-6, 1e-4, 1e-3, 0.01, 0.04, 0.06, 0.16, 0.24, 0.32, 0.5, 0.64, 0.66,
-                       0.8, 0.94, 0.96, 1.0, 1.24, 1.26, 1.4, 1.5, 2.0])
+        # and r = 1.4, where an alternating series in cosh r - 1 below a
+        # hand-set switch and the recurrence above it missed the bound from
+        # d = 25 up (at t = 50 by 1.7x at d = 25 and 31x at d = 31)
+        r_switch = _series((d - 1) // 2)[0]
+        rs = np.array(sorted([0.0, 1e-6, 1e-4, 1e-3, 0.01, 0.04, 0.06, 0.16, 0.24, 0.32, 0.5, 0.64, 0.66,
+                              0.8, 0.94, 0.96, 1.0, 1.24, 1.26, 1.4, 1.5, 1.7, 1.9, 2.0, 2.1, 2.5, 3.0,
+                              r_switch * (1.0 - 1e-3), r_switch * (1.0 + 1e-3)]))
         expr = build_odd_kernel(d)
         for t in (1e-3, 0.01, 0.1, 2.0, 10.0, 50.0, 1e3, 1e5):
             vector = expr.log_prefactor(t) - rs * (rs / (2.0 * t)) + _log_odd_bracket(d, t, rs) - expr.m * rs
@@ -190,12 +191,12 @@ class TestOddKernels:
                 assert (whole[j : j + 2] == _log_odd_bracket(d, t, rs[j : j + 2])).all(), (t, rs[j])
             assert (whole[1::4] == _log_odd_bracket(d, t, rs[1::4])).all(), t
 
-    @pytest.mark.parametrize("d", [3, 5, 7, 9, 11, 13, 15, 17, 19, 21])
+    @pytest.mark.parametrize("d", range(3, 32, 2))
     def test_term_table_positive_above_the_switch(self, d):
         # the recurrence serves every r from d's switch radius up: its Bell
         # sum stays positive and finite there for every t, out to the double
         # maximum, so no fallback or error path is needed
-        r_switch = _SERIES_SWITCH.get(d, _SERIES_SWITCH_ABOVE_13)[0]
+        r_switch = _series((d - 1) // 2)[0]
         rs = np.concatenate([np.linspace(r_switch, 3.0, 200), np.geomspace(3.0, 1.7e308, 400)])
         for t in np.geomspace(1e-3, 1e300, 40):
             assert np.isfinite(_log_odd_bracket(d, float(t), rs)).all(), t
@@ -417,10 +418,11 @@ class TestSubnormalTime:
 
 
 class TestArrayR:
-    # the origin, a small radius, each odd switch radius, and radii where the
+    # the origin, a small radius, the switch radius of each bracket that d <= 12
+    # evaluates (odd d <= 13, the even folds' included), and radii where the
     # fold's polynomial growth, the peak's sqrt(t/r) width and r^2/(2t)
     # overflowing each need their own care
-    RS = np.r_[0.0, 1e-3, sorted({r for r, _ in _SERIES_SWITCH.values()}), _SERIES_SWITCH_ABOVE_13[0], 10.0, 1e8, 1e17, 1.7e308]
+    RS = np.r_[0.0, 1e-3, sorted({_series(m)[0] for m in range(1, 7)}), 10.0, 1e8, 1e17, 1.7e308]
 
     @pytest.mark.parametrize("d", range(2, 13))
     @pytest.mark.parametrize("t", [1e-3, 1.0, 50.0, 1e300])

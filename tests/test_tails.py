@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypbm.calculus import sinh_power_derivative
-from hypbm.kernels import Dimension, EvaluationPoint, build_odd_kernel
+from hypbm.kernels import Dimension, EvaluationPoint, _series, build_odd_kernel
 from hypbm import quadrature as quadrature_module
 from hypbm import tails as tails_module
 from hypbm.quadrature import QuadratureResult, QuadratureSpec, QuadratureStack, integrate_adaptive
@@ -165,6 +165,16 @@ class TestTailOdd:
         a = tail(5, 2.0, 0.5)
         b = direct_kernel_quadrature(5, 2.0, 0.5)
         assert a.value == pytest.approx(b.value, abs=1e-7)
+
+    def test_every_summed_term_is_positive(self):
+        # the odd tail sums its boundary terms, and the odd bracket its series,
+        # with no sign: every expansion the tail uses for d <= 63 and every
+        # series coefficient for m <= 15 must be positive
+        for n in range(2, 32):
+            for m in range(1, n):
+                assert all(c > 0 for c, _, _ in sinh_power_derivative(2 * n - 1, m - 1).terms), (n, m)
+        for m in range(1, 16):
+            assert (_series(m)[1] > 0.0).all(), m
 
     def test_boundary_terms_vanish_below_threshold(self):
         # T = 0 here, so the value is the reduced d=3 tail alone (= 1)
