@@ -26,7 +26,6 @@ from .discrepancy import (
     DiscrepancyCurve,
     DiscrepancyRecord,
     RateFit,
-    SearchSpec,
     discrepancy_curve,
     rate_fit,
     sharpness_at_zero,
@@ -80,7 +79,6 @@ __all__ = [
     "DiscrepancyCurve",
     "DiscrepancyRecord",
     "RateFit",
-    "SearchSpec",
     "discrepancy_curve",
     "rate_fit",
     "sharpness_at_zero",

@@ -19,12 +19,22 @@ from decimal import Decimal, InvalidOperation
 from typing import Sequence
 
 from . import __version__
-from .discrepancy import SearchSpec, sup_discrepancy
+from .discrepancy import sup_discrepancy
 from .kernels import Dimension, KernelError, _log_kernel
 from .quadrature import DEFAULT_SPEC, QuadratureError, QuadratureSpec
 from .sim import SimulationConfig, empirical_tail, simulate_radial
 from .tails import _radial_density, tail
 from .verify import SUITES
+
+
+# the most points a range flag may list
+_MAX_POINTS = 10**6
+
+
+def _check_count(count: int, text: str) -> None:
+    """Reject a range flag's point count before its list is built."""
+    if count > _MAX_POINTS:
+        raise argparse.ArgumentTypeError(f"{text!r} gives more than {_MAX_POINTS} points")
 
 
 def _parse_dims(text: str) -> list[int]:
@@ -33,10 +43,11 @@ def _parse_dims(text: str) -> list[int]:
     for part in text.split(","):
         part = part.strip()
         if ".." in part:
-            lo, hi = part.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(v) for v in part.split("..", 1))
         else:
-            out.append(int(part))
+            lo = hi = int(part)
+        _check_count(len(out) + hi - lo + 1, text)
+        out.extend(range(lo, hi + 1))
     if not out:
         raise argparse.ArgumentTypeError(f"empty list: {text!r}")
     return out
@@ -57,6 +68,7 @@ def _parse_log_range(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected lo:hi:count, got {text!r}") from exc
     if not (lo > 0 and hi > lo and count >= 2):
         raise argparse.ArgumentTypeError(f"need 0 < lo < hi and count >= 2, got {text!r}")
+    _check_count(count, text)
     ratio = (hi / lo) ** (1.0 / (count - 1))
     return [lo * ratio**i for i in range(count)]
 
@@ -69,7 +81,11 @@ def _parse_x_range(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected lo:hi:step, got {text!r}") from exc
     if not all(v.is_finite() for v in (lo, hi, step)) or not (step > 0 and hi >= lo):
         raise argparse.ArgumentTypeError(f"need finite values, step > 0 and hi >= lo, got {text!r}")
-    count = int((hi - lo) // step) + 1
+    try:
+        count = int((hi - lo) // step) + 1
+    except InvalidOperation as exc:  # a quotient of more digits than the decimal context holds
+        raise argparse.ArgumentTypeError(f"{text!r} gives more than {_MAX_POINTS} points") from exc
+    _check_count(count, text)
     return [float(lo + i * step) for i in range(count)]
 
 
@@ -162,7 +178,7 @@ def _cmd_tail(args) -> int:
 
 def _sweep_one(job):
     d, t, spec = job
-    res = sup_discrepancy(Dimension(d), t, spec, SearchSpec())
+    res = sup_discrepancy(Dimension(d), t, spec)
     return {"d": d, "t": t, "delta": res.delta, "argmax_x": res.argmax_x, "evaluations": res.evaluations}
 
 
@@ -217,13 +233,21 @@ def _cmd_verify(args) -> int:
 _NEGATIVE_VALUE = re.compile(r"^-(\d|\.\d)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads _NEGATIVE_VALUE as a value; add_subparsers
+    makes each subparser of the parser's own class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_VALUE
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hypbm",
         description="Heat kernels, radial tails, and Gaussian-fluctuation rate "
         "experiments for Brownian motion on hyperbolic spaces.",
     )
-    parser._negative_number_matcher = _NEGATIVE_VALUE
     parser.add_argument("--version", action="version", version=f"hypbm {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -235,18 +259,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--abs-tol", dest="abs_tol", type=float)
         p.add_argument("--rel-tol", dest="rel_tol", type=float)
 
-    def t_args(p, required=True):
-        g = p.add_mutually_exclusive_group(required=required)
+    def t_args(p):
+        g = p.add_mutually_exclusive_group(required=True)
         g.add_argument("--t", type=_parse_floats)
         g.add_argument("--t-log-range", dest="t_log_range", type=_parse_log_range)
 
-    def x_args(p, required=True):
-        g = p.add_mutually_exclusive_group(required=required)
+    def x_args(p):
+        g = p.add_mutually_exclusive_group(required=True)
         g.add_argument("--x", type=_parse_floats)
         g.add_argument("--x-range", dest="x_range", type=_parse_x_range)
 
     p = sub.add_parser("kernel", help="evaluate q_d(t, r)")
-    p._negative_number_matcher = _NEGATIVE_VALUE
     p.add_argument("--d", type=_parse_dims, required=True)
     t_args(p)
     p.add_argument("--r", type=_parse_floats, required=True)
@@ -255,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_kernel)
 
     p = sub.add_parser("density", help="evaluate the radial density")
-    p._negative_number_matcher = _NEGATIVE_VALUE
     p.add_argument("--d", type=_parse_dims, required=True)
     t_args(p)
     p.add_argument("--r", type=_parse_floats, required=True)
@@ -264,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("tail", help="normalized-fluctuation tail probability")
-    p._negative_number_matcher = _NEGATIVE_VALUE
     p.add_argument("--d", type=_parse_dims, required=True)
     t_args(p)
     x_args(p)
@@ -273,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_tail)
 
     p = sub.add_parser("sweep", help="sup-discrepancy curve over t")
-    p._negative_number_matcher = _NEGATIVE_VALUE
     p.add_argument("--d", type=_parse_dims, required=True)
     t_args(p)
     common_io(p)
@@ -281,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("simulate", help="Monte Carlo empirical tails")
-    p._negative_number_matcher = _NEGATIVE_VALUE
     p.add_argument("--d", type=_parse_dims, required=True)
     t_args(p)
     x_args(p)
@@ -293,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("verify", help="run a named invariant suite")
-    p._negative_number_matcher = _NEGATIVE_VALUE
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--d", type=_parse_dims)
     p.add_argument("--t", type=_parse_floats)

@@ -14,8 +14,8 @@ window's maximum. Each golden-section step depends on the last, so the
 refinement's array calls look ahead: one call evaluates the point a step
 needs together with both candidates of each of the next few steps, and the
 search keeps only the points its path reaches. Both parities search alike:
-a default search makes 6 array calls of tail, 7 when the sup is too small
-to certify the outer points.
+a search makes 6 array calls of tail, 7 when the sup is too small to
+certify the outer points.
 """
 
 from __future__ import annotations
@@ -43,36 +43,12 @@ _LOOKAHEAD = 4
 # the coarse grid is evaluated at |x| <= _WINDOW and certified beyond: at
 # x = +-4 the tail and Phi lie within about 1e-4 of their limits, so the edge
 # bounds sit far below every sup of the sweeps (0.01 to 0.17), while the
-# window holds 160 of the default grid's 401 points
+# window holds 160 of the grid's 401 points
 _WINDOW = 4.0
-
-
-@dataclass(frozen=True)
-class SearchSpec:
-    """Grid-then-refine policy for the sup search."""
-
-    x_lo: float = -10.0
-    x_hi: float = 10.0
-    coarse_step: float = 0.05
-    x_resolution: float = 1e-4
-
-    def __post_init__(self) -> None:
-        fields = (self.x_lo, self.x_hi, self.coarse_step, self.x_resolution)
-        if not all(math.isfinite(v) for v in fields):
-            raise ValueError(f"search fields must be finite, got {self}")
-        if not self.x_lo < self.x_hi:
-            raise ValueError(f"x_lo must be below x_hi, got [{self.x_lo}, {self.x_hi}]")
-        if not self.coarse_step > 0.0:
-            raise ValueError(f"coarse_step must be positive, got {self.coarse_step}")
-        # grid points lie below x_hi + coarse_step. A bracket one ulp wide
-        # there can stop shrinking under rounding, so a resolution below that
-        # spacing would never end the refinement; at or above it every
-        # sequence of golden steps ends
-        floor = math.ulp(max(abs(self.x_lo), abs(self.x_hi)) + self.coarse_step)
-        if not self.x_resolution >= floor:
-            raise ValueError(
-                f"x_resolution {self.x_resolution} is below the double spacing {floor} on the search window"
-            )
+# the coarse grid, -10 to 10 in steps of 0.05, and the width at which the
+# golden-section refinement stops; sup_discrepancy reads both when called
+_GRID = np.arange(-10.0, 10.0 + 0.5 * 0.05, 0.05)
+_RESOLUTION = 1e-4
 
 
 @dataclass(frozen=True)
@@ -133,38 +109,32 @@ def _lookahead(a: float, b: float, c: float, e: float, depth: int, resolution: f
     return points
 
 
-def sup_discrepancy(
-    d: Dimension | int,
-    t: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-    search: SearchSpec = SearchSpec(),
-) -> SupResult:
+def sup_discrepancy(d: Dimension | int, t: float, spec: QuadratureSpec = DEFAULT_SPEC) -> SupResult:
     """sup_x |tail(d, t, x) - Phi(x)| by coarse grid plus golden-section refine.
 
-    One array call of tail evaluates the coarse grid's points with
-    |x| <= _WINDOW. The tail and Phi both fall in x, so every grid point
-    right of the window's last point x_b has |tail - Phi| <= max(tail(x_b) +
-    err_b, Phi(x_b)), and every point left of its first point x_a at most
+    The coarse grid is _GRID, and the refinement stops at width _RESOLUTION.
+    One array call of tail evaluates the grid's points with |x| <= _WINDOW.
+    The tail and Phi both fall in x, so every grid point right of the
+    window's last point x_b has |tail - Phi| <= max(tail(x_b) + err_b,
+    Phi(x_b)), and every point left of its first point x_a at most
     max(1 - tail(x_a) + err_a, 1 - Phi(x_a)), each plus abs_tol + rel_tol for
     the outer point's own error. A side whose bound lies strictly below the
     window's maximum is certified: none of its points can be the grid's
     first maximum, so none is evaluated, and none can fail the search. The
-    points not certified (the whole grid when the window holds none of it)
-    are evaluated in one more array call. The refinement evaluates each
-    needed point together with the candidates of the next _LOOKAHEAD - 1
-    steps in one array call, at every d; points its path never reaches are
-    dropped. evaluations counts the points actually evaluated: the grid
-    points not certified, the points the refinement visits and the check
-    points. Ties on the coarse grid break toward the smallest x. A
-    three-point check around the refined maximizer guards the unimodality
-    assumption. The returned delta is the max over the grid, the
+    points not certified are evaluated in one more array call. The
+    refinement evaluates each needed point together with the candidates of
+    the next _LOOKAHEAD - 1 steps in one array call, at every d; points its
+    path never reaches are dropped. evaluations counts the points actually
+    evaluated: the grid points not certified, the points the refinement
+    visits and the check points. Ties on the coarse grid break toward the
+    smallest x. A three-point check around the refined maximizer guards the
+    unimodality assumption. The returned delta is the max over the grid, the
     refinement's visited steps and the check, so refinement can never lose
     against the grid; delta and argmax_x are bitwise those of a search that
     evaluates the whole grid.
     """
     dd = Dimension.of(d)
-    resolution = search.x_resolution
-    xs = np.arange(search.x_lo, search.x_hi + 0.5 * search.coarse_step, search.coarse_step)
+    xs, resolution = _GRID, _RESOLUTION
 
     def evaluate(at: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """|tail - Phi| at every x, with the tail's values, its errors and Phi."""
@@ -180,17 +150,16 @@ def sup_discrepancy(
     vals = np.full(len(xs), -math.inf)  # a certified point stays -inf
     outer = np.abs(xs) > _WINDOW
     window = (~outer).nonzero()[0]
-    if window.size:
-        fw, value, err, phi = evaluate(xs[window])
-        vals[window] = fw
-        # the docstring's bounds: |a - b| <= max(a, b) and <= max(1 - a, 1 - b)
-        # for a, b in [0, 1] hold in doubles too; the margin, the quadrature's
-        # target for a tail in [0, 1], covers the outer point's own error
-        top, margin = fw.max(), spec.abs_tol + spec.rel_tol
-        if max(1.0 - value[0] + err[0], 1.0 - phi[0]) + margin < top:
-            outer[: window[0]] = False
-        if max(value[-1] + err[-1], phi[-1]) + margin < top:
-            outer[window[-1] + 1 :] = False
+    fw, value, err, phi = evaluate(xs[window])
+    vals[window] = fw
+    # the docstring's bounds: |a - b| <= max(a, b) and <= max(1 - a, 1 - b)
+    # for a, b in [0, 1] hold in doubles too; the margin, the quadrature's
+    # target for a tail in [0, 1], covers the outer point's own error
+    top, margin = fw.max(), spec.abs_tol + spec.rel_tol
+    if max(1.0 - value[0] + err[0], 1.0 - phi[0]) + margin < top:
+        outer[: window[0]] = False
+    if max(value[-1] + err[-1], phi[-1]) + margin < top:
+        outer[window[-1] + 1 :] = False
     rest = outer.nonzero()[0]
     if rest.size:
         vals[rest] = evaluate(xs[rest])[0]
@@ -222,11 +191,7 @@ def sup_discrepancy(
             if vv > best_v:
                 best_v, best_x = vv, float(xx)
     # unimodality sanity: the refined point should not be dominated nearby
-    check = [
-        xx
-        for xx in (best_x - 2 * resolution, best_x + 2 * resolution)
-        if search.x_lo <= xx <= search.x_hi
-    ]
+    check = [xx for xx in (best_x - 2 * resolution, best_x + 2 * resolution) if xs[0] <= xx <= xs[-1]]
     evals += len(check)
     for xx, vv in zip(check, f(check)):
         if vv > best_v:
@@ -234,23 +199,18 @@ def sup_discrepancy(
     return SupResult(best_v, best_x, evals)
 
 
-def discrepancy_curve(
-    d: Dimension | int,
-    ts: Sequence[float],
-    spec: QuadratureSpec = DEFAULT_SPEC,
-    search: SearchSpec = SearchSpec(),
-) -> DiscrepancyCurve:
+def discrepancy_curve(d: Dimension | int, ts: Sequence[float]) -> DiscrepancyCurve:
     dd = Dimension.of(d)
     records = []
     for t in sorted(float(t) for t in ts):
-        res = sup_discrepancy(dd, t, spec, search)
+        res = sup_discrepancy(dd, t)
         records.append(DiscrepancyRecord(t, res.delta, res.argmax_x, res.evaluations))
     return DiscrepancyCurve(dd.d, tuple(records))
 
 
-def sharpness_at_zero(d: Dimension | int, t: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def sharpness_at_zero(d: Dimension | int, t: float) -> float:
     """sqrt(t) * (tail(d, t, 0) - 1/2), the scaled excess at the center."""
-    return math.sqrt(t) * (tail(d, t, 0.0, spec).value - 0.5)
+    return math.sqrt(t) * (tail(d, t, 0.0).value - 0.5)
 
 
 def rate_fit(curve: DiscrepancyCurve) -> RateFit:
@@ -266,7 +226,7 @@ def rate_fit(curve: DiscrepancyCurve) -> RateFit:
     return RateFit(float(slope), float(intercept), float(np.sqrt(np.mean(resid**2))))
 
 
-def sharpness_d2_integral(t: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def sharpness_d2_integral(t: float) -> float:
     """d=2 center excess tail(2,t,0) - 1/2 through an independent integral.
 
     Uses the exact representation (1/sqrt(2 pi)) int_0^inf e^{-u^2/2} F_t(u) du
@@ -302,5 +262,5 @@ def sharpness_d2_integral(t: float, spec: QuadratureSpec = DEFAULT_SPEC) -> floa
         return 2.0 * w * np.exp(-0.5 * u * u) * ft
 
     seeds = [w for w in (0.25 * t ** -0.25, t ** -0.25, 4.0 * t ** -0.25) if 0.0 < w < w_hi]
-    res = integrate_adaptive(f, 0.0, w_hi, spec, seed_points=seeds)
+    res = integrate_adaptive(f, 0.0, w_hi, seed_points=seeds)
     return res.value / _SQRT_2PI

@@ -395,7 +395,7 @@ def _log_q_even(d: int, t: float, rs: np.ndarray, spec: QuadratureSpec) -> np.nd
         return np.exp(log_j)
 
     out = np.full(len(rs), -math.inf)
-    lg = 0.5 * LN2 - (d - 1) ** 2 * t / 8.0 + _log_gauss(d // 2, t)
+    lg = 0.5 * LN2 - (d - 1) ** 2 / 8.0 * t + _log_gauss(d // 2, t)
     integral = integrate_adaptive(f, np.zeros(len(r)), w_hi, replace(spec, abs_tol=math.ulp(0.0)), seed_points=seeds).values
     flat = ~(integral > 0.0)
     if flat.any():
@@ -404,12 +404,7 @@ def _log_q_even(d: int, t: float, rs: np.ndarray, spec: QuadratureSpec) -> np.nd
     return out
 
 
-def millson_step_numeric(
-    q_lower: Callable[[float], LogValue],
-    d: int,
-    p: EvaluationPoint,
-    h: float | None = None,
-) -> LogValue:
+def millson_step_numeric(q_lower: Callable[[float], LogValue], d: int, p: EvaluationPoint) -> LogValue:
     """One numerical recursion step: q_d from q_{d-2} by differentiating log q.
 
     Uses the 4th-order 5-point stencil (central differences with one
@@ -420,16 +415,14 @@ def millson_step_numeric(
     t, r = p.t, p.r
     if r <= 0.0:
         raise KernelError(f"recursion step requires r > 0, got r={r}")
-    if h is None:
-        h = _EPS ** (1.0 / 3.0) * (1.0 + r)
-    h = min(h, 0.25 * r)
+    h = min(_EPS ** (1.0 / 3.0) * (1.0 + r), 0.25 * r)
     if h < 1e-12:
         raise KernelError(f"step underflow at r={r} (h={h})")
     g = [q_lower(r + k * h).log for k in (-2, -1, 0, 1, 2)]
     gprime = (g[0] - 8.0 * g[1] + 8.0 * g[3] - g[4]) / (12.0 * h)
     if not (gprime < 0.0):
         raise KernelError(f"kernel not decreasing at d={d}, t={t}, r={r} (g'={gprime})")
-    lg = -(d - 2) * t / 2.0 - LN2PI - logsinh(r) + g[2] + math.log(-gprime)
+    lg = -(d - 2) / 2.0 * t - LN2PI - logsinh(r) + g[2] + math.log(-gprime)
     return LogValue(1, lg)
 
 
@@ -461,7 +454,7 @@ def _log_envelope(d: int, t: float, rs: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         return (
             -0.5 * d * math.log(t)
-            - (d - 1) ** 2 * t / 8.0
+            - (d - 1) ** 2 / 8.0 * t
             - (d - 1) * rs / 2.0
             - rs * (rs / (2.0 * t))
             + 0.5 * (d - 3) * np.log1p(rs + t)

@@ -5,7 +5,7 @@ integrate_adaptive takes one interval [a, b] and a vectorized integrand
 f(nodes) -> values, or a stack of intervals [a_i, b_i] and an integrand
 f(nodes, owner) -> values, where owner[n] is the index of the interval that
 node n belongs to. Every interval keeps its own panels, split threshold,
-convergence test and subdivision limit, and leaves the loop once it
+convergence test and _MAX_PANELS panel limit, and leaves the loop once it
 converges; each round evaluates the new panels of all the others in one
 integrand call, which keeps pure-Python overhead out of the hot loop. A
 panel's rule and an interval's sums run in an order of its own, so each
@@ -65,22 +65,22 @@ _KG = np.stack([_WK, _wg_full])                             # K21 and G10 weight
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and the subdivision limit for adaptive integration."""
+    """Tolerances for adaptive integration."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
-    max_subdivisions: int = 2048
 
     def __post_init__(self) -> None:
         if not (0.0 < self.abs_tol <= 1e-2):
             raise ValueError(f"abs_tol must lie in (0, 1e-2], got {self.abs_tol}")
         if not (0.0 < self.rel_tol <= 1e-2):
             raise ValueError(f"rel_tol must lie in (0, 1e-2], got {self.rel_tol}")
-        if self.max_subdivisions < 16:
-            raise ValueError(f"max_subdivisions must be >= 16, got {self.max_subdivisions}")
 
 
 DEFAULT_SPEC = QuadratureSpec()
+
+# an interval that reaches this many panels unconverged fails
+_MAX_PANELS = 2048
 
 # integration ranges end this many standard deviations past the bulk
 TAIL_SIGMA_MULTIPLIER = 12.0
@@ -201,7 +201,7 @@ def _integrate(f, lows: np.ndarray, highs: np.ndarray, owner: np.ndarray, m: int
     it is integrated alone, and np.bincount sums them in that order. A
     converged interval's panels leave the arrays, and its sums fill its slot
     of the result's arrays. QuadratureError carries the best estimate of the
-    first interval that reaches spec.max_subdivisions panels unconverged.
+    first interval that reaches _MAX_PANELS panels unconverged.
     """
     # each split adds one panel and evaluates two: 2 * panels - first panels evaluated
     first = np.bincount(owner, minlength=m)
@@ -227,11 +227,11 @@ def _integrate(f, lows: np.ndarray, highs: np.ndarray, owner: np.ndarray, m: int
             live = active[owner]
             lows, highs, vals, errs, owner = lows[live], highs[live], vals[live], errs[live], owner[live]
             count[done] = 0
-        if count.max() >= spec.max_subdivisions:
-            i = int(np.argmax(count >= spec.max_subdivisions))
+        if count.max() >= _MAX_PANELS:
+            i = int(np.argmax(count >= _MAX_PANELS))
             best = QuadratureResult(float(total[i]), float(err_total[i]), _NODES.size * int(2 * count[i] - first[i]))
             raise QuadratureError(
-                f"no convergence within {spec.max_subdivisions} panels "
+                f"no convergence within {_MAX_PANELS} panels "
                 f"(err {err_total[i]:.3e} > tol {tol[i]:.3e})",
                 best=best,
             )

@@ -27,7 +27,7 @@ from .kernels import (
     heat_kernel,
     millson_step_numeric,
 )
-from .quadrature import DEFAULT_SPEC, QuadratureSpec
+from .quadrature import DEFAULT_SPEC
 from .tails import _radial_mass, direct_kernel_quadrature, tail
 
 
@@ -80,22 +80,21 @@ def identities_suite() -> list[CheckResult]:
 def normalization_suite(
     ds: Sequence[int] = (2, 3, 4, 5, 6, 7),
     ts: Sequence[float] = (0.5, 1.0, 5.0, 20.0),
-    spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> list[CheckResult]:
     """Total radial mass omega_d int q_d sinh^{d-1} = 1 for each (d, t): the
     brute-force tail oracle's mass integral from T = 0, unclamped, within
-    spec.rel_tol."""
-    out, tol = [], spec.rel_tol
+    DEFAULT_SPEC.rel_tol."""
+    out, tol = [], DEFAULT_SPEC.rel_tol
     for d in [Dimension(d).d for d in ds]:
         for t in ts:
-            defect = abs(_radial_mass(d, float(t), 0.0, spec).value - 1.0)
+            defect = abs(_radial_mass(d, float(t), 0.0, DEFAULT_SPEC).value - 1.0)
             out.append(
                 CheckResult(f"normalization d={d} t={t}", defect <= tol, f"|mass-1| = {defect:.2e} (tol {tol:g})")
             )
     return out
 
 
-def millson_suite(spec: QuadratureSpec = DEFAULT_SPEC) -> list[CheckResult]:
+def millson_suite() -> list[CheckResult]:
     """Bell-sum odd kernels and descent even kernels against one numerical
     recursion step from the kernel two dimensions down."""
     out = []
@@ -106,16 +105,14 @@ def millson_suite(spec: QuadratureSpec = DEFAULT_SPEC) -> list[CheckResult]:
         for t in ts:
             for r in rs:
                 p = EvaluationPoint(t, r)
-                got = heat_kernel(d, p, spec)
-                num = millson_step_numeric(lambda rr, t=t: heat_kernel(d - 2, EvaluationPoint(t, rr), spec), d, p)
+                got = heat_kernel(d, p)
+                num = millson_step_numeric(lambda rr, t=t: heat_kernel(d - 2, EvaluationPoint(t, rr)), d, p)
                 worst = max(worst, abs(math.expm1(got.log - num.log)))
         out.append(CheckResult(f"recursion consistency d={d}", worst <= 1e-6, f"max rel err {worst:.2e}"))
     return out
 
 
-def davies_suite(
-    ds: Sequence[int] = (2, 3, 4, 5, 6), spec: QuadratureSpec = DEFAULT_SPEC
-) -> list[CheckResult]:
+def davies_suite(ds: Sequence[int] = (2, 3, 4, 5, 6)) -> list[CheckResult]:
     """Kernel/envelope log-ratio bounded and stable under grid refinement."""
     out = []
     for d in [Dimension(d).d for d in ds]:
@@ -124,7 +121,7 @@ def davies_suite(
             lo, hi = math.inf, -math.inf
             rs = np.linspace(0.0, 40.0, nr)
             for t in np.geomspace(0.1, 50.0, nt).tolist():
-                lr = _log_kernel(d, t, rs, spec) - _log_envelope(d, t, rs)
+                lr = _log_kernel(d, t, rs) - _log_envelope(d, t, rs)
                 lo, hi = min(lo, lr.min()), max(hi, lr.max())
             widths.append(hi - lo)
         change = abs(widths[1] - widths[0]) / widths[0]
@@ -143,15 +140,14 @@ def cross_oracle_suite(
     ds: Sequence[int] = (2, 3, 4, 5),
     ts: Sequence[float] = (1.0, 5.0, 20.0),
     xs: Sequence[float] = (-3.0, -1.0, 0.0, 1.0, 3.0),
-    spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> list[CheckResult]:
-    """Reduction tails against brute-force density integration, within spec.rel_tol."""
-    out, tol = [], spec.rel_tol
+    """Reduction tails against brute-force density integration, within DEFAULT_SPEC.rel_tol."""
+    out, tol = [], DEFAULT_SPEC.rel_tol
     for d in ds:
         worst = 0.0
         for t in ts:
-            for x, est in zip(xs, tail(d, float(t), xs, spec)):
-                b = direct_kernel_quadrature(d, float(t), float(x), spec).value
+            for x, est in zip(xs, tail(d, float(t), xs)):
+                b = direct_kernel_quadrature(d, float(t), float(x)).value
                 worst = max(worst, abs(est.value - b))
         out.append(CheckResult(f"cross-oracle d={d}", worst <= tol, f"max |diff| = {worst:.2e} (tol {tol:g})"))
     return out

@@ -58,19 +58,23 @@ class TestKernelCommand:
             "--d 4 --t 1 --r 1e154",
             "--d 4 --t 1 --r 1.7e308",
             "--d 2 --t 1 --r 1.7e308",
+            "--d 4 --t 2e307 --r 1",
+            "--d 6 --t 1e307 --r 1",
         ],
     )
     def test_even_kernel_at_huge_radius(self, capsys, argv):
         # the decay and the fold's polynomial growth in s ~ r are factored
         # out, so log q keeps its leading terms to double precision; where
-        # r^2/(2t) overflows, log q is -inf, as for odd d
+        # r^2/(2t) overflows, log q is -inf, as for odd d. (d-1)^2 t/8 is
+        # formed from its constant first, so it stays finite up to t = 8 *
+        # 1.8e308/(d-1)^2
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, "kernel", *argv.split())
         assert code == 0 and err == ""
         _, d, _, t, _, r = argv.split()
         d, t, r = int(d), float(t), float(r)
-        want = -r * (r / (2.0 * t)) - (d - 1) * r / 2.0 - (d - 1) ** 2 * t / 8.0
+        want = -r * (r / (2.0 * t)) - (d - 1) * r / 2.0 - (d - 1) ** 2 / 8.0 * t
         assert float(out.strip().splitlines()[1].split(",")[4]) == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize("command", ["kernel", "density"])
@@ -303,6 +307,23 @@ class TestErrorPaths:
     )
     def test_empty_list_exits_2(self, capsys, argv):
         # each of these printed nothing, a header or PASS rows over no point, and exited 0
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2 and capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "tail --d 3 --t 1 --x-range 0:1e30:1",
+            "tail --d 3 --t 1 --x-range 0:1:1e-12",
+            "kernel --d 2..2000000000 --t 1 --r 1",
+            "sweep --d 2..600000,2..600000 --t 1",
+            "sweep --d 3 --t-log-range 1:10:1000001",
+        ],
+    )
+    def test_range_beyond_a_million_points_exits_2(self, capsys, argv):
+        # the parsers count the points before building a list: the first
+        # raised decimal.InvalidOperation, the others built the whole list
         with pytest.raises(SystemExit) as exc:
             main(argv.split())
         assert exc.value.code == 2 and capsys.readouterr().out == ""

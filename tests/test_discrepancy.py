@@ -7,7 +7,6 @@ from hypbm import discrepancy as discrepancy_module
 from hypbm.discrepancy import (
     DiscrepancyCurve,
     DiscrepancyRecord,
-    SearchSpec,
     SupResult,
     discrepancy_curve,
     rate_fit,
@@ -50,43 +49,6 @@ class TestSupDiscrepancy:
         assert worst <= 1.0
 
 
-class TestSearchSpec:
-    @pytest.mark.parametrize("field", ["x_lo", "x_hi", "coarse_step", "x_resolution"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_rejects_non_finite_field(self, field, value):
-        with pytest.raises(ValueError, match="finite"):
-            SearchSpec(**{field: value})
-
-    @pytest.mark.parametrize("x_lo,x_hi", [(1.0, 1.0), (2.0, -2.0)])
-    def test_rejects_empty_window(self, x_lo, x_hi):
-        with pytest.raises(ValueError, match="x_lo must be below x_hi"):
-            SearchSpec(x_lo=x_lo, x_hi=x_hi)
-
-    @pytest.mark.parametrize("step", [0.0, -0.05])
-    def test_rejects_nonpositive_step(self, step):
-        with pytest.raises(ValueError, match="coarse_step must be positive"):
-            SearchSpec(coarse_step=step)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"x_resolution": 0.0},
-            {"x_resolution": -1e-4},
-            {"x_resolution": 1e-300},
-            {"x_lo": -1e6, "x_hi": 1e6, "x_resolution": 1e-12},
-        ],
-    )
-    def test_rejects_unresolvable_resolution(self, kwargs):
-        # a search would never end: the bracket stops shrinking at one ulp
-        with pytest.raises(ValueError, match="x_resolution"):
-            SearchSpec(**kwargs)
-
-    def test_finest_accepted_resolution_ends(self):
-        finest = SearchSpec(x_resolution=math.ulp(10.0 + 0.05))
-        for d in (3, 4):
-            _assert_same_sup(sup_discrepancy(d, 10.0, search=finest), _plain_sup_discrepancy(d, 10.0, finest))
-
-
 # the C7 sweep (d = 2..5, t = 10..1000 at 5 log-spaced points): (d, t,
 # delta, argmax_x, evaluations). delta and argmax_x are those of a search
 # that evaluates all 401 grid points; evaluations counts the 160 grid points
@@ -116,15 +78,11 @@ C7_ROWS = [
 ]
 
 
-def _grid(search):
-    return np.arange(search.x_lo, search.x_hi + 0.5 * search.coarse_step, search.coarse_step)
-
-
-def _plain_sup_discrepancy(d, t, search=SearchSpec()):
-    """The golden-section search over the whole grid, with one scalar tail call
-    per refinement point and no lookahead: the reference whose delta and
-    argmax_x sup_discrepancy must equal bitwise."""
-    xs = _grid(search)
+def _plain_sup_discrepancy(d, t):
+    """The golden-section search over the whole of discrepancy._GRID, with one
+    scalar tail call per refinement point and no lookahead: the reference
+    whose delta and argmax_x sup_discrepancy must equal bitwise."""
+    xs, resolution = discrepancy_module._GRID, discrepancy_module._RESOLUTION
     evals = 0
 
     def f(x):
@@ -141,7 +99,7 @@ def _plain_sup_discrepancy(d, t, search=SearchSpec()):
     e = a + GOLDEN * (b - a)
     fc, fe = f(c), f(e)
     evals += 2
-    while b - a > search.x_resolution:
+    while b - a > resolution:
         if fc >= fe:
             b, e, fe = e, c, fc
             c = b - GOLDEN * (b - a)
@@ -154,8 +112,8 @@ def _plain_sup_discrepancy(d, t, search=SearchSpec()):
         for xx, vv in ((c, fc), (e, fe)):
             if vv > best_v:
                 best_v, best_x = vv, float(xx)
-    for xx in (best_x - 2 * search.x_resolution, best_x + 2 * search.x_resolution):
-        if search.x_lo <= xx <= search.x_hi:
+    for xx in (best_x - 2 * resolution, best_x + 2 * resolution):
+        if xs[0] <= xx <= xs[-1]:
             vv = f(xx)
             evals += 1
             if vv > best_v:
@@ -180,33 +138,31 @@ def calls(monkeypatch) -> list[np.ndarray]:
     return seen
 
 
-def _grid_evaluations(calls, search) -> int:
-    """How many grid points the search evaluated. Its leading calls are the
-    window, exactly the grid points at |x| <= 4 (no call when it holds none),
-    then at most one call of outer points, each a grid point beyond the
-    window and none twice."""
-    grid = _grid(search)
+def _grid_evaluations(calls) -> int:
+    """How many grid points the search evaluated. Its leading call is the
+    window, exactly the grid points at |x| <= 4, then comes at most one call
+    of outer points, each a grid point beyond the window and none twice."""
+    grid = discrepancy_module._GRID
     window = grid[np.abs(grid) <= discrepancy_module._WINDOW]
     # the refinement's first call holds c, which lies strictly between grid points
     k = next(k for k, at in enumerate(calls) if not np.isin(at, grid).all())
-    if window.size:
-        np.testing.assert_array_equal(calls[0], window)
-    rest = calls[1 if window.size else 0 : k]
+    np.testing.assert_array_equal(calls[0], window)
+    rest = calls[1:k]
     assert len(rest) <= 1
     outer = np.concatenate([np.empty(0), *rest])
     assert not np.isin(outer, window).any() and len(np.unique(outer)) == len(outer)
     return window.size + outer.size
 
 
-def _assert_equals_plain(calls, d, t, search=SearchSpec()):
+def _assert_equals_plain(calls, d, t):
     """delta and argmax_x bitwise the full-grid reference's; evaluations its
     count less the grid points certified instead of evaluated."""
     calls.clear()
-    res = sup_discrepancy(d, t, search=search)
-    evaluated = _grid_evaluations(calls, search)
-    ref = _plain_sup_discrepancy(d, t, search)
+    res = sup_discrepancy(d, t)
+    evaluated = _grid_evaluations(calls)
+    ref = _plain_sup_discrepancy(d, t)
     _assert_same_sup(res, ref)
-    assert res.evaluations == ref.evaluations - (len(_grid(search)) - evaluated)
+    assert res.evaluations == ref.evaluations - (len(discrepancy_module._GRID) - evaluated)
     return res, evaluated
 
 
@@ -217,25 +173,32 @@ class TestLookahead:
             _, evaluated = _assert_equals_plain(calls, d, t)
             assert evaluated == 160, t  # every outer point certified
 
+    # each search is (x_lo, x_hi, resolution): a grid from x_lo to x_hi in
+    # steps of 0.05, refined to resolution. There is no search5: a grid with
+    # no point at |x| <= 4 went with the branch that served it, and the other
+    # ids keep their numbers
     @pytest.mark.parametrize(
         "search,argmax_lo,argmax_hi",
         [
             # the profile peaks near 0, so the coarse argmax is the first or the last grid point
-            (SearchSpec(x_lo=1.0, x_hi=4.0), 1.0, 1.05),
-            (SearchSpec(x_lo=-4.0, x_hi=-1.0), -1.05, -1.0),
-            # x_resolution at least the bracket width: the refinement takes no step
-            (SearchSpec(x_resolution=0.2), -10.0, 10.0),
+            pytest.param((1.0, 4.0, 1e-4), 1.0, 1.05, id="search0-1.0-1.05"),
+            pytest.param((-4.0, -1.0, 1e-4), -1.05, -1.0, id="search1--1.05--1.0"),
+            # a resolution at least the bracket width: the refinement takes no step
+            pytest.param((-10.0, 10.0, 0.2), -10.0, 10.0, id="search2--10.0-10.0"),
             # 8 steps: the width test cuts the last batch to the one point its step needs
-            (SearchSpec(x_resolution=3e-3), -10.0, 10.0),
-            # windows partly or wholly outside |x| <= 4; the second has no window point
-            (SearchSpec(x_lo=3.0, x_hi=8.0), 3.0, 3.05),
-            (SearchSpec(x_lo=5.0, x_hi=10.0), 5.0, 5.05),
-            (SearchSpec(x_lo=-9.0, x_hi=-3.5), -3.55, -3.45),
+            pytest.param((-10.0, 10.0, 3e-3), -10.0, 10.0, id="search3--10.0-10.0"),
+            # grids partly outside |x| <= 4
+            pytest.param((3.0, 8.0, 1e-4), 3.0, 3.05, id="search4-3.0-3.05"),
+            pytest.param((-9.0, -3.5, 1e-4), -3.55, -3.45, id="search6--3.55--3.45"),
         ],
     )
     @pytest.mark.parametrize("d", range(2, 10))
-    def test_edge_searches_equal_plain(self, calls, d, search, argmax_lo, argmax_hi):
-        res, _ = _assert_equals_plain(calls, d, 10.0, search)
+    def test_edge_searches_equal_plain(self, calls, monkeypatch, d, search, argmax_lo, argmax_hi):
+        # sup_discrepancy reads the grid and the resolution when called
+        x_lo, x_hi, resolution = search
+        monkeypatch.setattr(discrepancy_module, "_GRID", np.arange(x_lo, x_hi + 0.5 * 0.05, 0.05))
+        monkeypatch.setattr(discrepancy_module, "_RESOLUTION", resolution)
+        res, _ = _assert_equals_plain(calls, d, 10.0)
         assert argmax_lo <= res.argmax_x <= argmax_hi
 
     @pytest.mark.parametrize("d", [3, 5])
@@ -316,7 +279,7 @@ class TestCurveAndFit:
             rate_fit(DiscrepancyCurve(3, bad))
 
     def test_curve_orders_and_validates(self):
-        curve = discrepancy_curve(3, [100.0, 10.0, 30.0], search=SearchSpec(coarse_step=0.25))
+        curve = discrepancy_curve(3, [100.0, 10.0, 30.0])
         assert [rec.t for rec in curve.records] == [10.0, 30.0, 100.0]
         with pytest.raises(ValueError):
             DiscrepancyCurve(3, (DiscrepancyRecord(2.0, 0.1, 0.0, 1), DiscrepancyRecord(1.0, 0.1, 0.0, 1)))

@@ -499,6 +499,10 @@ class TestDaviesEnvelope:
     def test_positive_finite(self):
         assert davies_envelope(2, EvaluationPoint(1.0, 1.0)).value > 0.0
 
+    def test_log_finite_at_the_largest_time(self):
+        # (d-1)^2 t = 4e308 overflows, (d-1)^2/8 * t = 5e307 does not
+        assert davies_envelope(3, EvaluationPoint(1e308, 1.0)).log == -5e307
+
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_log_ratio_bounded_on_grid(self, d):
         lo, hi = math.inf, -math.inf

@@ -20,7 +20,7 @@ SPEC = QuadratureSpec()
 class TestSpecValidation:
     def test_defaults(self):
         assert SPEC.abs_tol == 1e-10 and SPEC.rel_tol == 1e-9
-        assert SPEC.max_subdivisions == 2048 and quadrature.TAIL_SIGMA_MULTIPLIER == 12.0
+        assert quadrature._MAX_PANELS == 2048 and quadrature.TAIL_SIGMA_MULTIPLIER == 12.0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -28,7 +28,6 @@ class TestSpecValidation:
             {"abs_tol": 0.0},
             {"abs_tol": 0.5},
             {"rel_tol": -1e-9},
-            {"max_subdivisions": 8},
             {"rel_tol": 0.5},
         ],
     )
@@ -84,11 +83,11 @@ class TestAdaptive:
         want = poly.integ()(2.0) - poly.integ()(-1.0)
         assert res.value == pytest.approx(want, rel=1e-12, abs=1e-12)
 
-    def test_nonconvergence_carries_best_estimate(self):
-        spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-9, max_subdivisions=16)
+    def test_nonconvergence_carries_best_estimate(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 16)
         f = lambda x: np.abs(np.sin(50.0 / (np.abs(x) + 1e-3)))
         with pytest.raises(QuadratureError) as exc:
-            integrate_adaptive(f, 0.0, 1.0, spec)
+            integrate_adaptive(f, 0.0, 1.0, SPEC)
         assert exc.value.best is not None
         assert exc.value.best.value > 0.0
 
@@ -153,14 +152,14 @@ class TestStack:
         assert stack[0].value == pytest.approx(1.0, rel=1e-14)
         assert stack[1] == stack[2] == QuadratureResult(0.0, 0.0, 0)
 
-    def test_subdivision_limit_carries_that_intervals_best(self):
-        spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-9, max_subdivisions=16)
+    def test_subdivision_limit_carries_that_intervals_best(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 16)
         hard = lambda x: np.abs(np.sin(50.0 / (np.abs(x) + 1e-3)))
         with pytest.raises(QuadratureError) as alone:
-            integrate_adaptive(hard, 0.0, 1.0, spec)
+            integrate_adaptive(hard, 0.0, 1.0, SPEC)
         f = lambda x, owner: np.where(owner == 1, hard(x), np.exp(-x * x))
         with pytest.raises(QuadratureError) as stacked:
-            integrate_adaptive(f, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], spec)
+            integrate_adaptive(f, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], SPEC)
         assert stacked.value.best == alone.value.best
         assert stacked.value.best.value > 0.0
 
