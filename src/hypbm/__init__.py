@@ -17,7 +17,6 @@ from .calculus import (
     SinhPowerExpansion,
     double_factorial,
     evaluate_expansion,
-    evaluate_expansion_log,
     millson_identity_value,
     sinh_power_derivative,
     surface_area,
@@ -72,7 +71,6 @@ __all__ = [
     "SinhPowerExpansion",
     "double_factorial",
     "evaluate_expansion",
-    "evaluate_expansion_log",
     "millson_identity_value",
     "sinh_power_derivative",
     "surface_area",

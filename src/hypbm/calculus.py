@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .logspace import LN2, LogValue, logsinh, vlog_sum, vlogcosh_minus_x, vlogsinh_minus_x
+from .logspace import LN2, logsinh, vlog_sum, vlogcosh_minus_x, vlogsinh_minus_x
 
 
 def double_factorial(m: int) -> int:
@@ -116,18 +116,16 @@ def sinh_power_derivative(n: int, k: int) -> SinhPowerExpansion:
     return SinhPowerExpansion(n, k, tuple(terms))
 
 
-def evaluate_expansion_log_shifted(e: SinhPowerExpansion, r):
-    """The expansion without its growth, e^{-(n-k) r} D^k sinh^n r, at r >= 0 in
-    sign/log form.
+def evaluate_expansion_log_shifted(e: SinhPowerExpansion, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The expansion without its growth, e^{-(n-k) r} D^k sinh^n r, at every
+    r >= 0 of a 1-d array, as a (sign, log) pair of arrays, each entry
+    depending on its own r alone.
 
     Every term c cosh^a sinh^b has total degree a + b = n - k, so each
     contributes log|c| + a (log cosh r - r) + b (log sinh r - r), which stays
     bounded: large r costs no digits. At r = 0 only the sinh^0 terms survive.
-
-    r may be a 1-d array: the result is then a (sign, log) pair of arrays, one
-    entry per r, each what a call with that r alone returns.
     """
-    rs = np.atleast_1d(np.asarray(r, dtype=float))
+    rs = np.asarray(rs, dtype=float)
     if (rs < 0.0).any():
         raise ValueError(f"evaluation requires r >= 0, got {rs[rs < 0.0][0]}")
     if e.min_sinh_exponent() < 0 and (rs == 0.0).any():
@@ -135,23 +133,15 @@ def evaluate_expansion_log_shifted(e: SinhPowerExpansion, r):
     # log sinh r - r is -inf at r = 0; past r = 9e307, -2r overflows harmlessly
     with np.errstate(divide="ignore", over="ignore"):
         lc, ls = vlogcosh_minus_x(rs), vlogsinh_minus_x(rs)
-    sign, lg = vlog_sum((1 if c > 0 else -1, math.log(abs(c)) + a * lc + (b * ls if b else 0.0)) for c, a, b in e.terms)
-    if np.ndim(r) == 0:
-        return LogValue(int(sign[0]), float(lg[0]))
-    return sign, lg
-
-
-def evaluate_expansion_log(e: SinhPowerExpansion, r: float) -> LogValue:
-    """Evaluate an expansion at r >= 0 in sign/log form: the shifted log plus
-    its growth (n - k) r, finite far beyond the double overflow threshold
-    (r up to 1e4 and more).
-    """
-    return evaluate_expansion_log_shifted(e, r).scaled((e.base_power - e.operator_applications) * r)
+    return vlog_sum((1 if c > 0 else -1, math.log(abs(c)) + a * lc + (b * ls if b else 0.0)) for c, a, b in e.terms)
 
 
 def evaluate_expansion(e: SinhPowerExpansion, r: float) -> float:
-    """Float value of the expansion at r; may overflow to inf for huge r."""
-    return evaluate_expansion_log(e, r).value
+    """Float value of the expansion at r >= 0: the shifted log plus its growth
+    (n - k) r, exponentiated once; OverflowError where the value exceeds the
+    double range."""
+    sign, lg = evaluate_expansion_log_shifted(e, np.array([r], dtype=float))
+    return 0.0 if sign[0] == 0 else int(sign[0]) * math.exp(lg[0].item() + (e.base_power - e.operator_applications) * r)
 
 
 def millson_identity_value(l: int, r: float) -> float:

@@ -255,9 +255,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
+    # the kernels test their integral by rel_tol alone; only the tails read abs_tol
+    def rel_tol_arg(p):
+        p.add_argument("--rel-tol", dest="rel_tol", type=float)
+
     def tol_args(p):
         p.add_argument("--abs-tol", dest="abs_tol", type=float)
-        p.add_argument("--rel-tol", dest="rel_tol", type=float)
+        rel_tol_arg(p)
 
     def t_args(p):
         g = p.add_mutually_exclusive_group(required=True)
@@ -274,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     t_args(p)
     p.add_argument("--r", type=_parse_floats, required=True)
     common_io(p)
-    tol_args(p)
+    rel_tol_arg(p)
     p.set_defaults(func=_cmd_kernel)
 
     p = sub.add_parser("density", help="evaluate the radial density")
@@ -282,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     t_args(p)
     p.add_argument("--r", type=_parse_floats, required=True)
     common_io(p)
-    tol_args(p)
+    rel_tol_arg(p)
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("tail", help="normalized-fluctuation tail probability")

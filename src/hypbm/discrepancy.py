@@ -29,7 +29,7 @@ import numpy as np
 from .kernels import Dimension
 from .logspace import LN2, vlogcosh_minus_x, vlogsinh_minus_x
 from .quadrature import DEFAULT_SPEC, TAIL_SIGMA_MULTIPLIER, QuadratureSpec, integrate_adaptive
-from .tails import _SQRT_2PI, _tail_arrays, normal_tail, tail
+from .tails import _SQRT_2PI, _check_t, _tail_arrays, normal_tail, tail
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # golden steps planned per array tail call of a refinement, for up to
@@ -238,11 +238,11 @@ def sharpness_d2_integral(t: float) -> float:
     an integration-by-parts form that shares no code with tail(2, ...) (the
     swapped-order descent integral over q_3 in _tail_even), so the two serve
     as independent cross-checks. F_t has an integrable u^{-1/2}
-    endpoint singularity, removed by u = w^2. Valid for all t > 0; the
+    endpoint singularity, removed by u = w^2. It takes exactly the t that
+    tail takes, finite and >= T_MIN, and raises ValueError for any other; the
     integrand is provably positive for t >= log 6.
     """
-    if not (t > 0.0):
-        raise ValueError(f"t must be positive, got {t}")
+    _check_t(t)
     sqrt_t = math.sqrt(t)
     mult = TAIL_SIGMA_MULTIPLIER
     # F_t dies off like e^{-u sqrt t}; keep both that scale and the Gaussian one

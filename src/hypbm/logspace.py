@@ -36,12 +36,6 @@ class LogValue:
             return 0.0
         return self.sign * math.exp(self.log)
 
-    def scaled(self, log_factor: float) -> "LogValue":
-        """Multiply by exp(log_factor) without leaving log space."""
-        if self.sign == 0:
-            return self
-        return LogValue(self.sign, self.log + log_factor)
-
 
 def vlog_sum(parts: Iterable[tuple]) -> tuple[np.ndarray, np.ndarray]:
     """Signed log-sum-exp at every point of a 1-d array: each part is a

@@ -14,7 +14,6 @@ interval's result is bitwise the one it gets when integrated alone.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import Callable
 
@@ -101,32 +100,16 @@ class QuadratureError(RuntimeError):
         self.best = best
 
 
-class QuadratureStack(Sequence):
-    """One QuadratureResult per interval of a stack, in order.
-
-    The results are held as arrays, values, errors and counts (each
-    interval's evaluations), which callers that need no object per interval
-    read directly; indexing builds the QuadratureResult. evaluations is the
+@dataclass(frozen=True)
+class QuadratureStack:
+    """The results of a stack of intervals, in order, as arrays: values,
+    errors and counts (each interval's evaluations). evaluations is the
     whole call's count, as a single interval's result reports it.
     """
 
-    def __init__(self, results: Iterable[QuadratureResult] = ()):
-        results = list(results)
-        self.values = np.array([res.value for res in results], dtype=float)
-        self.errors = np.array([res.error_estimate for res in results], dtype=float)
-        self.counts = np.array([res.evaluations for res in results], dtype=np.int64)
-
-    @classmethod
-    def _of(cls, values: np.ndarray, errors: np.ndarray, counts: np.ndarray) -> QuadratureStack:
-        stack = cls.__new__(cls)
-        stack.values, stack.errors, stack.counts = values, errors, counts
-        return stack
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, i: int) -> QuadratureResult:
-        return QuadratureResult(self.values[i].item(), self.errors[i].item(), int(self.counts[i]))
+    values: np.ndarray
+    errors: np.ndarray
+    counts: np.ndarray
 
     @property
     def evaluations(self) -> int:
@@ -176,10 +159,11 @@ def integrate_adaptive(
         if not (b > a):
             return QuadratureResult(0.0, 0.0, 0)
         cuts = np.array(sorted({float(a), float(b), *(float(p) for p in seed_points if a < p < b)}))
-        return _integrate(lambda x, owner: f(x), cuts[:-1], cuts[1:], np.zeros(len(cuts) - 1, dtype=np.intp), 1, spec)[0]
+        stack = _integrate(lambda x, owner: f(x), cuts[:-1], cuts[1:], np.zeros(len(cuts) - 1, dtype=np.intp), 1, spec)
+        return QuadratureResult(stack.values[0].item(), stack.errors[0].item(), int(stack.counts[0]))
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if not len(a):
-        return QuadratureStack()
+        return QuadratureStack(np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int64))
     # a panel between every two distinct cuts of a row, once points outside
     # [a, b] are clipped onto its ends (all of them onto b where b <= a) and
     # NaN is sorted last
@@ -206,7 +190,7 @@ def _integrate(f, lows: np.ndarray, highs: np.ndarray, owner: np.ndarray, m: int
     # each split adds one panel and evaluates two: 2 * panels - first panels evaluated
     first = np.bincount(owner, minlength=m)
     values, errors, counts = np.zeros(m), np.zeros(m), np.zeros(m, dtype=np.int64)
-    result = QuadratureStack._of(values, errors, counts)
+    result = QuadratureStack(values, errors, counts)
     active = first > 0
     if not active.any():
         return result

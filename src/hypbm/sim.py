@@ -59,6 +59,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tails import normal_tail
+
 _BLOCK = 8192
 _RUN = 2  # blocks per task at most: long numpy calls, few thread hand-offs
 _SLAB = 64
@@ -297,10 +299,8 @@ def ks_distance_to_normal(samples: np.ndarray, d: int, t: float) -> float:
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("ks distance requires at least one sample")
-    from scipy.special import ndtr  # imported here: scipy costs more to import than all of hypbm
-
     z = np.sort((samples - 0.5 * (d - 1) * t) / math.sqrt(t))
-    cdf = ndtr(z)
+    cdf = normal_tail(-z)
     n = z.size
     hi = np.max(np.arange(1, n + 1) / n - cdf)
     lo = np.max(cdf - np.arange(0, n) / n)

@@ -84,12 +84,17 @@ TailMethod = Literal[
 T_MIN = 1e-3
 
 
+def _check_t(t: float) -> None:
+    """ValueError for a t that no tail accepts: one not finite or below T_MIN."""
+    if not (math.isfinite(t) and t >= T_MIN):
+        raise ValueError(f"t must be finite and >= {T_MIN}, got {t}")
+
+
 def _thresholds(d: Dimension, t: float, xs: np.ndarray) -> np.ndarray:
     """The radius threshold T = sqrt(t) (x - boundary_x) v 0 at every x of a
     1-d array, with boundary_x = -(d-1) sqrt(t) / 2: the one threshold rule of
     every tail. ValueError for a t or an x that no tail accepts."""
-    if not (math.isfinite(t) and t >= T_MIN):
-        raise ValueError(f"t must be finite and >= {T_MIN}, got {t}")
+    _check_t(t)
     if not np.isfinite(xs).all():
         raise ValueError(f"x must be finite, got {xs[~np.isfinite(xs)][0]}")
     boundary = -0.5 * (d.d - 1) * math.sqrt(t)
@@ -279,10 +284,11 @@ def _tail_even(dd: Dimension, t: float, xs: np.ndarray, spec: QuadratureSpec) ->
     Each round of the stacked quadrature is one integrand call over every
     point still open, so the rounds, not the nodes, set the cost, and every
     interval starts from panels cut at its integrand's own widths: at w = 1,
-    where the gap's factor 1 - e^{-w^2} bends at every t, and at the
-    Gaussian units u = -1, 0, 1 (the bulk) and u = 2.5, 5, which split the
-    top panel. Most one-point tails converge in one or two rounds; seeded in
-    the bulk alone, they took two to five.
+    where the gap's factor 1 - e^{-w^2} bends at every t, at the Gaussian
+    units u = -1, 0, 1 (the bulk) and u = 2.5, 5, which split the top panel,
+    and, at large t, at w = 2, 4, 8, 16 inside the bend. Most one-point
+    tails converge in one or two rounds; seeded in the bulk alone, they took
+    two to five.
     At T = 0 the tail is exactly P(R_t >= 0) = 1, and where T overflows to inf
     exactly 0; only the points with 0 < T < inf are integrated.
     """
@@ -332,13 +338,18 @@ def _tail_even(dd: Dimension, t: float, xs: np.ndarray, spec: QuadratureSpec) ->
                 poly = poly * decay + c_j * nu_j
             return 2.0 * w * (np.sqrt(nu) * poly) * np.exp(log_c - 0.5 * u * u + log_descent_fold(dd.d, t, s))
 
-    # the seeds: w = 1, and w = sqrt(sqrt(t) (u - x)) at u = -1, 0, 1, 2.5, 5,
-    # each where it lies above x; 2.5 and 5 split the top panel, over which
-    # e^{-u^2/2} falls from e^{-1/2} to e^{-84} before the top at
-    # u = max(x, 0) + mult + 1, past the bulk
+    # the seeds: w = 1; w = 2, 4, 8, 16, each where it lies at or below 1/8
+    # of the top, since the gap's factor bends over w = 0.3 ... 4, and at
+    # large t a panel over the whole bend holds too few nodes in it, so that
+    # G10 and K21 agree on a wrong value; and w = sqrt(sqrt(t) (u - x)) at
+    # u = -1, 0, 1, 2.5, 5, each where it lies above x; 2.5 and 5 split the
+    # top panel, over which e^{-u^2/2} falls from e^{-1/2} to e^{-84} before
+    # the top at u = max(x, 0) + mult + 1, past the bulk
     gaps = np.array([-1.0, 0.0, 1.0, 2.5, 5.0]) - x[:, None]
     top = np.sqrt(sqrt_t * (np.maximum(-x, 0.0) + TAIL_SIGMA_MULTIPLIER + 1.0))
-    seeds = np.concatenate((np.ones((len(x), 1)), np.sqrt(sqrt_t * np.where(gaps > 0.0, gaps, np.nan))), axis=1)
+    bends = np.array([2.0, 4.0, 8.0, 16.0])
+    gauss = np.sqrt(sqrt_t * np.where(gaps > 0.0, gaps, np.nan))
+    seeds = np.concatenate((np.ones((len(x), 1)), np.where(bends <= top[:, None] / 8.0, bends, np.nan), gauss), axis=1)
     stack = integrate_adaptive(f, np.zeros(len(x)), top, spec, seed_points=seeds)
     value[above], err[above] = stack.values, stack.errors
     return _finalize(value, err, "even_decomposition")

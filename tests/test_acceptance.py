@@ -7,7 +7,7 @@ Tolerances are pinned here, not configurable.
 import math
 import time
 
-from hypbm.discrepancy import discrepancy_curve, rate_fit, sharpness_d2_integral
+from hypbm.discrepancy import discrepancy_curve, rate_fit, sharpness_at_zero, sharpness_d2_integral
 from hypbm.sim import SimulationConfig, empirical_tail, simulate_radial_pair
 from hypbm.tails import tail
 from hypbm.verify import cross_oracle_suite, davies_suite, identities_suite, millson_suite, normalization_suite
@@ -48,7 +48,7 @@ def test_c04_reduction_vs_oracle():
 
 def test_c05_d3_sharpness_constant():
     t0 = time.time()
-    scaled = {t: math.sqrt(t) * (tail(3, t, 0.0).value - 0.5) for t in (1e2, 1e3, 1e4)}
+    scaled = {t: sharpness_at_zero(3, t) for t in (1e2, 1e3, 1e4)}
     # extrapolation confirmation: the sequence settles onto a single constant
     drift_23 = abs(scaled[1e3] - scaled[1e4])
     ok = (
@@ -102,7 +102,7 @@ def test_c08_sharpness_lower_bound():
     worst = math.inf
     for d in (2, 3, 5, 7):
         for t in (1.0, 10.0, 100.0, 1000.0):
-            s = math.sqrt(t) * (tail(d, t, 0.0).value - 0.5)
+            s = sharpness_at_zero(d, t)
             worst = min(worst, s)
             ok &= s >= 0.05
     report("C8", ok, f"min sqrt(t)(tail-1/2) over d in {{2,3,5,7}} = {worst:.4f} >= 0.05 ({time.time()-t0:.1f}s)")

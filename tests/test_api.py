@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import hypbm
-from hypbm import kernels, tails
+from hypbm import calculus, kernels, tails
 from hypbm.kernels import EvaluationPoint
 
 # one-point wrappers that tail and heat_kernel replace
@@ -34,6 +34,13 @@ def test_removed_wrapper_is_gone(name):
     assert name not in hypbm.__all__
     for module in (hypbm, tails, kernels):
         assert not hasattr(module, name), module.__name__
+
+
+def test_expansion_log_is_gone():
+    # the float value and the shifted array path cover every caller
+    assert "evaluate_expansion_log" not in hypbm.__all__
+    for module in (hypbm, calculus):
+        assert not hasattr(module, "evaluate_expansion_log"), module.__name__
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from hypbm.calculus import (
     double_factorial,
     evaluate_expansion,
-    evaluate_expansion_log,
+    evaluate_expansion_log_shifted,
     log_millson_identity_value,
     millson_identity_value,
     sinh_power_derivative,
@@ -127,17 +128,23 @@ class TestEvaluateExpansion:
             evaluate_expansion(sinh_power_derivative(3, 2), 0.0)
 
     def test_log_and_float_paths_agree(self):
+        # the float value is the log path exponentiated; an independent float
+        # sum of c cosh^a r sinh^b r over the terms checks it
         e = sinh_power_derivative(7, 3)
         for r in (0.3, 1.0, 4.0):
-            lv = evaluate_expansion_log(e, r)
-            assert lv.value == pytest.approx(evaluate_expansion(e, r), rel=1e-13)
+            want = sum(c * math.cosh(r) ** a * math.sinh(r) ** b for c, a, b in e.terms)
+            assert evaluate_expansion(e, r) == pytest.approx(want, rel=1e-13)
 
     def test_no_overflow_at_huge_radius(self):
         # log form stays finite where the float value overflows
         e = sinh_power_derivative(17, 8)
-        lv = evaluate_expansion_log(e, 1.0e4)
-        assert math.isfinite(lv.log)
-        assert lv.log == pytest.approx(log_millson_identity_value(8, 1.0e4), rel=1e-12)
+        r = 1.0e4
+        sign, shifted = evaluate_expansion_log_shifted(e, np.array([r]))
+        log = shifted[0] + (e.base_power - e.operator_applications) * r
+        assert sign[0] == 1 and math.isfinite(log)
+        assert log == pytest.approx(log_millson_identity_value(8, r), rel=1e-12)
+        with pytest.raises(OverflowError):
+            evaluate_expansion(e, r)
 
 
 class TestMillsonIdentity:

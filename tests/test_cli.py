@@ -40,7 +40,7 @@ class TestKernelCommand:
 
     def test_tight_tolerance_even_kernel_converges(self, capsys):
         argv = ["kernel", "--d", "8", "--t", "10", "--r", "0"]
-        code, out, _ = run_cli(capsys, *argv, "--rel-tol", "1e-13", "--abs-tol", "1e-300")
+        code, out, _ = run_cli(capsys, *argv, "--rel-tol", "1e-13")
         assert code == 0
         tight = float(out.strip().splitlines()[1].split(",")[4])
         code, out, _ = run_cli(capsys, *argv)
@@ -206,10 +206,15 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("flag", ["--abs-tol", "--rel-tol"])
     def test_rejects_quadrature_tolerances(self, flag):
-        # the simulator runs no quadrature: the flag would do nothing
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--d", "3", "--t", "1", "--x", "0", "--paths", "10", flag, "1e-6"])
-        assert exc.value.code == 2
+        # the simulator runs no quadrature, and the kernels test their
+        # integral by rel_tol alone: the flag would do nothing
+        argvs = [["simulate", "--d", "3", "--t", "1", "--x", "0", "--paths", "10"]]
+        if flag == "--abs-tol":
+            argvs += [[command, "--d", "2", "--t", "1", "--r", "1"] for command in ("kernel", "density")]
+        for argv in argvs:
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, flag, "1e-6"])
+            assert exc.value.code == 2, argv[0]
 
 
 class TestVerifyCommand:
@@ -275,7 +280,7 @@ class TestErrorPaths:
 
     def test_numerical_failure_exit_1(self, capsys):
         # tolerances no double-precision quadrature can meet
-        code = main(["kernel", "--d", "2", "--t", "1", "--r", "1", "--abs-tol", "1e-300", "--rel-tol", "1e-300"])
+        code = main(["kernel", "--d", "2", "--t", "1", "--r", "1", "--rel-tol", "1e-300"])
         assert code == 1
         assert "numerical failure" in capsys.readouterr().err
 
@@ -365,8 +370,8 @@ class TestErrorPaths:
 
 @pytest.mark.parametrize("package", ["scipy", "mpmath"])
 def test_import_leaves_module_unloaded(package):
-    # scipy takes longer to import than the rest of hypbm, and only the KS
-    # distance needs it; mpmath is a test and benchmark reference only
+    # scipy and mpmath are test and benchmark references only; scipy alone
+    # takes longer to import than the rest of hypbm
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = f"import sys, hypbm.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"

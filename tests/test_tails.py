@@ -11,7 +11,7 @@ from hypbm.calculus import sinh_power_derivative
 from hypbm.kernels import Dimension, EvaluationPoint, _series, build_odd_kernel
 from hypbm import quadrature as quadrature_module
 from hypbm import tails as tails_module
-from hypbm.quadrature import QuadratureResult, QuadratureSpec, QuadratureStack, integrate_adaptive
+from hypbm.quadrature import QuadratureSpec, QuadratureStack, integrate_adaptive
 from hypbm.tails import direct_kernel_quadrature, normal_tail, radial_density, tail
 
 
@@ -282,11 +282,14 @@ class TestTailEven:
     def test_error_estimate_covers_tight_reference(self, d):
         # fewer rounds must not let an estimate fall below the true error: the
         # same tail at a tolerance near eps is the reference; the worst use is
-        # 0.32 of the estimate (d = 10, t = 0.1, x = 0.75, an error of 4.4e-16),
-        # and the worst error 2.0e-12 (1.6e-11 seeded in the bulk alone)
+        # 0.24 of the estimate (d = 10, t = 0.1, x = 0.75, an error of 3.3e-16),
+        # and the worst error 2.3e-15 (d = 2, t = 1e5, x = -6). Without the
+        # cuts in the gap's bend, the estimates missed by up to 3e4x from
+        # t = 1e5 on; the points just below a Gaussian unit put a cut near
+        # w = 1 and the next one far above the bend
         tight = QuadratureSpec(abs_tol=1e-16, rel_tol=1e-15)
-        xs = np.linspace(-6.0, 10.0, 65)
-        for t in (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3, 1e4):
+        xs = np.concatenate((np.linspace(-6.0, 10.0, 65), np.array([-1.0, 0.0, 1.0, 2.5, 5.0]) - 1e-6))
+        for t in (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3, 1e4, *(10.0**k for k in range(5, 15))):
             for x, est, ref in zip(xs.tolist(), tail(d, t, xs), tail(d, t, xs, tight)):
                 assert abs(est.value - ref.value) <= est.error_estimate, (t, x)
 
@@ -423,8 +426,10 @@ class TestArrayX:
         plain = tail(d, t, xs)
 
         def overshooting(*args, **kwargs):
-            third = integrate_adaptive(*args, **kwargs)[2]
-            return QuadratureStack((QuadratureResult(1.0 + 1e-7, 1e-12, 0), QuadratureResult(-2e-7, 1e-12, 0), third))
+            stack = integrate_adaptive(*args, **kwargs)
+            values = np.array([1.0 + 1e-7, -2e-7, stack.values[2]])
+            errors = np.array([1e-12, 1e-12, stack.errors[2]])
+            return QuadratureStack(values, errors, stack.counts)
 
         monkeypatch.setattr(tails_module, "integrate_adaptive", overshooting)
         ests = tail(d, t, xs)
