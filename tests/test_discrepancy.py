@@ -15,6 +15,8 @@ from hypbm.discrepancy import (
     sup_discrepancy,
 )
 from hypbm import quadrature as quadrature_module
+from hypbm.kernels import Dimension
+from hypbm.quadrature import DEFAULT_SPEC, QuadratureSpec
 from hypbm import tails as tails_module
 from hypbm.tails import normal_tail, tail
 
@@ -51,25 +53,26 @@ class TestSupDiscrepancy:
 
 # the C7 sweep (d = 2..5, t = 10..1000 at 5 log-spaced points): (d, t,
 # delta, argmax_x, evaluations). delta and argmax_x are those of a search
-# that evaluates all 401 grid points; evaluations counts the 160 grid points
-# at |x| <= 4, the refinement's 17 points and the check's 2, as the grid
-# points beyond the window are certified without being evaluated
+# that evaluates all 401 grid points; evaluations counts the grid points the
+# search evaluated, the refinement's 17 points and the check's 2: for odd d
+# the 160 grid points at |x| <= 4, for even d the 52 to 92 of them whose gaps
+# the gap bounds could not certify
 C7_ROWS = [
-    (2, 10.0, 0.17069152281334266, -0.14048915926443392, 179),
-    (2, 31.622776601683796, 0.09751103841958908, -0.08444185374849213, 179),
-    (2, 100.00000000000001, 0.055149518162838085, -0.04872109512200897, 179),
-    (2, 316.227766016838, 0.03107226586615608, -0.027626796742350444, 179),
-    (2, 1000.0000000000002, 0.01748399967512637, -0.015586149609432349, 179),
+    (2, 10.0, 0.17069152281334266, -0.14048915926443392, 71),
+    (2, 31.622776601683796, 0.09751103841958908, -0.08444185374849213, 78),
+    (2, 100.00000000000001, 0.055149518162838085, -0.04872109512200897, 84),
+    (2, 316.227766016838, 0.03107226586615608, -0.027626796742350444, 96),
+    (2, 1000.0000000000002, 0.01748399967512637, -0.015586149609432349, 101),
     (3, 10.0, 0.12615662596796134, 1.4210854715202004e-13, 179),
     (3, 31.622776601683796, 0.07094308430318425, 1.4210854715202004e-13, 179),
     (3, 100.00000000000001, 0.039894228040143254, 1.4210854715202004e-13, 179),
     (3, 316.227766016838, 0.022434173063540175, 1.4210854715202004e-13, 179),
     (3, 1000.0000000000002, 0.012615662610100775, 1.4210854715202004e-13, 179),
-    (4, 10.0, 0.11205168460221682, 0.04338553438013743, 179),
-    (4, 31.622776601683796, 0.06291949646448264, 0.024557833599285633, 179),
-    (4, 100.00000000000001, 0.03536570655523569, 0.013841401729595646, 179),
-    (4, 316.227766016838, 0.019884647629135888, 0.007783399882618508, 179),
-    (4, 1000.0000000000002, 0.011181433718150002, 0.0043845248931336425, 179),
+    (4, 10.0, 0.11205168460221682, 0.04338553438013743, 76),
+    (4, 31.622776601683796, 0.06291949646448264, 0.024557833599285633, 83),
+    (4, 100.00000000000001, 0.03536570655523569, 0.013841401729595646, 95),
+    (4, 316.227766016838, 0.019884647629135888, 0.007783399882618508, 100),
+    (4, 1000.0000000000002, 0.011181433718150002, 0.0043845248931336425, 111),
     (5, 10.0, 0.10534015604069674, 0.06300033649581076, 179),
     (5, 31.622776601683796, 0.05915659180830507, 0.035520167240489675, 179),
     (5, 100.00000000000001, 0.033251837075358115, 0.019979328016293707, 179),
@@ -78,7 +81,7 @@ C7_ROWS = [
 ]
 
 
-def _plain_sup_discrepancy(d, t):
+def _plain_sup_discrepancy(d, t, spec=DEFAULT_SPEC):
     """The golden-section search over the whole of discrepancy._GRID, with one
     scalar tail call per refinement point and no lookahead: the reference
     whose delta and argmax_x sup_discrepancy must equal bitwise."""
@@ -86,9 +89,9 @@ def _plain_sup_discrepancy(d, t):
     evals = 0
 
     def f(x):
-        return abs(tail(d, t, float(x)).value - normal_tail(float(x)))
+        return abs(tail(d, t, float(x), spec).value - normal_tail(float(x)))
 
-    coarse = tail(d, t, xs)
+    coarse = tail(d, t, xs, spec)
     vals = np.array([abs(est.value - normal_tail(float(x))) for est, x in zip(coarse, xs)])
     evals += len(xs)
     i = int(np.argmax(vals))
@@ -138,31 +141,43 @@ def calls(monkeypatch) -> list[np.ndarray]:
     return seen
 
 
-def _grid_evaluations(calls) -> int:
-    """How many grid points the search evaluated. Its leading call is the
-    window, exactly the grid points at |x| <= 4, then comes at most one call
-    of outer points, each a grid point beyond the window and none twice."""
+def _grid_evaluations(calls, d) -> np.ndarray:
+    """The grid points the search evaluated, as a mask over the grid. The
+    calls before the refinement's are at most one per stride of the coarse
+    stage, in order: the first is the window's points on its stride, counted
+    from the window's first point, and the window's last point; each later
+    one holds points on a later stride that no earlier call evaluated. A
+    stride with no point to evaluate makes no call."""
     grid = discrepancy_module._GRID
-    window = grid[np.abs(grid) <= discrepancy_module._WINDOW]
+    strides = discrepancy_module._ODD_STRIDES if d % 2 else discrepancy_module._EVEN_STRIDES
+    window = (np.abs(grid) <= discrepancy_module._WINDOW).nonzero()[0]
+    offset = np.arange(len(grid)) - window[0]
     # the refinement's first call holds c, which lies strictly between grid points
     k = next(k for k, at in enumerate(calls) if not np.isin(at, grid).all())
-    np.testing.assert_array_equal(calls[0], window)
-    rest = calls[1:k]
-    assert len(rest) <= 1
-    outer = np.concatenate([np.empty(0), *rest])
-    assert not np.isin(outer, window).any() and len(np.unique(outer)) == len(outer)
-    return window.size + outer.size
+    assert 1 <= k <= len(strides)
+    seed = window[offset[window] % strides[0] == 0]
+    np.testing.assert_array_equal(calls[0], grid[np.union1d(seed, window[-1:])])
+    evaluated = np.isin(grid, calls[0])
+    later = iter(strides[1:])
+    for at in calls[1:k]:
+        i = np.searchsorted(grid, at)
+        np.testing.assert_array_equal(grid[i], at)
+        assert not evaluated[i].any() and len(np.unique(i)) == len(i)
+        # consumes the strides up to the one this call is on
+        assert any((offset[i] % stride == 0).all() for stride in later)
+        evaluated[i] = True
+    return evaluated
 
 
-def _assert_equals_plain(calls, d, t):
+def _assert_equals_plain(calls, d, t, spec=DEFAULT_SPEC):
     """delta and argmax_x bitwise the full-grid reference's; evaluations its
     count less the grid points certified instead of evaluated."""
     calls.clear()
-    res = sup_discrepancy(d, t)
-    evaluated = _grid_evaluations(calls)
-    ref = _plain_sup_discrepancy(d, t)
+    res = sup_discrepancy(d, t, spec)
+    evaluated = _grid_evaluations(calls, d)
+    ref = _plain_sup_discrepancy(d, t, spec)
     _assert_same_sup(res, ref)
-    assert res.evaluations == ref.evaluations - (len(discrepancy_module._GRID) - evaluated)
+    assert res.evaluations == ref.evaluations - np.count_nonzero(~evaluated)
     return res, evaluated
 
 
@@ -171,7 +186,14 @@ class TestLookahead:
     def test_equals_plain_golden_section(self, calls, d):
         for t in (1e-3, 0.5, 3.0, 30.0, 300.0, 1e5):
             _, evaluated = _assert_equals_plain(calls, d, t)
-            assert evaluated == 160, t  # every outer point certified
+            # every point beyond the window certified; an odd search evaluates
+            # the whole window, an even one only the gaps left open
+            window = np.abs(discrepancy_module._GRID) <= discrepancy_module._WINDOW
+            assert not (evaluated & ~window).any(), t
+            if d % 2:
+                assert evaluated[window].all(), t
+            else:
+                assert np.count_nonzero(evaluated) < 160, t
 
     # each search is (x_lo, x_hi, resolution): a grid from x_lo to x_hi in
     # steps of 0.05, refined to resolution. There is no search5: a grid with
@@ -206,8 +228,45 @@ class TestLookahead:
         # at t = 1e9 the sup, about 1e-5, lies below the tail at x = 4: neither
         # side is certified, so the window and the outer points are the grid
         res, evaluated = _assert_equals_plain(calls, d, 1e9)
-        assert evaluated == 401 and [len(at) for at in calls[:2]] == [160, 241]
+        assert evaluated.all() and [len(at) for at in calls[:2]] == [160, 241]
         assert res.evaluations == 401 + 2 + 15 + 2
+
+
+# (d, t, spec) of each search whose certificate is checked: the C7 grid,
+# d = 6, 8 at t = 1 to 1e4, and tolerances off the default on both parities
+CERTIFIED = [
+    *[(d, t, DEFAULT_SPEC) for d, t, *_ in C7_ROWS],
+    *[(d, t, DEFAULT_SPEC) for d in (6, 8) for t in (1.0, 10.0, 100.0, 1e3, 1e4)],
+    *[
+        (d, t, QuadratureSpec(*tols))
+        for tols in ((1e-6, 1e-5), (1e-14, 1e-13), (1e-3, 1e-3))
+        for d in (2, 3, 4, 6)
+        for t in (1.0, 100.0, 1e4)
+    ],
+]
+
+
+class TestCertificate:
+    @pytest.mark.parametrize(
+        "d,t,spec", CERTIFIED, ids=[f"{d}-{t:g}-{s.abs_tol:g}-{s.rel_tol:g}" for d, t, s in CERTIFIED]
+    )
+    def test_unevaluated_points_lie_below_the_maximum(self, calls, d, t, spec):
+        # every grid point the search skipped lies strictly below the grid's
+        # maximum in one call over the whole grid, so it could not have been
+        # the first maximum; the search matches the whole-grid one bitwise
+        _, evaluated = _assert_equals_plain(calls, d, t, spec)
+        grid = discrepancy_module._GRID
+        values, _, _ = tails_module._tail_arrays(Dimension(d), t, grid, spec)
+        whole = np.abs(values - normal_tail(grid))
+        assert not evaluated.all()
+        assert whole[~evaluated].max() < whole.max()
+
+    def test_normal_tail_non_increasing(self):
+        # the certificate's other premise; the tail's is
+        # test_tails.py's test_monotone_on_the_search_grid_within_errors
+        assert (np.diff(normal_tail(discrepancy_module._GRID)) <= 0.0).all()
+        xs = np.sort(np.random.default_rng(24).uniform(-12.0, 12.0, 10**6))
+        assert (np.diff(normal_tail(xs)) <= 0.0).all()
 
 
 class TestCoarseGridBatch:
@@ -216,24 +275,29 @@ class TestCoarseGridBatch:
         res = sup_discrepancy(d, 30.0)
         sizes = [len(at) for at in calls]
         assert discrepancy_module._LOOKAHEAD == 4
-        # the grid's 160 points at |x| <= 4, whose edges certify the other
-        # 241; the c, e pair with both candidates of each of the next 3
-        # steps (at most 2 + 2 + 4 + 8 points); for the 15 steps, three
-        # batches of a step's point and the candidates of the 3 steps after
-        # it (at most 1 + 2 + 4 + 8); the check at +-2 x_resolution. Paths
-        # that reach the same bracket share their points, which are
-        # evaluated once, so a late batch may be small. Both parities search
-        # alike, and the search is deterministic, so each batch is pinned.
+        # the coarse stage: for odd d the grid's 160 points at |x| <= 4,
+        # whose edges certify the other 241; for even d every 8th of those
+        # 160 points and the last (21 points), then the quarter points and
+        # then the rest of each gap the bounds leave open. Then the c, e pair
+        # with both candidates of each of the next 3 steps (at most 2 + 2 +
+        # 4 + 8 points); for the 15 steps, three batches of a step's point
+        # and the candidates of the 3 steps after it (at most 1 + 2 + 4 + 8);
+        # the check at +-2 x_resolution. Paths that reach the same bracket
+        # share their points, which are evaluated once, so a late batch may
+        # be small. The search is deterministic, so each batch is pinned.
+        coarse = {2: [21, 21, 17], 3: [160], 4: [21, 24, 19], 5: [160]}
         batches = {2: [14, 13, 13, 14], 3: [16, 15, 15, 15], 4: [16, 15, 13, 7], 5: [16, 13, 13, 13]}
-        assert sizes == [160, *batches[d], 2]
-        assert res.evaluations == 160 + 2 + 15 + 2
+        assert sizes == [*coarse[d], *batches[d], 2]
+        assert res.evaluations == sum(coarse[d]) + 2 + 15 + 2
 
     # one panel-rule call per quadrature round, for each even C7 search in
     # order of t
-    @pytest.mark.parametrize("d,rounds", [(2, [6, 6, 6, 7, 7]), (4, [6, 6, 7, 7, 6])])
+    @pytest.mark.parametrize("d,rounds", [(2, [8, 8, 8, 11, 9]), (4, [8, 8, 9, 11, 8])])
     def test_even_search_rounds(self, monkeypatch, d, rounds):
         # each round is one sequential integrand call over every point still
-        # unconverged, so the count, not the number of nodes, sets a search's cost
+        # unconverged, so the count, not the number of nodes, sets a search's
+        # cost; the coarse stage's three calls take more rounds than one call
+        # over the window, but each over 13 to 36 points instead of 160
         calls = []
         rule = quadrature_module._panel_rule
 
