@@ -8,12 +8,8 @@ search over [-10, 10]: outside that window both the tail and Phi sit within
 coarse grid is a grid plus a certificate: since the tail and Phi both fall
 in x, the values at two evaluated grid points bound |tail - Phi| at every
 grid point between them, and a gap whose bound stays below the maximum found
-so far is never evaluated. For even d (one stacked quadrature per array
-call, whose cost grows with its points) the first call evaluates every 8th
-point with |x| <= 4, the next the quarter points of each gap still open and
-a third the rest of the open gaps; for odd d (closed forms over arrays, whose
-calls cost mostly fixed overhead) one call evaluates every point with
-|x| <= 4 and a second whatever lies beyond them uncertified. Each
+so far is never evaluated: an even search evaluates every 8th point with
+|x| <= 4 and then only the gaps left open, an odd one all of them. Each
 golden-section step depends on the last, so the refinement's array calls
 look ahead: one call evaluates the point a step needs together with both
 candidates of each of the next few steps, and the search keeps only the
@@ -48,13 +44,11 @@ _LOOKAHEAD = 4
 # 0.17), while the window holds 160 of the grid's 401 points
 _WINDOW = 4.0
 # the grid-index strides of the coarse stage's calls, counted from the
-# window's first point: the first call evaluates the window's points on the
-# first stride and its last point, each later call the points on its stride
-# in every gap still open. Strides 8, 2, 1 evaluate 38 to 93 grid points of
-# an even search (d = 2..8, t = 1 to 1000) against 160 for the whole window;
-# an odd call costs mostly fixed overhead, so an odd search evaluates the
-# whole window in one call (strides 8, 2, 1 took the ten odd C7 searches
-# 8.2 ms against 6.9 ms, medians of 15 runs)
+# window's first point. An even call's cost grows with its points, and
+# strides 8, 2, 1 evaluate 38 to 93 grid points of an even search (d = 2..8,
+# t = 1 to 1000) instead of 160; an odd call costs mostly fixed overhead, and
+# strides 8, 2, 1 took the ten odd C7 searches 8.2 ms against 6.9 ms for the
+# whole window (medians of 15 runs)
 _EVEN_STRIDES = (8, 2, 1)
 _ODD_STRIDES = (1, 1)
 # the coarse grid, -10 to 10 in steps of 0.05, and the width at which the
@@ -140,11 +134,11 @@ def sup_discrepancy(d: Dimension | int, t: float, spec: QuadratureSpec = DEFAULT
     the window's last point, each later one the points on its stride inside
     the gaps still open. The refinement evaluates each needed point together
     with the candidates of the next _LOOKAHEAD - 1 steps in one array call,
-    at every d; points its path never reaches are dropped. evaluations counts the points actually evaluated: the grid
-    points not certified, the points the refinement visits and the check
-    points. Ties on the coarse grid break toward the smallest x. A
-    three-point check around the refined maximizer guards the unimodality
-    assumption. The returned delta is the max over the grid, the
+    at every d; points its path never reaches are dropped. evaluations
+    counts the points actually evaluated: the grid points not certified, the
+    points the refinement visits and the check points. Ties on the coarse
+    grid break toward the smallest x. A three-point check around the refined
+    maximizer guards the unimodality assumption. The returned delta is the max over the grid, the
     refinement's visited steps and the check, so refinement can never lose
     against the grid; delta and argmax_x are bitwise those of a search that
     evaluates the whole grid.
@@ -179,16 +173,18 @@ def sup_discrepancy(d: Dimension | int, t: float, spec: QuadratureSpec = DEFAULT
             pick = window & (offset % stride == 0)
             pick[last] = True
         else:
-            # the docstring's gap bound between consecutive evaluated slots;
-            # a gap stays open unless its bound lies strictly below the top
+            # the docstring's gap bound between consecutive evaluated slots,
+            # whose margin also covers its rounding; a gap stays open unless
+            # its bound lies strictly below the top
             slots = done.nonzero()[0]
             lo, hi = slots[:-1], slots[1:]
             bound = np.maximum(value[lo] + err[lo] - phi[hi], phi[lo] - value[hi] + err[hi]) + margin
             pick = np.repeat(~(bound < top), hi - lo)[1:] & ~done[1:-1] & (offset % stride == 0)
         at = pick.nonzero()[0]
         if at.size:
-            vals[at], value[at + 1], err[at + 1], phi[at + 1] = evaluate(xs[at])
-            done[at + 1] = True
+            slot = at + 1
+            vals[at], value[slot], err[slot], phi[slot] = evaluate(xs[at])
+            done[slot] = True
             top = max(top, float(vals[at].max()))
     evals = int(np.count_nonzero(done)) - 2
     i = int(np.argmax(vals))  # first max = smallest x on ties

@@ -184,11 +184,11 @@ def _assert_equals_plain(calls, d, t, spec=DEFAULT_SPEC):
 class TestLookahead:
     @pytest.mark.parametrize("d", range(2, 10))
     def test_equals_plain_golden_section(self, calls, d):
+        window = np.abs(discrepancy_module._GRID) <= discrepancy_module._WINDOW
         for t in (1e-3, 0.5, 3.0, 30.0, 300.0, 1e5):
             _, evaluated = _assert_equals_plain(calls, d, t)
             # every point beyond the window certified; an odd search evaluates
             # the whole window, an even one only the gaps left open
-            window = np.abs(discrepancy_module._GRID) <= discrepancy_module._WINDOW
             assert not (evaluated & ~window).any(), t
             if d % 2:
                 assert evaluated[window].all(), t
