@@ -19,7 +19,6 @@ from .calculus import (
     evaluate_expansion,
     millson_identity_value,
     sinh_power_derivative,
-    surface_area,
 )
 from .discrepancy import (
     DiscrepancyCurve,
@@ -73,7 +72,6 @@ __all__ = [
     "evaluate_expansion",
     "millson_identity_value",
     "sinh_power_derivative",
-    "surface_area",
     "DiscrepancyCurve",
     "DiscrepancyRecord",
     "RateFit",

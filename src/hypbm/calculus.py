@@ -2,12 +2,11 @@
 
 Repeated application of D to sinh^n r stays inside the family
 c * cosh^a(r) * sinh^b(r) with integer coefficients, and the coefficients
-admit closed forms:
+admit one closed form, summed over the cosh powers j = k, k-2, ... >= 0 with
+h = (k-j)/2:
 
-  D^{2k}   sinh^n = sum_{l=0}^{k}   (2k)!   / (2^{k-l}(k-l)!(2l)!)
-                     * prod_{m=0}^{k+l-1}(n-2m) * cosh^{2l}   sinh^{n-2k-2l}
-  D^{2k+1} sinh^n = sum_{l=1}^{k+1} (2k+1)! / (2^{k+1-l}(k+1-l)!(2l-1)!)
-                     * prod_{m=0}^{k+l-1}(n-2m) * cosh^{2l-1} sinh^{n-2k-2l}
+  D^k sinh^n = sum_j k! / (2^h h! j!) * prod_{m=0}^{k-h-1}(n-2m)
+                     * cosh^j sinh^{n-k-j}
 
 For odd powers n = 2l+1 the l-fold application collapses to the single
 closed form (2l+1)!!/(l+1) * sinh((l+1) r), which is what drives the
@@ -40,14 +39,8 @@ def double_factorial(m: int) -> int:
     return out
 
 
-def surface_area(d: int) -> float:
-    """Surface area of the unit sphere S^{d-1}: 2 pi^{d/2} / Gamma(d/2)."""
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-
-
 def log_surface_area(d: int) -> float:
+    """log of the surface area of the unit sphere S^{d-1}, 2 pi^{d/2} / Gamma(d/2)."""
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
     return LN2 + (d / 2.0) * math.log(math.pi) - math.lgamma(d / 2.0)
@@ -64,11 +57,6 @@ class SinhPowerExpansion:
     base_power: int
     operator_applications: int
     terms: tuple[tuple[int, int, int], ...]  # (coefficient, cosh_exp, sinh_exp)
-
-    @property
-    def exceeds_base_power(self) -> bool:
-        # beyond k <= n the nonnegative-sinh-exponent guarantee is waived
-        return self.operator_applications > self.base_power
 
     def min_sinh_exponent(self) -> int:
         return min((b for _, _, b in self.terms), default=0)
@@ -89,30 +77,17 @@ def sinh_power_derivative(n: int, k: int) -> SinhPowerExpansion:
         raise ValueError(f"base power must be >= 1, got {n}")
     if k < 0:
         raise ValueError(f"operator applications must be >= 0, got {k}")
-    if k == 0:
-        return SinhPowerExpansion(n, 0, ((1, 0, n),))
 
     terms: list[tuple[int, int, int]] = []
-    if k % 2 == 0:
-        kk = k // 2
-        for l in range(0, kk + 1):
-            num = math.factorial(2 * kk) * _falling_even_product(n, kk + l)
-            den = (1 << (kk - l)) * math.factorial(kk - l) * math.factorial(2 * l)
-            c, rem = divmod(num, den)
-            if rem:
-                raise AssertionError("noninteger expansion coefficient")
-            if c:
-                terms.append((c, 2 * l, n - 2 * kk - 2 * l))
-    else:
-        kk = (k - 1) // 2
-        for l in range(1, kk + 2):
-            num = math.factorial(2 * kk + 1) * _falling_even_product(n, kk + l)
-            den = (1 << (kk + 1 - l)) * math.factorial(kk + 1 - l) * math.factorial(2 * l - 1)
-            c, rem = divmod(num, den)
-            if rem:
-                raise AssertionError("noninteger expansion coefficient")
-            if c:
-                terms.append((c, 2 * l - 1, n - 2 * kk - 2 * l))
+    for j in range(k % 2, k + 1, 2):  # the cosh power
+        h = (k - j) // 2
+        num = math.factorial(k) * _falling_even_product(n, k - h)
+        den = (1 << h) * math.factorial(h) * math.factorial(j)
+        c, rem = divmod(num, den)
+        if rem:
+            raise AssertionError("noninteger expansion coefficient")
+        if c:
+            terms.append((c, j, n - k - j))
     return SinhPowerExpansion(n, k, tuple(terms))
 
 

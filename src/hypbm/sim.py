@@ -28,10 +28,9 @@ start at r0 = 1e-3 by default; for t below ~0.1 the surrogate start is a
 known limitation of the simulator, while at the horizons used for
 cross-checks (t >= 1) the law is insensitive to r0 at the tested tolerances.
 
-Every run, the plain chain, the chain with reflection counts, and the
-coupled pair of step sizes, goes through one block driver (_run_blocks) and
-one implicit step (_advance); the runs differ only in how a slab of noise
-advances their chains.
+Both runs, the plain chain and the coupled pair of step sizes, go through
+one block driver (_run_blocks) and one implicit step (_advance); they differ
+only in how a slab of noise advances their chains.
 
 Reproducibility: path i's noise is a fixed function of (seed, i). Paths are
 grouped into fixed blocks of 8192, and the steps into slabs of 64. Slab s of
@@ -96,19 +95,6 @@ class SimulationConfig:
             raise ValueError(f"r0 must lie in (0, 1], got {self.r0}")
 
 
-@dataclass(frozen=True)
-class SimStats:
-    steps: int
-    reflections_after_unit_time: int
-    path_steps_after_unit_time: int
-
-    @property
-    def reflection_fraction(self) -> float:
-        if self.path_steps_after_unit_time == 0:
-            return 0.0
-        return self.reflections_after_unit_time / self.path_steps_after_unit_time
-
-
 def _step_sizes(t: float, step: float) -> np.ndarray:
     n_full = int(math.floor(t / step + 1e-9))
     rem = t - n_full * step
@@ -156,8 +142,8 @@ def _threads(blocks: int) -> int:
     return min(usable, blocks)
 
 
-def _run_blocks(cfg: SimulationConfig, steps: int, normals_per_step: int, chains: int, step_slab) -> tuple[list[np.ndarray], int]:
-    """Terminal values of `chains` chains per path, started at cfg.r0, and a count.
+def _run_blocks(cfg: SimulationConfig, steps: int, normals_per_step: int, chains: int, step_slab) -> list[np.ndarray]:
+    """Terminal values of `chains` chains per path, started at cfg.r0.
 
     Block b holds the requested paths among b*_BLOCK .. (b+1)*_BLOCK - 1.
     Each chunk of at most _SLAB steps is slab s = k // _SLAB: an SFC64 stream
@@ -166,9 +152,8 @@ def _run_blocks(cfg: SimulationConfig, steps: int, normals_per_step: int, chains
     _ROWS paths at a time and copied into a step-major buffer xi, so that the
     normals of step slot j are the contiguous row xi[j]. Then
     step_slab(rs, xi, k, noise, work) advances the chains rs over steps
-    k .. k + chunk - 1, with a row `noise` and _advance's `work` as scratch,
-    and returns a count of its own (the floor hits it saw, or 0). The count
-    returned is the sum over every slab.
+    k .. k + chunk - 1 in place, with a row `noise` and _advance's `work` as
+    scratch.
 
     The blocks are split into runs of at most _RUN consecutive blocks, their
     number a multiple of the thread count, so that the threads get about the
@@ -176,19 +161,17 @@ def _run_blocks(cfg: SimulationConfig, steps: int, normals_per_step: int, chains
     steps all its paths with one numpy call per operation, and writes only
     its own slice of the outputs. Every operation is elementwise, so a path's
     value does not depend on the run it falls in. The runs go to a pool of
-    _threads(blocks) threads, or run serially in the calling thread when that
-    is one. The counts are summed per run and then in run order.
+    _threads(blocks) threads.
     """
     outs = [np.empty(cfg.paths) for _ in range(chains)]
     width = normals_per_step * min(_SLAB, steps)
 
-    def run(lo: int, hi: int) -> int:
+    def run(lo: int, hi: int) -> None:
         live = hi - lo
         rs = [np.full(live, cfg.r0) for _ in range(chains)]
         rows = np.empty(min(_ROWS, live) * width)
         xi = np.empty((width, live))
         noise, work = np.empty(live), _scratch(live)
-        count = 0
         for k in range(0, steps, _SLAB):
             cols = normals_per_step * min(_SLAB, steps - k)
             for i in range(0, live, _ROWS):
@@ -199,47 +182,35 @@ def _run_blocks(cfg: SimulationConfig, steps: int, normals_per_step: int, chains
                 draw = rows[: n * cols].reshape(n, cols)
                 rng.standard_normal(out=draw)  # path-major
                 np.copyto(xi[:cols, i : i + n], draw.T)
-            count += step_slab(rs, xi[:cols], k, noise, work)
+            step_slab(rs, xi[:cols], k, noise, work)
         for out, r in zip(outs, rs):
             out[lo:hi] = r
-        return count
 
     blocks = (cfg.paths + _BLOCK - 1) // _BLOCK
     threads = _threads(blocks)
     runs = threads * -(-blocks // (threads * _RUN))
     edges = [min(j * blocks // runs * _BLOCK, cfg.paths) for j in range(runs + 1)]
-    if threads == 1:
-        counts = list(map(run, edges[:-1], edges[1:]))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts = list(pool.map(run, edges[:-1], edges[1:]))
-    return outs, sum(counts)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(run, edges[:-1], edges[1:]))  # list() re-raises a run's exception
+    return outs
 
 
-def simulate_radial(cfg: SimulationConfig, collect_stats: bool = False):
+def simulate_radial(cfg: SimulationConfig) -> np.ndarray:
     """Terminal radii R_t for cfg.paths independent paths (one float each).
 
-    Deterministic for a fixed config; with collect_stats=True returns
-    (samples, SimStats) including reflection counts past unit time.
+    Deterministic for a fixed config.
     """
     dts = _step_sizes(cfg.t, cfg.step)
     sqrt_dts = np.sqrt(dts)
-    late = np.cumsum(dts) >= 1.0
     nu = 0.5 * (cfg.d - 1)
 
-    def step_slab(rs: list[np.ndarray], xi: np.ndarray, k: int, noise: np.ndarray, work: tuple) -> int:
+    def step_slab(rs: list[np.ndarray], xi: np.ndarray, k: int, noise: np.ndarray, work: tuple) -> None:
         (r,) = rs
-        reflections = 0
         for j, row in enumerate(xi):
             root = _advance(r, dts[k + j], np.multiply(sqrt_dts[k + j], row, out=noise), nu, work)
-            if collect_stats and late[k + j]:
-                reflections += int(np.count_nonzero(root < R_FLOOR))
             np.maximum(root, R_FLOOR, out=r)
-        return reflections
 
-    (out,), reflections = _run_blocks(cfg, len(dts), 1, 1, step_slab)
-    if collect_stats:
-        return out, SimStats(len(dts), reflections, cfg.paths * int(np.count_nonzero(late)))
+    (out,) = _run_blocks(cfg, len(dts), 1, 1, step_slab)
     return out
 
 
@@ -259,16 +230,15 @@ def simulate_radial_pair(cfg: SimulationConfig) -> tuple[np.ndarray, np.ndarray]
     half = 0.5 * cfg.step
     sq_half = math.sqrt(half)
 
-    def step_slab(rs: list[np.ndarray], xi: np.ndarray, k: int, noise: np.ndarray, work: tuple) -> int:
+    def step_slab(rs: list[np.ndarray], xi: np.ndarray, k: int, noise: np.ndarray, work: tuple) -> None:
         rc, rf = rs
         for e1, e2 in zip(xi[0::2], xi[1::2]):
             np.maximum(_advance(rf, half, np.multiply(sq_half, e1, out=noise), nu, work), R_FLOOR, out=rf)
             np.maximum(_advance(rf, half, np.multiply(sq_half, e2, out=noise), nu, work), R_FLOOR, out=rf)
             coarse = np.multiply(sq_half, np.add(e1, e2, out=noise), out=noise)
             np.maximum(_advance(rc, cfg.step, coarse, nu, work), R_FLOOR, out=rc)
-        return 0
 
-    (coarse, fine), _ = _run_blocks(cfg, n, 2, 2, step_slab)
+    coarse, fine = _run_blocks(cfg, n, 2, 2, step_slab)
     return coarse, fine
 
 

@@ -51,7 +51,7 @@ verify's normalization suite share that one integral.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal
 
 import numpy as np
@@ -69,7 +69,14 @@ from .kernels import (
     log_descent_fold,
 )
 from .logspace import LN2, vlogsinh_minus_x
-from .quadrature import DEFAULT_SPEC, TAIL_SIGMA_MULTIPLIER, QuadratureResult, QuadratureSpec, integrate_adaptive
+from .quadrature import (
+    DEFAULT_SPEC,
+    TAIL_SIGMA_MULTIPLIER,
+    QuadratureError,
+    QuadratureResult,
+    QuadratureSpec,
+    integrate_adaptive,
+)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _EPS = float(np.finfo(float).eps)
@@ -385,18 +392,26 @@ def direct_kernel_quadrature(
 ) -> TailEstimate:
     """Brute-force tail by integrating the radial density from T.
 
-    The internal oracle for the reduction paths, at every d and t the tails
-    accept: the density comes from one log-space kernel call over each batch
-    of quadrature nodes, so for even d every node is one interval of one
-    stacked descent quadrature.
+    The internal oracle for the reduction paths: the density comes from one
+    log-space kernel call over each batch of quadrature nodes, so for even d
+    every node is one interval of one stacked descent quadrature. The mass is
+    asked for no more than the density's own rounding, 2 eps (d-1)^2 t, so it
+    converges up to t ~ 1e13 (d = 2) or 1e11 (d = 12); past the t where that
+    rounding exceeds 1e-2, the loosest rel_tol, it raises QuadratureError.
     The mass integral is the one normalization_suite runs from T = 0; only
     this oracle clamps it to [0, 1].
     """
     dd = Dimension.of(d)
-    res = _radial_mass(dd.d, t, float(_thresholds(dd, t, np.array([x], dtype=float))[0]), spec)
+    T = float(_thresholds(dd, t, np.array([x], dtype=float))[0])
+    # a few eps of the density's log, whose terms reach about (d-1)^2 t / 2
+    # over the bulk: no density value is better than that, so the mass is not
+    # asked to be, and past a QuadratureSpec's loosest rel_tol nothing is left
+    rounding = 2.0 * _EPS * (dd.d - 1) ** 2 * t
+    if rounding > 1e-2:
+        raise QuadratureError(f"density rounding {rounding:.3g} exceeds any rel_tol at d={dd.d}, t={t!r}")
+    res = _radial_mass(dd.d, t, T, replace(spec, rel_tol=max(spec.rel_tol, rounding)))
     # relative error of each density value: the even kernel's own quadrature
-    # tolerance, or the odd kernel's 1e-11 from its Bell sum, plus a few eps of
-    # the density's log, whose terms reach about (d-1)^2 t / 2 over the bulk
-    kernel_rel_err = (spec.rel_tol if dd.d % 2 == 0 else 1e-11) + 2.0 * _EPS * (dd.d - 1) ** 2 * t
+    # tolerance, or the odd kernel's 1e-11 from its Bell sum, plus the rounding
+    kernel_rel_err = (spec.rel_tol if dd.d % 2 == 0 else 1e-11) + rounding
     err = res.error_estimate + kernel_rel_err * abs(res.value)
     return _estimates(*_finalize(np.array([res.value]), np.array([err]), "direct_kernel_quadrature"))[0]

@@ -1,10 +1,11 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 import hypbm
-from hypbm import calculus, kernels, tails
+from hypbm import calculus, kernels, sim, tails
 from hypbm.kernels import EvaluationPoint
 
 # one-point wrappers that tail and heat_kernel replace
@@ -41,6 +42,12 @@ def test_expansion_log_is_gone():
     assert "evaluate_expansion_log" not in hypbm.__all__
     for module in (hypbm, calculus):
         assert not hasattr(module, "evaluate_expansion_log"), module.__name__
+
+
+def test_simulator_has_one_return_shape():
+    # simulate_radial returns its samples array and nothing else
+    assert not hasattr(sim, "SimStats")
+    assert "collect_stats" not in inspect.signature(sim.simulate_radial).parameters
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))

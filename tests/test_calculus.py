@@ -10,9 +10,9 @@ from hypbm.calculus import (
     evaluate_expansion,
     evaluate_expansion_log_shifted,
     log_millson_identity_value,
+    log_surface_area,
     millson_identity_value,
     sinh_power_derivative,
-    surface_area,
 )
 
 
@@ -52,14 +52,15 @@ def test_double_factorial_splits_factorial(m):
     [(3, 4 * math.pi), (2, 2 * math.pi), (4, 2 * math.pi**2), (5, 8 * math.pi**2 / 3)],
 )
 def test_surface_area(d, want):
-    assert surface_area(d) == pytest.approx(want, rel=1e-12)
+    assert math.exp(log_surface_area(d)) == pytest.approx(want, rel=1e-12)
 
 
 @given(st.integers(min_value=2, max_value=40))
 @settings(max_examples=30, deadline=None)
 def test_surface_area_recurrence(d):
     # omega_{d+2} = (2 pi / d) omega_d
-    assert surface_area(d + 2) == pytest.approx(2 * math.pi / d * surface_area(d), rel=1e-12)
+    area, next_area = math.exp(log_surface_area(d)), math.exp(log_surface_area(d + 2))
+    assert next_area == pytest.approx(2 * math.pi / d * area, rel=1e-12)
 
 
 class TestSinhPowerDerivative:
@@ -93,7 +94,6 @@ class TestSinhPowerDerivative:
         # D^2 sinh^3 = 3 sinh + 3 cosh^2 / sinh
         e = sinh_power_derivative(3, 2)
         assert e.min_sinh_exponent() == -1
-        assert not e.exceeds_base_power
 
 
 class TestEvaluateExpansion:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from hypbm import sim
 from hypbm.sim import (
-    SimStats,
     SimulationConfig,
     empirical_tail,
     ks_distance_to_normal,
@@ -93,11 +92,6 @@ class TestPinnedStream:
         s = simulate_radial(PINNED)
         assert (s[0], s[-1]) == (3.4513960853443613, 1.396656362100391)
 
-    def test_with_stats(self):
-        s, stats = simulate_radial(PINNED, collect_stats=True)
-        assert (s[0], s[-1]) == (3.4513960853443613, 1.396656362100391)
-        assert stats == SimStats(21, 0, 2 * PINNED.paths)
-
     def test_coupled_pair(self):
         coarse, fine = simulate_radial_pair(SimulationConfig(d=4, t=0.5, step=0.05, paths=40000, seed=19))
         assert (coarse[0], coarse[-1]) == (1.1016203230034654, 0.8979320421986758)
@@ -105,10 +99,10 @@ class TestPinnedStream:
 
     def test_remainder_step(self):
         # t is not a multiple of step: 21 full steps and one of 0.02
-        cfg = SimulationConfig(d=2, t=1.07, step=0.05, paths=50, seed=23)
-        s, stats = simulate_radial(cfg, collect_stats=True)
+        dts = sim._step_sizes(1.07, 0.05)
+        assert len(dts) == 22 and dts[-1] == pytest.approx(0.02)
+        s = simulate_radial(SimulationConfig(d=2, t=1.07, step=0.05, paths=50, seed=23))
         assert (s[0], s[-1]) == (1.2962222960619285, 1.5531448812419102)
-        assert stats == SimStats(22, 0, 3 * cfg.paths)
 
     def test_multi_slab(self):
         # recorded when each slab got its own SFC64 stream
@@ -117,12 +111,6 @@ class TestPinnedStream:
         coarse, fine = simulate_radial_pair(MULTI_SLAB)
         assert (coarse[0], coarse[-1]) == (1.764778666034402, 2.4234419707873576)
         assert (fine[0], fine[-1]) == (1.7762274839719927, 2.4224655112502553)
-
-    def test_stats_count_only_requested_paths(self, monkeypatch):
-        # a step that lands every path at the origin hits the floor every time
-        monkeypatch.setattr(sim, "_advance", lambda r, dt, noise, nu, work: np.zeros_like(r))
-        _, stats = simulate_radial(SimulationConfig(d=3, t=1.05, step=0.05, paths=7, seed=5), collect_stats=True)
-        assert stats == SimStats(21, 14, 14)
 
 
 class TestThreads:
@@ -144,17 +132,18 @@ class TestThreads:
         assert all(np.array_equal(x, y) for x, y in zip(one, two))
 
     def test_floor_hits_do_not_depend_on_thread_count(self, monkeypatch):
-        # every path hits the floor at each of the 21 steps from t = 1 on,
-        # while the interpreter switches threads as often as it can
+        # every path lands at the origin at every step and is clamped to the
+        # floor, while the interpreter switches threads as often as it can
         monkeypatch.setattr(sim, "_advance", lambda r, dt, noise, nu, work: np.zeros_like(r))
         cfg = dataclasses.replace(MULTI_SLAB, t=2.0, step=0.05)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            runs = self._runs(monkeypatch, lambda: simulate_radial(cfg, collect_stats=True)[1])
+            runs = self._runs(monkeypatch, lambda: simulate_radial(cfg))
         finally:
             sys.setswitchinterval(interval)
-        assert runs == [SimStats(40, 21 * cfg.paths, 21 * cfg.paths)] * 2
+        for samples in runs:
+            assert samples.shape == (cfg.paths,) and np.all(samples == sim.R_FLOOR)
 
     def test_thread_count(self, monkeypatch):
         # one thread per usable core, from the affinity mask or else the core count
@@ -256,9 +245,21 @@ class TestLawChecks:
         eb = empirical_tail(b, 3, FAST["t"], 0.0)
         assert abs(ea.estimate - eb.estimate) <= 4.0 * math.hypot(ea.standard_error, eb.standard_error)
 
-    def test_reflection_floor_rarely_hit(self):
-        _, stats = simulate_radial(SimulationConfig(d=2, t=3.0, step=1e-2, paths=2000, seed=21), collect_stats=True)
-        assert stats.reflection_fraction < 1e-3
+    def test_reflection_floor_rarely_hit(self, monkeypatch):
+        # count, at every step, the paths whose root falls below the floor
+        counts = []  # (hits, path-steps) per call; list.append is thread-safe
+        advance = sim._advance
+
+        def counted(r, dt, noise, nu, work):
+            root = advance(r, dt, noise, nu, work)
+            counts.append((int(np.count_nonzero(root < sim.R_FLOOR)), root.size))
+            return root
+
+        monkeypatch.setattr(sim, "_advance", counted)
+        simulate_radial(SimulationConfig(d=2, t=3.0, step=1e-2, paths=2000, seed=21))
+        hits, path_steps = map(sum, zip(*counts))
+        assert path_steps == 300 * 2000
+        assert hits < 1e-3 * path_steps
 
     def test_coupled_pair_tracks_closely(self):
         coarse, fine = simulate_radial_pair(SimulationConfig(d=3, **FAST))

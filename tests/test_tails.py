@@ -11,7 +11,7 @@ from hypbm.calculus import sinh_power_derivative
 from hypbm.kernels import Dimension, EvaluationPoint, _series, build_odd_kernel
 from hypbm import quadrature as quadrature_module
 from hypbm import tails as tails_module
-from hypbm.quadrature import QuadratureSpec, QuadratureStack, integrate_adaptive
+from hypbm.quadrature import QuadratureError, QuadratureSpec, QuadratureStack, integrate_adaptive
 from hypbm.tails import direct_kernel_quadrature, normal_tail, radial_density, tail
 
 
@@ -455,8 +455,8 @@ class TestArrayX:
 
 
 class TestDirectOracleGuards:
-    # the oracle takes every d >= 2 and every t a tail takes, and rejects
-    # only what no tail accepts
+    # the oracle rejects what no tail accepts, converges wherever the density's
+    # rounding leaves digits to integrate, and raises QuadratureError past that
     def test_rejects_large_t(self):
         for t in (math.inf, 1e309):
             with pytest.raises(ValueError):
@@ -478,6 +478,24 @@ class TestDirectOracleGuards:
         for x, est in zip(xs.tolist(), tail(d, t, xs)):
             ref = direct_kernel_quadrature(d, t, x)
             assert abs(est.value - ref.value) <= est.error_estimate + ref.error_estimate, x
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
+    def test_converges_at_large_t(self, d):
+        # the mass is asked for no more than the density's rounding,
+        # 2 eps (d-1)^2 t, which stays below 1e-2 through t = 1e11 at d <= 8
+        for t in (1e8, 1e9, 1e10, 1e11):
+            for x in (-3.0, 0.0, 2.0):
+                ref = direct_kernel_quadrature(d, t, x)
+                est = tail(d, t, x)
+                assert ref.error_estimate > 0.0, (t, x)
+                assert abs(est.value - ref.value) <= est.error_estimate + ref.error_estimate, (t, x)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 12])
+    def test_raises_past_its_reach(self, d):
+        # the tail at x = 0 is about 1/2 here; the oracle must not return 0.0
+        # with error 0, nor overflow
+        with pytest.raises(QuadratureError):
+            direct_kernel_quadrature(d, 1e40, 0.0)
 
     def test_error_estimate_within_spec(self):
         spec = QuadratureSpec()
