@@ -22,10 +22,9 @@ def main() -> None:
         cfg = SimulationConfig(d=d, t=args.t, paths=args.paths, seed=args.seed, step=args.step)
         coarse, fine = simulate_radial_pair(cfg)
         print(f"d={d}, t={args.t:g}, {args.paths} paths, step {args.step:g}:")
-        for x, est in zip(args.x, tail(d, args.t, args.x)):
+        for x, analytic in zip(args.x, tail(d, args.t, args.x).value.tolist()):
             ec = empirical_tail(coarse, d, args.t, x)
             ef = empirical_tail(fine, d, args.t, x)
-            analytic = est.value
             z = (ec.estimate - analytic) / ec.standard_error
             halving = (ec.estimate - ef.estimate) / math.hypot(ec.standard_error, ef.standard_error)
             print(

@@ -22,8 +22,8 @@ from .calculus import (
 )
 from .discrepancy import (
     DiscrepancyCurve,
-    DiscrepancyRecord,
     RateFit,
+    SupResult,
     discrepancy_curve,
     rate_fit,
     sharpness_at_zero,
@@ -73,8 +73,8 @@ __all__ = [
     "millson_identity_value",
     "sinh_power_derivative",
     "DiscrepancyCurve",
-    "DiscrepancyRecord",
     "RateFit",
+    "SupResult",
     "discrepancy_curve",
     "rate_fit",
     "sharpness_at_zero",

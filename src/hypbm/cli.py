@@ -161,17 +161,9 @@ def _cmd_tail(args) -> int:
     rows = []
     for d in args.d:
         for t in args.t:
-            for x, est in zip(args.x, tail(Dimension(d), t, args.x, spec)):
-                rows.append(
-                    {
-                        "d": d,
-                        "t": t,
-                        "x": x,
-                        "value": est.value,
-                        "error_estimate": est.error_estimate,
-                        "method": est.method,
-                    }
-                )
+            est = tail(Dimension(d), t, args.x, spec)
+            for x, value, err in zip(args.x, est.value.tolist(), est.error_estimate.tolist()):
+                rows.append({"d": d, "t": t, "x": x, "value": value, "error_estimate": err, "method": est.method})
     _write_rows(["d", "t", "x", "value", "error_estimate", "method"], rows, args)
     return 0
 

@@ -27,7 +27,7 @@ import numpy as np
 from .kernels import Dimension
 from .logspace import LN2, vlogcosh_minus_x, vlogsinh_minus_x
 from .quadrature import DEFAULT_SPEC, TAIL_SIGMA_MULTIPLIER, QuadratureSpec, integrate_adaptive
-from .tails import _SQRT_2PI, _check_t, _tail_arrays, normal_tail, tail
+from .tails import _SQRT_2PI, _check_t, normal_tail, tail
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # golden steps planned per array tail call of a refinement, for up to
@@ -59,13 +59,6 @@ _RESOLUTION = 1e-4
 
 @dataclass(frozen=True)
 class SupResult:
-    delta: float
-    argmax_x: float
-    evaluations: int
-
-
-@dataclass(frozen=True)
-class DiscrepancyRecord:
     t: float
     delta: float
     argmax_x: float
@@ -75,7 +68,7 @@ class DiscrepancyRecord:
 @dataclass(frozen=True)
 class DiscrepancyCurve:
     dimension: int
-    records: tuple[DiscrepancyRecord, ...]
+    records: tuple[SupResult, ...]
 
     def __post_init__(self) -> None:
         ts = [rec.t for rec in self.records]
@@ -148,9 +141,9 @@ def sup_discrepancy(d: Dimension | int, t: float, spec: QuadratureSpec = DEFAULT
 
     def evaluate(at: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """|tail - Phi| at every x, with the tail's values, its errors and Phi."""
-        values, errors, _ = _tail_arrays(dd, t, at, spec)
+        est = tail(dd, t, at, spec)
         phi = normal_tail(at)
-        return np.abs(values - phi), values, errors, phi
+        return np.abs(est.value - phi), est.value, est.error_estimate, phi
 
     def f(points) -> list[float]:
         return evaluate(np.asarray(points, dtype=float))[0].tolist()
@@ -219,16 +212,13 @@ def sup_discrepancy(d: Dimension | int, t: float, spec: QuadratureSpec = DEFAULT
     for xx, vv in zip(check, f(check)):
         if vv > best_v:
             best_v, best_x = vv, float(xx)
-    return SupResult(best_v, best_x, evals)
+    return SupResult(t, best_v, best_x, evals)
 
 
 def discrepancy_curve(d: Dimension | int, ts: Sequence[float]) -> DiscrepancyCurve:
+    """One sup_discrepancy search per t, in increasing t."""
     dd = Dimension.of(d)
-    records = []
-    for t in sorted(float(t) for t in ts):
-        res = sup_discrepancy(dd, t)
-        records.append(DiscrepancyRecord(t, res.delta, res.argmax_x, res.evaluations))
-    return DiscrepancyCurve(dd.d, tuple(records))
+    return DiscrepancyCurve(dd.d, tuple(sup_discrepancy(dd, t) for t in sorted(float(t) for t in ts)))
 
 
 def sharpness_at_zero(d: Dimension | int, t: float) -> float:

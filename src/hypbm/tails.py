@@ -30,17 +30,16 @@ cancelled analytically: it is a probability density in s (bounded by the
 T = 0 one) times the substitution's Jacobian, computed from quantities that
 stay O(1) for every t, so no shift, probe grid or log-space sum is needed.
 
-tail(d, t, x) also takes a 1-d array x and returns one TailEstimate per x,
-in order, each bitwise the scalar call's; a scalar x is the one-point case
-of the same path. _tail_arrays dispatches on parity to the private array
-paths _tail_odd and _tail_even, which take their thresholds from one rule
-(_thresholds), and returns the same numbers as arrays (values, errors,
-method), for callers that need no object per point. For even d the points
-are the intervals of one stacked quadrature (integrate_adaptive), each
-seeded at its integrand's own widths, so that a grid of x converges in one
-or two rounds, each one integrand call, instead of one quadrature per point;
-for odd d every piece of the closed form is an array over x, so a 401-point
-grid costs about as much as a few scalar calls.
+tail(d, t, x) answers as normal_tail does: at a number x one TailEstimate
+of floats, at a 1-d array x one TailEstimate of arrays in x order, each
+entry bitwise the one-point call's; a number is the one-point case of the
+same path. tail dispatches on parity to the private array paths _tail_odd
+and _tail_even, which take their thresholds from one rule (_thresholds).
+For even d the points are the intervals of one stacked quadrature
+(integrate_adaptive), each seeded at its integrand's own widths, so that a
+grid of x converges in one or two rounds, each one integrand call, instead
+of one quadrature per point; for odd d every piece of the closed form is an
+array over x, so a 401-point grid costs about as much as a few scalar calls.
 
 The density likewise takes an array of r (_radial_density), from one kernel
 call over the whole array, so the brute-force mass integral (_radial_mass)
@@ -112,8 +111,10 @@ def _thresholds(d: Dimension, t: float, xs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TailEstimate:
-    value: float
-    error_estimate: float
+    """A tail and its error estimate: floats at one x, arrays over an array of x."""
+
+    value: float | np.ndarray
+    error_estimate: float | np.ndarray
     method: TailMethod
 
 
@@ -182,20 +183,16 @@ def _clamp(value: np.ndarray, err: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(np.maximum(value, 0.0), 1.0), np.maximum(err, np.maximum(0.0 - value, value - 1.0))
 
 
-# a tail over an array of x before any TailEstimate is built: clamped values,
-# their error estimates and the method
-TailArrays = tuple[np.ndarray, np.ndarray, TailMethod]
-
-
-def _finalize(value: np.ndarray, err: np.ndarray, method: TailMethod) -> TailArrays:
+def _finalize(value: np.ndarray, err: np.ndarray, method: TailMethod) -> TailEstimate:
     bad = ~np.isfinite(value)
     if bad.any():
         raise KernelError(f"{method} tail is not finite ({value[bad][0].item()!r})")
-    return (*_clamp(value, err), method)
+    return TailEstimate(*_clamp(value, err), method)
 
 
-def _estimates(value: np.ndarray, err: np.ndarray, method: TailMethod) -> list[TailEstimate]:
-    return [TailEstimate(v, e, method) for v, e in zip(value.tolist(), err.tolist())]
+def _one_point(est: TailEstimate) -> TailEstimate:
+    """The builtin floats of a one-point TailEstimate of arrays."""
+    return TailEstimate(est.value[0].item(), est.error_estimate[0].item(), est.method)
 
 
 def _d3_parts(t: float, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -225,7 +222,7 @@ def _d3_parts(t: float, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return value, err
 
 
-def _tail_odd(dd: Dimension, t: float, xs: np.ndarray) -> TailArrays:
+def _tail_odd(dd: Dimension, t: float, xs: np.ndarray) -> TailEstimate:
     """Odd-dimension tail (d = 2n+1) at every x of a 1-d array: the d=3 tail
     at time n^2 t plus a boundary sum at T over m < n of
 
@@ -267,7 +264,7 @@ def _tail_odd(dd: Dimension, t: float, xs: np.ndarray) -> TailArrays:
     return _finalize(value, err, "odd_reduction")
 
 
-def _tail_even(dd: Dimension, t: float, xs: np.ndarray, spec: QuadratureSpec) -> TailArrays:
+def _tail_even(dd: Dimension, t: float, xs: np.ndarray, spec: QuadratureSpec) -> TailEstimate:
     """Even-dimension tail (d = 2k+2) at every x of a 1-d array by the swapped
     descent integral, each point its own interval of one stacked quadrature.
 
@@ -362,29 +359,21 @@ def _tail_even(dd: Dimension, t: float, xs: np.ndarray, spec: QuadratureSpec) ->
     return _finalize(value, err, "even_decomposition")
 
 
-def tail(d: Dimension | int, t: float, x, spec: QuadratureSpec = DEFAULT_SPEC):
+def tail(d: Dimension | int, t: float, x, spec: QuadratureSpec = DEFAULT_SPEC) -> TailEstimate:
     """Tail probability for any d >= 2: the odd reduction for odd d (its n = 1
     case is the d=3 closed form), the descent integral for even d.
 
-    x may be a 1-d array: the result is then a list with one TailEstimate
-    per x, in order, each bitwise the one a call with that x alone returns;
-    a scalar x is the one-point case of the same array path.
+    At a number x the TailEstimate holds floats. At a 1-d array x it holds
+    arrays in x order, each entry bitwise a call with that x alone; a number
+    is the one-point case of the same array path.
     """
     dd = Dimension.of(d)
     xs = np.asarray(x, dtype=float)
     if xs.ndim > 1:
         raise ValueError(f"x must be a number or a 1-d array, got shape {xs.shape}")
-    ests = _estimates(*_tail_arrays(dd, t, np.atleast_1d(xs), spec))
-    return ests if xs.ndim else ests[0]
-
-
-def _tail_arrays(dd: Dimension, t: float, xs: np.ndarray, spec: QuadratureSpec = DEFAULT_SPEC) -> TailArrays:
-    """tail at every x of a 1-d array as (values, errors, method), each entry
-    bitwise the TailEstimate tail returns: the path for callers that read
-    arrays and need no object per point."""
-    if dd.is_odd:
-        return _tail_odd(dd, t, xs)
-    return _tail_even(dd, t, xs, spec)
+    points = np.atleast_1d(xs)
+    est = _tail_odd(dd, t, points) if dd.is_odd else _tail_even(dd, t, points, spec)
+    return est if xs.ndim else _one_point(est)
 
 
 def direct_kernel_quadrature(
@@ -414,4 +403,4 @@ def direct_kernel_quadrature(
     # tolerance, or the odd kernel's 1e-11 from its Bell sum, plus the rounding
     kernel_rel_err = (spec.rel_tol if dd.d % 2 == 0 else 1e-11) + rounding
     err = res.error_estimate + kernel_rel_err * abs(res.value)
-    return _estimates(*_finalize(np.array([res.value]), np.array([err]), "direct_kernel_quadrature"))[0]
+    return _one_point(_finalize(np.array([res.value]), np.array([err]), "direct_kernel_quadrature"))

@@ -14,7 +14,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .calculus import (
-    double_factorial,
     evaluate_expansion,
     millson_identity_value,
     sinh_power_derivative,
@@ -50,19 +49,6 @@ def identities_suite() -> list[CheckResult]:
             got = evaluate_expansion(e, float(r))
             worst = max(worst, abs(got - want) / (1.0 + abs(want)))
     out.append(CheckResult("odd-power collapse l=1..8", worst <= 1e-10, f"max rel err {worst:.2e}"))
-    worst = 0.0
-    for k in range(1, 5):
-        e1 = sinh_power_derivative(4 * k - 1, 2 * k - 1)
-        e2 = sinh_power_derivative(4 * k + 1, 2 * k)
-        for r in grid:
-            w1 = double_factorial(4 * k - 1) / (2 * k) * math.sinh(2 * k * float(r))
-            w2 = double_factorial(4 * k + 1) / (2 * k + 1) * math.sinh((2 * k + 1) * float(r))
-            worst = max(
-                worst,
-                abs(evaluate_expansion(e1, float(r)) - w1) / (1.0 + abs(w1)),
-                abs(evaluate_expansion(e2, float(r)) - w2) / (1.0 + abs(w2)),
-            )
-    out.append(CheckResult("split-parity collapses k=1..4", worst <= 1e-10, f"max rel err {worst:.2e}"))
     const_ok = all(
         sinh_power_derivative(n, n).terms == ((math.factorial(n), 0, 0),) for n in (2, 4, 6, 8)
     )
@@ -146,9 +132,9 @@ def cross_oracle_suite(
     for d in ds:
         worst = 0.0
         for t in ts:
-            for x, est in zip(xs, tail(d, float(t), xs)):
+            for x, value in zip(xs, tail(d, float(t), xs).value.tolist()):
                 b = direct_kernel_quadrature(d, float(t), float(x)).value
-                worst = max(worst, abs(est.value - b))
+                worst = max(worst, abs(value - b))
         out.append(CheckResult(f"cross-oracle d={d}", worst <= tol, f"max |diff| = {worst:.2e} (tol {tol:g})"))
     return out
 

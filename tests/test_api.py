@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import hypbm
-from hypbm import calculus, kernels, sim, tails
+from hypbm import calculus, discrepancy, kernels, sim, tails
 from hypbm.kernels import EvaluationPoint
 
 # one-point wrappers that tail and heat_kernel replace
@@ -42,6 +42,17 @@ def test_expansion_log_is_gone():
     assert "evaluate_expansion_log" not in hypbm.__all__
     for module in (hypbm, calculus):
         assert not hasattr(module, "evaluate_expansion_log"), module.__name__
+
+
+def test_tail_has_one_entry_and_a_search_one_record():
+    # tail is the one entry to the tail layer and returns one TailEstimate
+    # at every x; a sup search and a curve share SupResult
+    for name in ("_tail_arrays", "TailArrays", "_estimates"):
+        assert not hasattr(tails, name), name
+    assert "DiscrepancyRecord" not in hypbm.__all__
+    for module in (hypbm, discrepancy):
+        assert not hasattr(module, "DiscrepancyRecord"), module.__name__
+    assert hypbm.discrepancy_curve(3, [10.0]).records == (hypbm.sup_discrepancy(3, 10.0),)
 
 
 def test_simulator_has_one_return_shape():

@@ -6,7 +6,6 @@ import pytest
 from hypbm import discrepancy as discrepancy_module
 from hypbm.discrepancy import (
     DiscrepancyCurve,
-    DiscrepancyRecord,
     SupResult,
     discrepancy_curve,
     rate_fit,
@@ -15,9 +14,7 @@ from hypbm.discrepancy import (
     sup_discrepancy,
 )
 from hypbm import quadrature as quadrature_module
-from hypbm.kernels import Dimension
 from hypbm.quadrature import DEFAULT_SPEC, QuadratureSpec
-from hypbm import tails as tails_module
 from hypbm.tails import normal_tail, tail
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -91,8 +88,8 @@ def _plain_sup_discrepancy(d, t, spec=DEFAULT_SPEC):
     def f(x):
         return abs(tail(d, t, float(x), spec).value - normal_tail(float(x)))
 
-    coarse = tail(d, t, xs, spec)
-    vals = np.array([abs(est.value - normal_tail(float(x))) for est, x in zip(coarse, xs)])
+    coarse = tail(d, t, xs, spec).value
+    vals = np.array([abs(value - normal_tail(float(x))) for value, x in zip(coarse.tolist(), xs)])
     evals += len(xs)
     i = int(np.argmax(vals))
     best_x, best_v = float(xs[i]), float(vals[i])
@@ -121,7 +118,7 @@ def _plain_sup_discrepancy(d, t, spec=DEFAULT_SPEC):
             evals += 1
             if vv > best_v:
                 best_v, best_x = vv, float(xx)
-    return SupResult(best_v, best_x, evals)
+    return SupResult(t, best_v, best_x, evals)
 
 
 def _assert_same_sup(res, ref):
@@ -135,9 +132,9 @@ def calls(monkeypatch) -> list[np.ndarray]:
 
     def recording(d, t, xs, spec):
         seen.append(np.array(xs, dtype=float))
-        return tails_module._tail_arrays(d, t, xs, spec)
+        return tail(d, t, xs, spec)
 
-    monkeypatch.setattr(discrepancy_module, "_tail_arrays", recording)
+    monkeypatch.setattr(discrepancy_module, "tail", recording)
     return seen
 
 
@@ -256,8 +253,7 @@ class TestCertificate:
         # the first maximum; the search matches the whole-grid one bitwise
         _, evaluated = _assert_equals_plain(calls, d, t, spec)
         grid = discrepancy_module._GRID
-        values, _, _ = tails_module._tail_arrays(Dimension(d), t, grid, spec)
-        whole = np.abs(values - normal_tail(grid))
+        whole = np.abs(tail(d, t, grid, spec).value - normal_tail(grid))
         assert not evaluated.all()
         assert whole[~evaluated].max() < whole.max()
 
@@ -324,21 +320,21 @@ class TestCoarseGridBatch:
 class TestCurveAndFit:
     def test_synthetic_power_law(self):
         records = tuple(
-            DiscrepancyRecord(t, 3.0 * t**-0.5, 0.0, 1) for t in (10.0, 30.0, 100.0, 300.0)
+            SupResult(t, 3.0 * t**-0.5, 0.0, 1) for t in (10.0, 30.0, 100.0, 300.0)
         )
         fit = rate_fit(DiscrepancyCurve(3, records))
         assert fit.slope == pytest.approx(-0.5, abs=1e-12)
         assert fit.residual < 1e-12
 
     def test_constant_curve_zero_slope(self):
-        records = tuple(DiscrepancyRecord(t, 0.25, 0.0, 1) for t in (1.0, 2.0, 4.0, 8.0))
+        records = tuple(SupResult(t, 0.25, 0.0, 1) for t in (1.0, 2.0, 4.0, 8.0))
         assert rate_fit(DiscrepancyCurve(3, records)).slope == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_short_or_degenerate(self):
-        records = tuple(DiscrepancyRecord(t, 0.1, 0.0, 1) for t in (1.0, 2.0, 4.0))
+        records = tuple(SupResult(t, 0.1, 0.0, 1) for t in (1.0, 2.0, 4.0))
         with pytest.raises(ValueError):
             rate_fit(DiscrepancyCurve(3, records))
-        bad = tuple(DiscrepancyRecord(t, 0.0 if t == 4.0 else 0.1, 0.0, 1) for t in (1.0, 2.0, 4.0, 8.0))
+        bad = tuple(SupResult(t, 0.0 if t == 4.0 else 0.1, 0.0, 1) for t in (1.0, 2.0, 4.0, 8.0))
         with pytest.raises(ValueError):
             rate_fit(DiscrepancyCurve(3, bad))
 
@@ -346,7 +342,7 @@ class TestCurveAndFit:
         curve = discrepancy_curve(3, [100.0, 10.0, 30.0])
         assert [rec.t for rec in curve.records] == [10.0, 30.0, 100.0]
         with pytest.raises(ValueError):
-            DiscrepancyCurve(3, (DiscrepancyRecord(2.0, 0.1, 0.0, 1), DiscrepancyRecord(1.0, 0.1, 0.0, 1)))
+            DiscrepancyCurve(3, (SupResult(2.0, 0.1, 0.0, 1), SupResult(1.0, 0.1, 0.0, 1)))
 
     def test_d3_rate(self):
         curve = discrepancy_curve(3, [10.0, 30.0, 100.0, 300.0, 1000.0])

@@ -12,7 +12,12 @@ from hypbm.kernels import Dimension, EvaluationPoint, _series, build_odd_kernel
 from hypbm import quadrature as quadrature_module
 from hypbm import tails as tails_module
 from hypbm.quadrature import QuadratureError, QuadratureSpec, QuadratureStack, integrate_adaptive
-from hypbm.tails import direct_kernel_quadrature, normal_tail, radial_density, tail
+from hypbm.tails import TailEstimate, direct_kernel_quadrature, normal_tail, radial_density, tail
+
+
+def point(est: TailEstimate, i: int) -> TailEstimate:
+    """Entry i of a TailEstimate of arrays, as the floats a one-point call returns."""
+    return TailEstimate(est.value[i].item(), est.error_estimate[i].item(), est.method)
 
 
 class TestNormalTail:
@@ -290,8 +295,9 @@ class TestTailEven:
         tight = QuadratureSpec(abs_tol=1e-16, rel_tol=1e-15)
         xs = np.concatenate((np.linspace(-6.0, 10.0, 65), np.array([-1.0, 0.0, 1.0, 2.5, 5.0]) - 1e-6))
         for t in (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3, 1e4, *(10.0**k for k in range(5, 15))):
-            for x, est, ref in zip(xs.tolist(), tail(d, t, xs), tail(d, t, xs, tight)):
-                assert abs(est.value - ref.value) <= est.error_estimate, (t, x)
+            est, ref = tail(d, t, xs), tail(d, t, xs, tight)
+            missed = np.abs(est.value - ref.value) > est.error_estimate
+            assert not missed.any(), (t, xs[missed])
 
 
 class TestDispatchAndBounds:
@@ -313,9 +319,9 @@ class TestDispatchAndBounds:
     def test_monotone_on_the_search_grid_within_errors(self, d, t):
         # the premise of the sup search's certificate: on its 401-point grid
         # the tail never rises by more than the two points' error estimates
-        ests = tail(d, t, np.arange(-10.0, 10.025, 0.05))
-        for a, b in zip(ests, ests[1:]):
-            assert b.value <= a.value + a.error_estimate + b.error_estimate
+        est = tail(d, t, np.arange(-10.0, 10.025, 0.05))
+        value, err = est.value, est.error_estimate
+        assert (value[1:] <= value[:-1] + err[:-1] + err[1:]).all()
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_values_in_unit_interval(self, d):
@@ -378,22 +384,39 @@ class TestArrayX:
         xs = np.r_[self.grid(d, t), -1e308, 1e160, 1.7e308]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ests = tail(d, t, xs)
-            assert isinstance(ests, list) and len(ests) == len(xs)
-            for x, est in zip(xs, ests):
-                assert est == tail(d, t, float(x)), x
+            est = tail(d, t, xs)
+            for i, x in enumerate(xs):
+                assert point(est, i) == tail(d, t, float(x)), x
 
     @pytest.mark.parametrize("d", range(2, 10))
     def test_array_path_is_the_estimates(self, d):
-        # the (values, errors, method) arrays a search reads are bitwise the TailEstimates
+        # an array x gives one TailEstimate of float arrays in x order and one
+        # method; a list gives the same arrays
         xs = np.r_[self.grid(d, 10.0), 1.7e308]
-        values, errors, method = tails_module._tail_arrays(Dimension(d), 10.0, xs)
-        got = [tails_module.TailEstimate(v, e, method) for v, e in zip(values.tolist(), errors.tolist())]
-        assert got == tail(d, 10.0, xs)
+        est = tail(d, 10.0, xs)
+        assert est.method == tail(d, 10.0, 0.5).method
+        for arr in (est.value, est.error_estimate):
+            assert type(arr) is np.ndarray and arr.dtype == np.float64 and arr.shape == xs.shape
+        listed = tail(d, 10.0, xs.tolist())
+        assert np.array_equal(listed.value, est.value) and np.array_equal(listed.error_estimate, est.error_estimate)
 
     @pytest.mark.parametrize("d", range(2, 10))
     def test_empty_array_gives_empty_list(self, d):
-        assert tail(d, 1.0, []) == []
+        # an empty list of x gives empty arrays
+        est = tail(d, 1.0, [])
+        assert est.value.shape == est.error_estimate.shape == (0,)
+        assert est.value.tolist() == est.error_estimate.tolist() == []
+
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_number_gives_floats(self, d):
+        # a number or a 0-d array gives builtin floats, as normal_tail does;
+        # printed, a numpy float would read np.float64(...)
+        for x in (0.5, 1, np.float64(0.5), np.array(0.5), np.array(1.7e308)):
+            est = tail(d, 10.0, x)
+            assert type(est.value) is float and type(est.error_estimate) is float, x
+        assert tail(d, 10.0, np.array(0.5)) == tail(d, 10.0, 0.5) == point(tail(d, 10.0, [0.5]), 0)
+        ref = direct_kernel_quadrature(d, 10.0, 0.5)
+        assert type(ref.value) is float and type(ref.error_estimate) is float
 
     @pytest.mark.parametrize("d", range(2, 10))
     def test_nan_in_array_raises(self, d):
@@ -405,20 +428,21 @@ class TestArrayX:
         t = 10.0
         xs = self.grid(d, t)
         xb = boundary_x(d, t)
-        for x, est in zip(xs, tail(d, t, xs)):
+        est = tail(d, t, xs)
+        for i, x in enumerate(xs):
             if x <= xb:
-                assert est == tails_module.TailEstimate(1.0, 0.0, "even_decomposition"), x
+                assert point(est, i) == TailEstimate(1.0, 0.0, "even_decomposition"), x
             else:  # integrated, even where the value clamps to 1
-                assert est.error_estimate > 0.0, x
+                assert est.error_estimate[i] > 0.0, x
 
     @pytest.mark.parametrize("d", [2, 4])
     def test_overflowing_threshold_is_exactly_zero(self, d):
         # T = sqrt(t) (x - boundary_x) overflows to inf; the finite point beside it is untouched
         t = 3.0
-        ests = tail(d, t, np.array([0.5, 1.7e308]))
-        assert ests[1] == tails_module.TailEstimate(0.0, 0.0, "even_decomposition")
-        assert tail(d, t, 1.7e308) == ests[1]
-        assert ests[0] == tail(d, t, 0.5)
+        est = tail(d, t, np.array([0.5, 1.7e308]))
+        assert point(est, 1) == TailEstimate(0.0, 0.0, "even_decomposition")
+        assert tail(d, t, 1.7e308) == point(est, 1)
+        assert point(est, 0) == tail(d, t, 0.5)
 
     def test_clamp_widens_the_error_per_point(self, monkeypatch):
         d, t = 4, 10.0
@@ -432,22 +456,22 @@ class TestArrayX:
             return QuadratureStack(values, errors, stack.counts)
 
         monkeypatch.setattr(tails_module, "integrate_adaptive", overshooting)
-        ests = tail(d, t, xs)
-        assert (ests[0].value, ests[0].error_estimate) == (1.0, pytest.approx(1e-7, rel=1e-6))
-        assert (ests[1].value, ests[1].error_estimate) == (0.0, 2e-7)
-        assert ests[2] == plain[2]
+        est = tail(d, t, xs)
+        assert (point(est, 0).value, point(est, 0).error_estimate) == (1.0, pytest.approx(1e-7, rel=1e-6))
+        assert point(est, 1) == TailEstimate(0.0, 2e-7, "even_decomposition")
+        assert point(est, 2) == point(plain, 2)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_no_negative_zero_error(self, d):
         # a tail that is exactly 0 or 1 quotes an error of +0.0, never -0.0
         xs = np.array([-1e308, -40.0, 40.0, 1e308])
-        for est in tail(d, 3.0, xs):
-            assert not np.signbit(est.error_estimate), est
-        _, errs, _ = tails_module._tail_arrays(Dimension(d), 3.0, xs)
-        assert not np.signbit(errs).any()
+        assert not np.signbit(tail(d, 3.0, xs).error_estimate).any()
+        for x in xs.tolist():
+            assert not np.signbit(tail(d, 3.0, x).error_estimate), x
 
     def test_empty_and_invalid_arrays(self):
-        assert tail(4, 1.0, np.array([])) == [] and tail(5, 1.0, []) == []
+        for est in (tail(4, 1.0, np.array([])), tail(5, 1.0, [])):
+            assert est.value.size == est.error_estimate.size == 0
         with pytest.raises(ValueError):
             tail(4, 1.0, [0.0, math.nan])
         with pytest.raises(ValueError):
@@ -475,9 +499,10 @@ class TestDirectOracleGuards:
         # worst use is 0.12 of that sum (d = 7, t = 1000), and the 49 cases
         # take about 3 s
         xs = np.linspace(-5.0, 5.0, 21)
-        for x, est in zip(xs.tolist(), tail(d, t, xs)):
+        est = tail(d, t, xs)
+        for x, value, err in zip(xs.tolist(), est.value.tolist(), est.error_estimate.tolist()):
             ref = direct_kernel_quadrature(d, t, x)
-            assert abs(est.value - ref.value) <= est.error_estimate + ref.error_estimate, x
+            assert abs(value - ref.value) <= err + ref.error_estimate, x
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
     def test_converges_at_large_t(self, d):
