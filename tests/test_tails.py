@@ -457,7 +457,8 @@ class TestArrayX:
 
         monkeypatch.setattr(tails_module, "integrate_adaptive", overshooting)
         est = tail(d, t, xs)
-        assert (point(est, 0).value, point(est, 0).error_estimate) == (1.0, pytest.approx(1e-7, rel=1e-6))
+        first = point(est, 0)
+        assert (first.value, first.error_estimate) == (1.0, pytest.approx(1e-7, rel=1e-6))
         assert point(est, 1) == TailEstimate(0.0, 2e-7, "even_decomposition")
         assert point(est, 2) == point(plain, 2)
 
