@@ -91,32 +91,35 @@ def sinh_power_derivative(n: int, k: int) -> SinhPowerExpansion:
     return SinhPowerExpansion(n, k, tuple(terms))
 
 
-def evaluate_expansion_log_shifted(e: SinhPowerExpansion, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The expansion without its growth, e^{-(n-k) r} D^k sinh^n r, at every
-    r >= 0 of a 1-d array, as a (sign, log) pair of arrays, each entry
-    depending on its own r alone.
+def evaluate_expansion_log_shifted(e: SinhPowerExpansion, rs: np.ndarray) -> np.ndarray:
+    """The log of the expansion without its growth, e^{-(n-k) r} D^k sinh^n r,
+    at every r >= 0 of a 1-d array, each entry depending on its own r alone.
 
     Every term c cosh^a sinh^b has total degree a + b = n - k, so each
-    contributes log|c| + a (log cosh r - r) + b (log sinh r - r), which stays
+    contributes log c + a (log cosh r - r) + b (log sinh r - r), which stays
     bounded: large r costs no digits. At r = 0 only the sinh^0 terms survive.
+    Coefficients must be positive, as a signed sum would cancel unseen; a
+    negative one occurs only for odd n, k >= (n+3)/2, beside negative powers.
     """
     rs = np.asarray(rs, dtype=float)
-    if (rs < 0.0).any():
-        raise ValueError(f"evaluation requires r >= 0, got {rs[rs < 0.0][0]}")
+    if not (rs >= 0.0).all():
+        raise ValueError(f"evaluation requires r >= 0, got {rs[~(rs >= 0.0)][0]}")
+    if any(c < 0 for c, _, _ in e.terms):
+        raise ValueError(f"D^{e.operator_applications} sinh^{e.base_power} has a negative coefficient")
     if e.min_sinh_exponent() < 0 and (rs == 0.0).any():
         raise ValueError("expansion has negative sinh powers; r = 0 is outside its domain")
     # log sinh r - r is -inf at r = 0; past r = 9e307, -2r overflows harmlessly
     with np.errstate(divide="ignore", over="ignore"):
         lc, ls = vlogcosh_minus_x(rs), vlogsinh_minus_x(rs)
-    return vlog_sum((1 if c > 0 else -1, math.log(abs(c)) + a * lc + (b * ls if b else 0.0)) for c, a, b in e.terms)
+    return vlog_sum([math.log(c) + a * lc + (b * ls if b else 0.0) for c, a, b in e.terms])
 
 
 def evaluate_expansion(e: SinhPowerExpansion, r: float) -> float:
     """Float value of the expansion at r >= 0: the shifted log plus its growth
     (n - k) r, exponentiated once; OverflowError where the value exceeds the
     double range."""
-    sign, lg = evaluate_expansion_log_shifted(e, np.array([r], dtype=float))
-    return 0.0 if sign[0] == 0 else int(sign[0]) * math.exp(lg[0].item() + (e.base_power - e.operator_applications) * r)
+    lg = evaluate_expansion_log_shifted(e, np.array([r], dtype=float))
+    return math.exp(lg[0].item() + (e.base_power - e.operator_applications) * r)
 
 
 def millson_identity_value(l: int, r: float) -> float:

@@ -174,7 +174,7 @@ def build_odd_kernel(d: int) -> OddKernelExpression:
 
 def _at(log_q: np.ndarray) -> LogValue:
     """The LogValue of a one-point array of log q."""
-    return LogValue(1, log_q[0].item())
+    return LogValue(log_q[0].item())
 
 
 @lru_cache(maxsize=None)
@@ -423,7 +423,7 @@ def millson_step_numeric(q_lower: Callable[[float], LogValue], d: int, p: Evalua
     if not (gprime < 0.0):
         raise KernelError(f"kernel not decreasing at d={d}, t={t}, r={r} (g'={gprime})")
     lg = -(d - 2) / 2.0 * t - LN2PI - logsinh(r) + g[2] + math.log(-gprime)
-    return LogValue(1, lg)
+    return LogValue(lg)
 
 
 def heat_kernel(d: Dimension | int, p: EvaluationPoint, spec: QuadratureSpec = DEFAULT_SPEC) -> LogValue:

@@ -1,18 +1,17 @@
-"""Sign/log-magnitude arithmetic and the package's one hyperbolic-log family.
+"""Positive log-space arithmetic and the package's one hyperbolic-log family.
 
 Quantities like e^{-n(n-1)t/2} * sinh^k(r) span thousands of orders of
-magnitude across the parameter ranges this package sweeps, so positive
-scalars are carried as (sign, log|value|) pairs and exponentiated only at
-the final combination step. The hyperbolic logs are defined here alone, as
-log sinh x - x and log cosh x - x: bounded for x >= 0 and elementwise, so
-that a one-point value is bitwise its entry in any array.
+magnitude across the parameter ranges this package sweeps. All are positive,
+so each is carried as its log alone, summed without cancellation, and
+exponentiated only at the final combination step. The hyperbolic logs are
+defined here alone, as log sinh x - x and log cosh x - x: bounded for x >= 0
+and elementwise, so that a one-point value is bitwise its entry in any array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -22,37 +21,27 @@ LN2PI = math.log(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class LogValue:
-    """A real number stored as sign and log of absolute value.
+    """A nonnegative real number stored as its log; log -inf is exact zero."""
 
-    sign == 0 encodes exact zero (log is -inf by convention).
-    """
-
-    sign: int
     log: float
 
     @property
     def value(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        return self.sign * math.exp(self.log)
+        return math.exp(self.log)
 
 
-def vlog_sum(parts: Iterable[tuple]) -> tuple[np.ndarray, np.ndarray]:
-    """Signed log-sum-exp at every point of a 1-d array: each part is a
-    (sign, log) pair, log an array and sign an array or a scalar, and the
-    parts are summed in order, so each point's result depends on its own
-    entries alone. A part with sign 0 or log -inf counts as zero; a zero sum
-    has sign 0, log -inf.
-    """
-    parts = [(sign, np.where(np.equal(sign, 0), -math.inf, lg)) for sign, lg in parts]
-    top = np.max([lg for _, lg in parts], axis=0)
-    # where every part is zero, any finite shift keeps exp(-inf - shift) = 0
+def vlog_sum(logs: list[np.ndarray]) -> np.ndarray:
+    """log-sum-exp at every point of a 1-d array over a list of log arrays,
+    summed in order, so each point's result depends on its own entries alone.
+    A log -inf counts as zero; a zero sum has log -inf."""
+    top = np.max(logs, axis=0)
+    # where every term is zero, any finite shift keeps exp(-inf - shift) = 0
     shift = np.where(top == -math.inf, 0.0, top)
     acc = 0.0
-    for sign, lg in parts:
-        acc = acc + sign * np.exp(lg - shift)
+    for lg in logs:
+        acc = acc + np.exp(lg - shift)
     with np.errstate(divide="ignore"):
-        return np.sign(acc).astype(int), shift + np.log(np.abs(acc))
+        return shift + np.log(acc)
 
 
 def vlogcosh_minus_x(x: np.ndarray) -> np.ndarray:

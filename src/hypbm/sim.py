@@ -58,6 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import Dimension
 from .tails import normal_tail
 
 _BLOCK = 8192
@@ -77,12 +78,11 @@ class SimulationConfig:
     r0: float = 1e-3
 
     def __post_init__(self) -> None:
-        for name in ("d", "paths", "seed"):
+        Dimension(self.d)
+        for name in ("paths", "seed"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.d < 2:
-            raise ValueError(f"dimension must be >= 2, got {self.d}")
         if not (self.t > 0.0 and math.isfinite(self.t)):
             raise ValueError(f"horizon must be positive, got {self.t}")
         if not (0.0 < self.step <= self.t):

@@ -86,6 +86,7 @@ TailMethod = Literal[
     "even_decomposition",
     "direct_kernel_quadrature",
 ]
+TailParts = tuple[np.ndarray, np.ndarray, TailMethod]
 
 T_MIN = 1e-3
 
@@ -111,11 +112,16 @@ def _thresholds(d: Dimension, t: float, xs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TailEstimate:
-    """A tail and its error estimate: floats at one x, arrays over an array of x."""
+    """A tail and its error estimate: floats at one x, arrays over an array of x.
+    Arrays compare by content; floats never equal a one-point array."""
 
     value: float | np.ndarray
     error_estimate: float | np.ndarray
     method: TailMethod
+
+    def __eq__(self, other: object) -> bool:
+        same = isinstance(other, TailEstimate) and self.method == other.method
+        return same and all(np.array_equal(getattr(self, f), getattr(other, f)) for f in ("value", "error_estimate"))
 
 
 # erfc elementwise: numpy has none, and scipy stays off the import path
@@ -183,16 +189,11 @@ def _clamp(value: np.ndarray, err: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(np.maximum(value, 0.0), 1.0), np.maximum(err, np.maximum(0.0 - value, value - 1.0))
 
 
-def _finalize(value: np.ndarray, err: np.ndarray, method: TailMethod) -> TailEstimate:
+def _finalize(value: np.ndarray, err: np.ndarray, method: TailMethod) -> TailParts:
     bad = ~np.isfinite(value)
     if bad.any():
         raise KernelError(f"{method} tail is not finite ({value[bad][0].item()!r})")
-    return TailEstimate(*_clamp(value, err), method)
-
-
-def _one_point(est: TailEstimate) -> TailEstimate:
-    """The builtin floats of a one-point TailEstimate of arrays."""
-    return TailEstimate(est.value[0].item(), est.error_estimate[0].item(), est.method)
+    return *_clamp(value, err), method
 
 
 def _d3_parts(t: float, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -222,7 +223,7 @@ def _d3_parts(t: float, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return value, err
 
 
-def _tail_odd(dd: Dimension, t: float, xs: np.ndarray) -> TailEstimate:
+def _tail_odd(dd: Dimension, t: float, xs: np.ndarray) -> TailParts:
     """Odd-dimension tail (d = 2n+1) at every x of a 1-d array: the d=3 tail
     at time n^2 t plus a boundary sum at T over m < n of
 
@@ -255,7 +256,7 @@ def _tail_odd(dd: Dimension, t: float, xs: np.ndarray) -> TailEstimate:
         # factors, as is the bracket, so every term is positive
         total = 0.0
         for m in range(1, n):
-            _, expansion = evaluate_expansion_log_shifted(sinh_power_derivative(2 * n - 1, m - 1), T)
+            expansion = evaluate_expansion_log_shifted(sinh_power_derivative(2 * n - 1, m - 1), T)
             total = total + np.exp(log_c + _log_odd_bracket(2 * (n - m) + 1, t, T) + expansion)
         value[live] += total
         # each term's log sums O(d) bounded pieces, a few eps each, and
@@ -264,7 +265,7 @@ def _tail_odd(dd: Dimension, t: float, xs: np.ndarray) -> TailEstimate:
     return _finalize(value, err, "odd_reduction")
 
 
-def _tail_even(dd: Dimension, t: float, xs: np.ndarray, spec: QuadratureSpec) -> TailEstimate:
+def _tail_even(dd: Dimension, t: float, xs: np.ndarray, spec: QuadratureSpec) -> TailParts:
     """Even-dimension tail (d = 2k+2) at every x of a 1-d array by the swapped
     descent integral, each point its own interval of one stacked quadrature.
 
@@ -372,8 +373,8 @@ def tail(d: Dimension | int, t: float, x, spec: QuadratureSpec = DEFAULT_SPEC) -
     if xs.ndim > 1:
         raise ValueError(f"x must be a number or a 1-d array, got shape {xs.shape}")
     points = np.atleast_1d(xs)
-    est = _tail_odd(dd, t, points) if dd.is_odd else _tail_even(dd, t, points, spec)
-    return est if xs.ndim else _one_point(est)
+    value, err, method = _tail_odd(dd, t, points) if dd.is_odd else _tail_even(dd, t, points, spec)
+    return TailEstimate(value, err, method) if xs.ndim else TailEstimate(value[0].item(), err[0].item(), method)
 
 
 def direct_kernel_quadrature(
@@ -403,4 +404,5 @@ def direct_kernel_quadrature(
     # tolerance, or the odd kernel's 1e-11 from its Bell sum, plus the rounding
     kernel_rel_err = (spec.rel_tol if dd.d % 2 == 0 else 1e-11) + rounding
     err = res.error_estimate + kernel_rel_err * abs(res.value)
-    return _one_point(_finalize(np.array([res.value]), np.array([err]), "direct_kernel_quadrature"))
+    value, err, method = _finalize(np.array([res.value]), np.array([err]), "direct_kernel_quadrature")
+    return TailEstimate(value[0].item(), err[0].item(), method)

@@ -21,6 +21,7 @@ ENTRY_POINTS = {
     "direct_kernel_quadrature": lambda d: hypbm.direct_kernel_quadrature(d, 1.0, 0.0),
     "sup_discrepancy": lambda d: hypbm.sup_discrepancy(d, 10.0),
     "discrepancy_curve": lambda d: hypbm.discrepancy_curve(d, [10.0]),
+    "SimulationConfig": lambda d: hypbm.SimulationConfig(d=d, t=1.0, paths=1, seed=0),
 }
 
 

@@ -127,6 +127,34 @@ class TestEvaluateExpansion:
         with pytest.raises(ValueError):
             evaluate_expansion(sinh_power_derivative(3, 2), 0.0)
 
+    @pytest.mark.parametrize("n,k", [(1, 2), (3, 3), (5, 4)])
+    def test_negative_coefficient_rejected(self, n, k):
+        # log space holds positive terms only: at r = 20 the signed sum of
+        # D^2 sinh gave +4.6e-25 for -7.0e-26, with no sign of the error
+        e = sinh_power_derivative(n, k)
+        assert min(c for c, _, _ in e.terms) < 0 and e.min_sinh_exponent() < 0
+        for r in (0.5, 20.0):
+            with pytest.raises(ValueError, match="negative coefficient"):
+                evaluate_expansion(e, r)
+
+    def test_positive_coefficients_below_the_negative_range(self):
+        # a negative coefficient needs odd n and k >= (n+3)/2, and comes with
+        # negative sinh powers
+        for n in range(1, 40):
+            for k in range(45):
+                e = sinh_power_derivative(n, k)
+                negative = any(c < 0 for c, _, _ in e.terms)
+                assert negative == (n % 2 == 1 and 2 * k >= n + 3), (n, k)
+                assert not negative or e.min_sinh_exponent() < 0, (n, k)
+
+    @pytest.mark.parametrize("r", [math.nan, -0.5, -math.inf])
+    def test_rejects_r_not_at_least_zero(self, r):
+        e = sinh_power_derivative(3, 1)
+        with pytest.raises(ValueError, match="r >= 0"):
+            evaluate_expansion(e, r)
+        with pytest.raises(ValueError, match="r >= 0"):
+            evaluate_expansion_log_shifted(e, np.array([1.0, r]))
+
     def test_log_and_float_paths_agree(self):
         # the float value is the log path exponentiated; an independent float
         # sum of c cosh^a r sinh^b r over the terms checks it
@@ -139,9 +167,9 @@ class TestEvaluateExpansion:
         # log form stays finite where the float value overflows
         e = sinh_power_derivative(17, 8)
         r = 1.0e4
-        sign, shifted = evaluate_expansion_log_shifted(e, np.array([r]))
+        shifted = evaluate_expansion_log_shifted(e, np.array([r]))
         log = shifted[0] + (e.base_power - e.operator_applications) * r
-        assert sign[0] == 1 and math.isfinite(log)
+        assert math.isfinite(log)
         assert log == pytest.approx(log_millson_identity_value(8, r), rel=1e-12)
         with pytest.raises(OverflowError):
             evaluate_expansion(e, r)

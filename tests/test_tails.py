@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -417,6 +418,20 @@ class TestArrayX:
         assert tail(d, 10.0, np.array(0.5)) == tail(d, 10.0, 0.5) == point(tail(d, 10.0, [0.5]), 0)
         ref = direct_kernel_quadrature(d, 10.0, 0.5)
         assert type(ref.value) is float and type(ref.error_estimate) is float
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_estimates_compare_by_content(self, d):
+        # estimates of arrays compare entry by entry; a float estimate never
+        # equals a one-point array one, and only float estimates hash
+        est = tail(d, 1.0, [0.0, 1.0])
+        assert est == tail(d, 1.0, np.array([0.0, 1.0]))
+        assert est != tail(d, 1.0, [0.0, 2.0]) and est != tail(d, 1.0, [0.0])
+        one = tail(d, 1.0, 0.0)
+        assert one != tail(d, 1.0, [0.0]) and tail(d, 1.0, [0.0]) != one
+        assert one == point(est, 0) and hash(one) == hash(point(est, 0))
+        assert one != replace(one, method="direct_kernel_quadrature") and one != (one.value, one.error_estimate)
+        with pytest.raises(TypeError):
+            hash(est)
 
     @pytest.mark.parametrize("d", range(2, 10))
     def test_nan_in_array_raises(self, d):
